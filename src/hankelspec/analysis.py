@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SpectrumResult, dense_spectrum, lanczos_extremes
-from .hankel_core import DENSE_LIMIT, build_discrete, dense_matrix, matvec
+from .eigensolve import SolverParams, SpectrumResult, solve
+from .hankel_core import build_discrete
 from .model import (
     AsymptoticPrediction,
     DiscreteSymbolSpec,
@@ -43,46 +43,10 @@ __all__ = [
     "discrete_spectrum",
 ]
 
-DENSE_SOLVE_LIMIT = 2048
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Eigensolver knobs shared by the pipeline helpers."""
-
-    k: int = 64
-    tol: float = 1e-8
-    max_iter: int = 2000
-    seed: int = 0
-    basis_cap: int = 600
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
 
 def discrete_spectrum(spec: DiscreteSymbolSpec, N: int, params: SolverParams):
-    """Build the order-N truncation of the spec and solve for both ends.
-
-    Dense route below DENSE_SOLVE_LIMIT (cheap and exhaustive there),
-    Lanczos above it.
-    """
-    H = build_discrete(spec, N)
-    if N <= DENSE_SOLVE_LIMIT:
-        return dense_spectrum(dense_matrix(H))
-    return lanczos_extremes(
-        lambda v: matvec(H, v),
-        N,
-        k=params.k,
-        tol=params.tol,
-        max_iter=params.max_iter,
-        seed=params.seed,
-        basis_cap=params.basis_cap,
-    )
+    """Build the order-N truncation of the spec and solve for both ends."""
+    return solve(build_discrete(spec, N), params)
 
 
 def _window_values(values, n_lo, n_hi, extend_by_zero, channel):
@@ -351,9 +315,14 @@ def compare_localization(
 
 @dataclass
 class TruncationReport:
-    """Fitted coefficients across truncation orders vs the prediction."""
+    """Fitted coefficients across truncation orders vs the prediction.
+
+    spectra holds the solved spectrum at each order, so callers report the
+    largest order without solving it again.
+    """
 
     N_list: list
+    spectra: list
     fits: list
     deviations: list
     improving: bool
@@ -379,12 +348,10 @@ def truncation_study(
     if spectrum_fn is None:
         spectrum_fn = discrete_spectrum
     prediction = predict_discrete(spec)
+    spectra = [spectrum_fn(spec, N, params) for N in N_list]
     fits = [
-        fit_coefficient(
-            spectrum_fn(spec, N, params), spec.alpha, window, model,
-            extend_by_zero=True,
-        )
-        for N in N_list
+        fit_coefficient(S, spec.alpha, window, model, extend_by_zero=True)
+        for S in spectra
     ]
     deviations = [
         max(
@@ -398,6 +365,7 @@ def truncation_study(
     )
     return TruncationReport(
         N_list=N_list,
+        spectra=spectra,
         fits=fits,
         deviations=deviations,
         improving=improving,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, model, quadrature, symbols
-from .eigensolve import dense_spectrum, lanczos_extremes
-from .hankel_core import DENSE_LIMIT, HankelTruncation, dense_matrix, matvec
+from .eigensolve import solve
+from .hankel_core import DENSE_LIMIT
 
 __all__ = ["main", "run_scenario", "ConfigError"]
 
@@ -191,7 +191,7 @@ def parse_aslog_spec(cfg: dict, path: str) -> symbols.AsLogSpec:
 def parse_grid(cfg: dict, path: str) -> quadrature.GridSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(path, "expected an object")
-    return _wrap_value_error(
+    grid = _wrap_value_error(
         path,
         quadrature.GridSpec,
         kind=_need(cfg, "kind", path + "."),
@@ -199,6 +199,14 @@ def parse_grid(cfg: dict, path: str) -> quadrature.GridSpec:
         t_max=_as_float(_need(cfg, "t_max", path + "."), f"{path}.t_max"),
         points=_as_int(_need(cfg, "points", path + "."), f"{path}.points"),
     )
+    if grid.kind == "geometric" and grid.points > DENSE_LIMIT:
+        # Geometric grids are dense-only; refuse before anything is allocated.
+        raise ConfigError(
+            f"{path}.points",
+            f"geometric grids are solved densely, so at most {DENSE_LIMIT} "
+            f"points; got {grid.points}",
+        )
+    return grid
 
 
 def parse_solver(cfg, path: str) -> analysis.SolverParams:
@@ -254,10 +262,13 @@ class Scenario:
                 f"{path}kind", f"expected discrete|continuous|symbol, got {self.kind!r}"
             )
         self.action = cfg.get("action", "spectrum")
-        if self.action not in ("predict", "spectrum", "verify", "symbol"):
+        allowed = ("predict", "symbol") if self.kind == "symbol" else (
+            "predict", "spectrum", "verify"
+        )
+        if self.action not in allowed:
             raise ConfigError(
                 f"{path}action",
-                f"expected predict|spectrum|verify|symbol, got {self.action!r}",
+                f"{self.kind} scenarios take {'|'.join(allowed)}, got {self.action!r}",
             )
         spec_cfg = _need(cfg, "spec", path)
         if self.kind == "discrete":
@@ -301,6 +312,16 @@ class Scenario:
             _as_int(jw[0], f"{path}j_window[0]"),
             _as_int(jw[1], f"{path}j_window[1]"),
         )
+        if self.action == "symbol" and not (
+            2 <= self.j_window[0] <= self.j_window[1] <= self.samples // 2
+        ):
+            # Coefficient j is read from a DFT of `samples` points; indices
+            # past samples/2 alias negative frequencies.
+            raise ConfigError(
+                f"{path}j_window",
+                f"need 2 <= j_min <= j_max <= samples/2 = {self.samples // 2}, "
+                f"got {list(self.j_window)}",
+            )
         self.dump_samples = _as_int(
             cfg.get("dump_samples", 4096), f"{path}dump_samples"
         )
@@ -313,7 +334,7 @@ class Scenario:
                 raise ConfigError(f"{path}grids", "required for continuous runs")
         if self.action == "spectrum":
             count = len(self.N_list or self.grids or [])
-            if self.kind != "symbol" and count != 1:
+            if count != 1:
                 raise ConfigError(
                     f"{path}{'N_list' if self.kind == 'discrete' else 'grids'}",
                     f"spectrum runs take exactly one entry, got {count}",
@@ -415,20 +436,6 @@ def _prediction_json(pred) -> str:
     return _to_json(doc) + "\n"
 
 
-def _continuous_spectrum(scenario, grid):
-    A = quadrature.build_from_grid(scenario.spec, grid)
-    if isinstance(A, HankelTruncation):
-        if A.order <= analysis.DENSE_SOLVE_LIMIT:
-            return dense_spectrum(dense_matrix(A))
-        p = scenario.solver
-        return lanczos_extremes(
-            lambda v: matvec(A, v), A.order,
-            k=p.k, tol=p.tol, max_iter=p.max_iter, seed=p.seed,
-            basis_cap=p.basis_cap,
-        )
-    return dense_spectrum(A)
-
-
 def _run_predict(scenario, out: Path) -> int:
     if scenario.kind == "discrete":
         pred = model.predict_discrete(scenario.spec)
@@ -473,7 +480,7 @@ def _run_spectrum(scenario, out: Path) -> int:
         label = f"N={N}"
     else:
         grid = scenario.grids[0]
-        S = _continuous_spectrum(scenario, grid)
+        S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver)
         pred = model.predict_continuous(scenario.spec)
         label = f"grid {grid.kind} M={grid.points}"
     alpha = scenario.spec.alpha
@@ -499,21 +506,22 @@ def _run_spectrum(scenario, out: Path) -> int:
     return 0 if S.converged else 3
 
 
+def _unconverged_line(labels, flags) -> list:
+    """Summary line naming the runs whose solver did not converge, if any."""
+    missed = [label for label, ok in zip(labels, flags) if not ok]
+    return [f"not converged: {missed}"] if missed else []
+
+
 def _run_verify(scenario, out: Path) -> int:
     alpha = scenario.spec.alpha
-    exit_code = 0
     if scenario.kind == "discrete":
         pred = model.predict_discrete(scenario.spec)
         study = analysis.truncation_study(
             scenario.spec, scenario.N_list, scenario.solver,
             scenario.window, scenario.model,
         )
-        S_last = analysis.discrete_spectrum(
-            scenario.spec, scenario.N_list[-1], scenario.solver
-        )
-        if not S_last.converged:
-            exit_code = 3
-        _write(out / "spectrum.csv", _spectrum_csv(S_last, alpha))
+        flags = [S.converged for S in study.spectra]
+        _write(out / "spectrum.csv", _spectrum_csv(study.spectra[-1], alpha))
         doc = {
             "producer": _producer(
                 "analysis", solver=_solver_dict(scenario.solver),
@@ -532,12 +540,12 @@ def _run_verify(scenario, out: Path) -> int:
             f"N_list: {study.N_list}",
             f"deviations: {[_f(d) for d in study.deviations]}",
             f"improving: {study.improving}",
-        ]
+        ] + _unconverged_line([f"N={N}" for N in study.N_list], flags)
         _write(out / "summary.txt", "\n".join(lines) + "\n")
-        return exit_code
+        return 0 if all(flags) else 3
     pred = model.predict_continuous(scenario.spec)
     report = quadrature.convergence_report(
-        scenario.spec, scenario.grids, scenario.window
+        scenario.spec, scenario.grids, scenario.window, scenario.solver
     )
     doc = {
         "producer": _producer("quadrature", window=list(report.window)),
@@ -555,9 +563,9 @@ def _run_verify(scenario, out: Path) -> int:
         f"grids: {report.labels}",
         f"changes: {[_f(c) for c in report.changes]}",
         f"improving: {report.improving}",
-    ]
+    ] + _unconverged_line(report.labels, report.converged)
     _write(out / "summary.txt", "\n".join(lines) + "\n")
-    return exit_code
+    return 0 if all(report.converged) else 3
 
 
 def _run_symbol(scenario, out: Path) -> int:

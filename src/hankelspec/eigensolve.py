@@ -8,6 +8,10 @@ Two routes to the spectrum:
     thick restarts, returning converged eigenvalues at both spectral ends,
     usable at orders around 2^18 where dense storage is impossible.
 
+solve() picks between them with one rule for every caller: dense matrices
+and Hankel truncations up to DENSE_SOLVE_LIMIT go dense, larger truncations
+go to Lanczos with the knobs of SolverParams.
+
 Both report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
 end.  Eigenvalues inside the zero band |theta| <= 1e-13 * ||A|| are dropped
@@ -21,10 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hankel_core import DENSE_LIMIT
+from .hankel_core import (
+    DENSE_LIMIT,
+    HankelTruncation,
+    ResourceLimitError,
+    dense_matrix,
+    matvec,
+)
 
 __all__ = [
+    "SolverParams",
     "SpectrumResult",
+    "solve",
     "dense_spectrum",
     "lanczos_extremes",
     "counting",
@@ -33,6 +45,26 @@ __all__ = [
 
 ZERO_BAND_REL = 1e-13
 ASYMMETRY_REL = 1e-12
+DENSE_SOLVE_LIMIT = 2048
+
+
+@dataclass(frozen=True)
+class SolverParams:
+    """Eigensolver knobs shared by the pipeline helpers."""
+
+    k: int = 64
+    tol: float = 1e-8
+    max_iter: int = 2000
+    seed: int = 0
+    basis_cap: int = 600
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.tol <= 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -81,7 +113,7 @@ def dense_spectrum(A) -> SpectrumResult:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n > DENSE_LIMIT:
-        raise ValueError(f"order {n} exceeds the dense limit {DENSE_LIMIT}")
+        raise ResourceLimitError(f"order {n} exceeds the dense limit {DENSE_LIMIT}")
     amax = float(np.max(np.abs(A))) if n else 0.0
     if amax > 0.0:
         asym = float(np.max(np.abs(A - A.T)))
@@ -111,23 +143,6 @@ def dense_spectrum(A) -> SpectrumResult:
         n_dropped=dropped,
         details={"norm_est": anorm},
     )
-
-
-def _estimate_norm(apply, rng, n: int, steps: int = 20) -> float:
-    v = rng.standard_normal(n)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    est = 0.0
-    for _ in range(steps):
-        w = np.asarray(apply(v), dtype=float)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return est
 
 
 def _converged_prefixes(theta, res, tol, norm_est):
@@ -169,8 +184,13 @@ def lanczos_extremes(
     thick-restarted around the wanted ends.  A Ritz pair (theta, y) counts
     as converged when its residual ||A y - theta y|| = |beta * s_last| is
     at most tol * max(|theta|, ||A||_est), counted contiguously inward from
-    each end.  max_iter bounds the number of Lanczos operator applications
-    (the 20 power-method steps estimating ||A|| are separate).
+    each end.  max_iter bounds the number of operator applications.
+
+    ||A||_est is the running maximum of ||A v_j|| over the applied basis
+    vectors and of the Ritz values |theta|; both are lower bounds of ||A||
+    that reach it as the extreme Ritz values converge, so no applications
+    are spent on a separate norm estimate.  The zero band is derived from
+    the final estimate.
 
     Deterministic for a fixed seed: the start vector and every subsequent
     decision depend only on the seed, the dimension, and the operator.
@@ -189,9 +209,11 @@ def lanczos_extremes(
 
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    norm_est = _estimate_norm(apply, rng, n)
-    zero_band = ZERO_BAND_REL * norm_est
-    breakdown = max(norm_est, 1.0) * 1e-14
+    # Skip one draw, which earlier releases spent on a power-method norm
+    # estimate, so that the directions drawn after a breakdown, and with
+    # them the values reported for a given seed, stay the same.
+    rng.standard_normal(n)
+    norm_est = 0.0
 
     V = np.empty((cap + 1, n))
     T = np.zeros((cap + 1, cap + 1))
@@ -210,6 +232,8 @@ def lanczos_extremes(
         w = np.asarray(apply(V[cur]), dtype=float)
         applies += 1
         w_pre = float(np.linalg.norm(w))
+        norm_est = max(norm_est, w_pre)
+        breakdown = max(norm_est, 1.0) * 1e-14
         c = V[:m] @ w
         w = w - V[:m].T @ c
         beta = float(np.linalg.norm(w))
@@ -228,6 +252,7 @@ def lanczos_extremes(
         at_cap = m == cap
         if at_cap or m % check_every == 0:
             theta, S = np.linalg.eigh(T[:m, :m])
+            norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
             res = beta * np.abs(S[m - 1, :])
             top, bot = _converged_prefixes(theta, res, tol, norm_est)
             if top >= k_eff and bot >= k_eff:
@@ -271,6 +296,8 @@ def lanczos_extremes(
         m += 1
 
     theta, S = np.linalg.eigh(T[:m, :m])
+    norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
+    zero_band = ZERO_BAND_REL * norm_est
     if exhausted:
         # The basis spans the whole space, so T is exact and residuals vanish.
         res = np.zeros(m)
@@ -332,6 +359,28 @@ def _fresh_direction(rng, basis, n):
         if nv > 1e-8 * math.sqrt(n):
             return v / nv
     raise RuntimeError("could not generate a direction orthogonal to the basis")
+
+
+def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
+    """Spectrum of a dense matrix or a Hankel truncation, by the cheaper route.
+
+    Dense matrices and truncations of order up to DENSE_SOLVE_LIMIT take
+    the exhaustive dense route; larger truncations take Lanczos through the
+    fast matvec, asking for k eigenvalues per end (params.k when k is None).
+    """
+    if not isinstance(op, HankelTruncation):
+        return dense_spectrum(op)
+    if op.order <= DENSE_SOLVE_LIMIT:
+        return dense_spectrum(dense_matrix(op))
+    return lanczos_extremes(
+        lambda v: matvec(op, v),
+        op.order,
+        k=params.k if k is None else k,
+        tol=params.tol,
+        max_iter=params.max_iter,
+        seed=params.seed,
+        basis_cap=params.basis_cap,
+    )
 
 
 def counting(S: SpectrumResult, lam: float):

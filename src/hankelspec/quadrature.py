@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import SolverParams, solve
 from .hankel_core import DENSE_LIMIT, HankelTruncation, ResourceLimitError
 from .model import ContinuousKernelSpec, UnsupportedCombinationError
 from .sequences import eval_kernel_many
@@ -213,7 +214,11 @@ def suggest_domain(
 
 @dataclass
 class ConvergenceReport:
-    """Eigenvalue tables per grid and relative changes between refinements."""
+    """Eigenvalue tables per grid and relative changes between refinements.
+
+    converged[i] is the solver's convergence flag on grid i; the tables of
+    an unconverged grid hold only its converged prefixes.
+    """
 
     labels: list
     tables_plus: list
@@ -221,31 +226,23 @@ class ConvergenceReport:
     window: tuple
     changes: list
     improving: bool
+    converged: list
 
     def max_change(self) -> float:
         return max(self.changes) if self.changes else 0.0
-
-
-def _grid_spectrum(spec, grid, n_need):
-    from .eigensolve import dense_spectrum, lanczos_extremes
-    from .hankel_core import dense_matrix, matvec
-
-    A = build_from_grid(spec, grid)
-    if isinstance(A, HankelTruncation):
-        if A.order <= DENSE_LIMIT:
-            return dense_spectrum(dense_matrix(A))
-        return lanczos_extremes(
-            lambda v: matvec(A, v), A.order, k=max(2 * n_need, 16), tol=1e-8
-        )
-    return dense_spectrum(A)
 
 
 def convergence_report(
     spec: ContinuousKernelSpec,
     grids,
     window=(1, 8),
+    params: SolverParams = SolverParams(),
 ) -> ConvergenceReport:
     """Tabulate lambda_n^+- across grids and their successive relative changes.
+
+    Each grid is solved once through eigensolve.solve with the knobs of
+    params, asking for max(2 n_max, 16) eigenvalues per end on the Lanczos
+    route.
 
     The change between two grids is the max over the window (clipped to the
     eigenvalues available in both) and over both sign channels of the
@@ -259,12 +256,13 @@ def convergence_report(
     if not (1 <= n_lo <= n_hi):
         raise ValueError(f"window must satisfy 1 <= n_min <= n_max, got {window}")
 
-    labels, tp, tm = [], [], []
+    labels, tp, tm, converged = [], [], [], []
     for g in grids:
-        S = _grid_spectrum(spec, g, n_hi)
+        S = solve(build_from_grid(spec, g), params, k=max(2 * n_hi, 16))
         labels.append(f"{g.kind} M={g.points} [{g.t_min:g},{g.t_max:g}]")
         tp.append(np.asarray(S.lambda_plus[:n_hi]))
         tm.append(np.asarray(S.lambda_minus[:n_hi]))
+        converged.append(S.converged)
 
     def channel_change(a, b):
         hi = min(n_hi, max(len(a), len(b)))
@@ -298,4 +296,5 @@ def convergence_report(
         window=(n_lo, n_hi),
         changes=changes,
         improving=improving,
+        converged=converged,
     )

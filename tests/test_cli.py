@@ -255,6 +255,81 @@ def test_verify_continuous(tmp_path):
     assert len(doc["lambda_plus"]) == 2
 
 
+def test_verify_discrete_solves_each_order_once(tmp_path, monkeypatch):
+    # The largest order's spectrum.csv comes from the truncation study's own
+    # solve, not from a second solve of the same order.
+    from hankelspec import analysis
+
+    calls = []
+    real = analysis.discrete_spectrum
+
+    def spy(spec, N, params):
+        calls.append(N)
+        return real(spec, N, params)
+
+    monkeypatch.setattr(analysis, "discrete_spectrum", spy)
+    cfg = {
+        "name": "once",
+        "kind": "discrete",
+        "spec": {"alpha": 1.0, "b_plus1": 1.0},
+        "N_list": [128, 256, 512],
+        "fit": {"window": [2, 6]},
+    }
+    code, out = _run(tmp_path, "verify", cfg)
+    assert code == 0
+    assert calls == [128, 256, 512]
+    assert "order=512 " in (out / "once" / "spectrum.csv").read_text()
+
+
+def test_verify_continuous_nonconvergence_exit_code(tmp_path, capsys):
+    # Uniform grids above the dense-solve limit take the iterative route;
+    # five applications cannot converge, so the run is flagged, not hidden.
+    cfg = {
+        "name": "starved",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [
+            {"kind": "uniform", "t_max": 1.0, "points": 2100},
+            {"kind": "uniform", "t_max": 1.0, "points": 2200},
+        ],
+        "solver": {"max_iter": 5},
+        "fit": {"window": [1, 4]},
+    }
+    code, out = _run(tmp_path, "verify", cfg)
+    assert code == 3
+    for name in ("fit.json", "prediction.json", "summary.txt"):
+        assert (out / "starved" / name).exists()
+    assert "not converged:" in (out / "starved" / "summary.txt").read_text()
+    assert "starved: not converged" in capsys.readouterr().out
+
+
+def test_geometric_grid_over_dense_limit_rejected(tmp_path, capsys):
+    cfg = {
+        "name": "big",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "b_zero": 1.0},
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 9000}],
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    assert "'grids[0].points'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_symbol_kind_rejects_verify(tmp_path, capsys):
+    cfg = {"name": "s", "kind": "symbol", "spec": {"alpha": 2.0}, "samples": 4096}
+    code, _ = _run(tmp_path, "verify", cfg)
+    assert code == 2
+    assert "'action'" in capsys.readouterr().err
+
+
+def test_symbol_action_rejects_discrete_kind(tmp_path, capsys):
+    cfg = {"name": "d", "kind": "discrete", "spec": {"alpha": 2.0, "b_plus1": 1.0}}
+    code, _ = _run(tmp_path, "symbol", cfg)
+    assert code == 2
+    assert "'action'" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -338,6 +413,19 @@ def test_symbol_rejects_bad_sample_count(tmp_path, capsys):
     code, _ = _run(tmp_path, "symbol", cfg)
     assert code == 2
     assert "power of two" in capsys.readouterr().err
+
+
+def test_symbol_rejects_j_window_beyond_samples(tmp_path, capsys):
+    cfg = {
+        "name": "s",
+        "kind": "symbol",
+        "spec": {"alpha": 2.0},
+        "samples": 4096,
+        "j_window": [8, 9000],
+    }
+    code, _ = _run(tmp_path, "symbol", cfg)
+    assert code == 2
+    assert "'j_window'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- determinism

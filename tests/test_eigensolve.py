@@ -7,14 +7,23 @@ import numpy as np
 import pytest
 
 from hankelspec.eigensolve import (
+    DENSE_SOLVE_LIMIT,
+    SolverParams,
     SpectrumResult,
     counting,
     delta_p_proxy,
     dense_spectrum,
     lanczos_extremes,
     merged_singular_values,
+    solve,
 )
-from hankelspec.hankel_core import HankelTruncation, dense_matrix, matvec
+from hankelspec.hankel_core import (
+    DENSE_LIMIT,
+    HankelTruncation,
+    ResourceLimitError,
+    dense_matrix,
+    matvec,
+)
 
 mpmath.mp.dps = 30
 
@@ -78,6 +87,14 @@ def test_dense_spectrum_zero_matrix():
     assert len(S.lambda_plus) == 0
     assert len(S.lambda_minus) == 0
     assert S.n_dropped == 4
+
+
+def test_dense_spectrum_refuses_above_dense_limit():
+    # A broadcast view has the shape without the memory; the check comes
+    # before any work.
+    A = np.broadcast_to(0.0, (DENSE_LIMIT + 1, DENSE_LIMIT + 1))
+    with pytest.raises(ResourceLimitError, match="dense limit"):
+        dense_spectrum(A)
 
 
 # -------------------------------------------------------------------- lanczos
@@ -152,6 +169,22 @@ def test_lanczos_vs_dense_random_hankel_ensemble():
             m = min(5, len(want))
             assert len(got) >= m
             assert np.max(np.abs(got[:m] - want[:m]) / want[:m]) < 1e-9
+
+
+def test_lanczos_spends_applies_only_on_the_recurrence():
+    # The norm estimate comes from the recurrence itself: every operator
+    # application is a counted Lanczos step.
+    H = _hilbert_truncation(1024)
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return matvec(H, v)
+
+    S = lanczos_extremes(apply, 1024, k=10, tol=1e-12, seed=0)
+    assert S.converged
+    assert len(calls) == S.details["applies"]
+    assert S.details["norm_est"] == pytest.approx(S.lambda_plus[0], rel=1e-12)
 
 
 def test_lanczos_rejects_bad_args():
@@ -231,3 +264,20 @@ def test_weyl_counting_inequality_sample():
         nA = counting(dense_spectrum(A), l1)[0]
         nB = counting(dense_spectrum(B), l2)[0]
         assert nAB <= nA + nB
+
+
+# ---------------------------------------------------------------------- solve
+
+
+def test_solve_routes_by_operator():
+    # Eight applications are enough to see the route and the request.
+    params = SolverParams(k=4, max_iter=8)
+    A = np.array([[2.0, 0.0], [0.0, -3.0]])
+    assert solve(A, params).solver_id == "dense"
+    assert solve(_hilbert_truncation(DENSE_SOLVE_LIMIT), params).solver_id == "dense"
+    big = _hilbert_truncation(DENSE_SOLVE_LIMIT + 1)
+    S = solve(big, params)
+    assert S.solver_id.startswith("lanczos")
+    assert S.details["applies"] == 8
+    assert S.details["requested_per_end"] == 4
+    assert solve(big, params, k=6).details["requested_per_end"] == 6

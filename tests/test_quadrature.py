@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hankelspec import eigensolve
 from hankelspec.eigensolve import dense_spectrum
 from hankelspec.hankel_core import HankelTruncation, ResourceLimitError, dense_matrix
 from hankelspec.model import ContinuousKernelSpec, UnsupportedCombinationError
@@ -221,6 +222,37 @@ def test_convergence_identical_grids():
     grids = [GridSpec("uniform", 1e-12, 1.0, 256)] * 2
     rep = convergence_report(spec, grids, window=(1, 4))
     assert rep.changes == [0.0]
+
+
+def test_convergence_above_dense_solve_limit_uses_lanczos(monkeypatch):
+    # M = 2500 and 3000 lie between the dense-solve limit (2048) and the
+    # dense materialization limit (8192): the iterative route must be taken
+    # and must reproduce the exact Nystrom eigenvalues of the triangle kernel.
+    # With A[i][j] = w for i + j + 1 <= M (w = t0/M) the eigenvalues are
+    # t0 / (2 M sin((2k+1) pi / (2 (2M+1)))), k = 0, 1, ..., alternating in
+    # sign from the sign of coeff.
+    routes = []
+    real = eigensolve.lanczos_extremes
+
+    def spy(*args, **kwargs):
+        S = real(*args, **kwargs)
+        routes.append((args[1], kwargs["k"]))
+        return S
+
+    monkeypatch.setattr(eigensolve, "lanczos_extremes", spy)
+    spec = ContinuousKernelSpec(alpha=1.0, local_singularities=[(1.0, 0, 1.0)])
+    sizes = (2500, 3000)
+    grids = [GridSpec("uniform", 1e-12, 1.0, M) for M in sizes]
+    rep = convergence_report(spec, grids, window=(1, 8))
+    assert routes == [(M, 16) for M in sizes]
+    assert rep.converged == [True, True]
+    for M, plus, minus in zip(sizes, rep.tables_plus, rep.tables_minus):
+        k = np.arange(16)
+        exact = 1.0 / (2.0 * M * np.sin((2 * k + 1) * math.pi / (2 * (2 * M + 1))))
+        assert len(plus) == 8 and len(minus) == 8
+        bound = 1e-10 * exact[0]
+        assert np.max(np.abs(plus - exact[0::2])) <= bound
+        assert np.max(np.abs(minus - exact[1::2])) <= bound
 
 
 def test_convergence_needs_two_grids():
