@@ -45,7 +45,14 @@ def _need(cfg: dict, field: str, path: str):
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    # json.loads turns NaN, Infinity and 400-digit integers into numbers too.
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return x
 
 
 def _as_int(value, path: str) -> int:
@@ -56,14 +63,25 @@ def _as_int(value, path: str) -> int:
 
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_float(value, path))
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
+        return complex(_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
     raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
+
+
+def _objects(cfg: dict, field: str, path: str) -> list:
+    """The optional list cfg[field] of objects, empty when absent."""
+    raw = cfg.get(field, [])
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}.{field}", "expected a list")
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{path}.{field}[{i}]", "expected an object")
+    return raw
 
 
 def _wrap_value_error(path: str, fn, *args, **kwargs):
@@ -78,10 +96,8 @@ def parse_discrete_spec(cfg: dict, path: str) -> model.DiscreteSymbolSpec:
         raise ConfigError(path, "expected an object")
     alpha = _as_float(_need(cfg, "alpha", path + "."), f"{path}.alpha")
     oscs = []
-    for i, item in enumerate(cfg.get("oscillations", [])):
+    for i, item in enumerate(_objects(cfg, "oscillations", path)):
         p = f"{path}.oscillations[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(p, "expected an object")
         oscs.append(
             _wrap_value_error(
                 p,
@@ -119,7 +135,7 @@ def parse_continuous_spec(cfg: dict, path: str) -> model.ContinuousKernelSpec:
         raise ConfigError(path, "expected an object")
     alpha = _as_float(_need(cfg, "alpha", path + "."), f"{path}.alpha")
     oscs = []
-    for i, item in enumerate(cfg.get("oscillations", [])):
+    for i, item in enumerate(_objects(cfg, "oscillations", path)):
         p = f"{path}.oscillations[{i}]"
         oscs.append(
             _wrap_value_error(
@@ -131,7 +147,7 @@ def parse_continuous_spec(cfg: dict, path: str) -> model.ContinuousKernelSpec:
             )
         )
     sings = []
-    for i, item in enumerate(cfg.get("local_singularities", [])):
+    for i, item in enumerate(_objects(cfg, "local_singularities", path)):
         p = f"{path}.local_singularities[{i}]"
         sings.append(
             _wrap_value_error(
@@ -282,6 +298,12 @@ class Scenario:
         self.outputs = cfg.get("outputs", self.name)
         if not isinstance(self.outputs, str):
             raise ConfigError(f"{path}outputs", "expected a directory path string")
+        if Path(self.outputs).is_absolute() or ".." in Path(self.outputs).parts:
+            # Reports go under --out only; `outputs` defaults to `name`.
+            raise ConfigError(
+                f"{path}outputs",
+                f"expected a relative path without '..', got {self.outputs!r}",
+            )
 
         self.N_list = None
         if "N_list" in cfg:
@@ -339,6 +361,18 @@ class Scenario:
                     f"{path}{'N_list' if self.kind == 'discrete' else 'grids'}",
                     f"spectrum runs take exactly one entry, got {count}",
                 )
+
+
+def _check_distinct_outputs(scenarios) -> None:
+    """Refuse a sweep in which two scenarios would write the same directory."""
+    first = {}
+    for i, s in enumerate(scenarios):
+        j = first.setdefault(Path(s.outputs), i)
+        if j != i:
+            raise ConfigError(
+                f"scenarios[{i}].outputs",
+                f"output directory {s.outputs!r} is already used by scenarios[{j}]",
+            )
 
 
 # ------------------------------------------------------------- formatting
@@ -548,7 +582,10 @@ def _run_verify(scenario, out: Path) -> int:
         scenario.spec, scenario.grids, scenario.window, scenario.solver
     )
     doc = {
-        "producer": _producer("quadrature", window=list(report.window)),
+        "producer": _producer(
+            "quadrature", solver=_solver_dict(scenario.solver),
+            window=list(report.window),
+        ),
         "labels": report.labels,
         "changes": report.changes,
         "improving": report.improving,
@@ -673,6 +710,7 @@ def main(argv=None) -> int:
                 Scenario(_apply_overrides(item, args), f"scenarios[{i}].")
                 for i, item in enumerate(raw)
             ]
+            _check_distinct_outputs(scenarios)
         else:
             cfg = _apply_overrides(cfg, args)
             cfg.setdefault("action", args.command)

@@ -46,6 +46,10 @@ __all__ = [
 ZERO_BAND_REL = 1e-13
 ASYMMETRY_REL = 1e-12
 DENSE_SOLVE_LIMIT = 2048
+# Tile edge of the dense symmetry check and column width of the in-place
+# thick restart; both bound a transient to a small fixed number of bytes.
+_SYMMETRY_TILE = 256
+_RESTART_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,9 @@ def dense_spectrum(A) -> SpectrumResult:
     n = A.shape[0]
     if n > DENSE_LIMIT:
         raise ResourceLimitError(f"order {n} exceeds the dense limit {DENSE_LIMIT}")
-    amax = float(np.max(np.abs(A))) if n else 0.0
+    amax = max(float(A.max()), -float(A.min())) if n else 0.0
     if amax > 0.0:
-        asym = float(np.max(np.abs(A - A.T)))
+        asym = _max_asymmetry(A)
         if asym > ASYMMETRY_REL * amax:
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
@@ -143,6 +147,17 @@ def dense_spectrum(A) -> SpectrumResult:
         n_dropped=dropped,
         details={"norm_est": anorm},
     )
+
+
+def _max_asymmetry(A) -> float:
+    """max |A - A.T|, tile pair by tile pair, without an n x n temporary."""
+    n, t = A.shape[0], _SYMMETRY_TILE
+    worst = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            diff = A[i : i + t, j : j + t] - A[j : j + t, i : i + t].T
+            worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
 
 
 def _converged_prefixes(theta, res, tol, norm_est):
@@ -194,6 +209,13 @@ def lanczos_extremes(
 
     Deterministic for a fixed seed: the start vector and every subsequent
     decision depend only on the seed, the dimension, and the operator.
+
+    Memory: the basis V takes (cap + 1) * n * 8 bytes, allocated once.
+    Reorthogonalization, normalization and the thick restart work in place
+    on V, so beyond it the solver holds a few n-vectors and transients of
+    at most cap * _RESTART_COLUMNS floats.  The solver also updates the
+    array apply returns in place, so an apply may reuse one output buffer
+    across calls.
     """
     if k < 1:
         raise ValueError(f"count per end k must be at least 1, got {k}")
@@ -230,16 +252,18 @@ def lanczos_extremes(
             break
         cur = m - 1
         w = np.asarray(apply(V[cur]), dtype=float)
+        if np.may_share_memory(w, V):
+            w = w.copy()  # an apply that returns (a view of) its argument
         applies += 1
         w_pre = float(np.linalg.norm(w))
         norm_est = max(norm_est, w_pre)
         breakdown = max(norm_est, 1.0) * 1e-14
         c = V[:m] @ w
-        w = w - V[:m].T @ c
+        w -= V[:m].T @ c
         beta = float(np.linalg.norm(w))
         if beta < 0.70710678 * w_pre:
             c2 = V[:m] @ w
-            w = w - V[:m].T @ c2
+            w -= V[:m].T @ c2
             c = c + c2
             beta = float(np.linalg.norm(w))
         T[:m, cur] = c
@@ -266,13 +290,17 @@ def lanczos_extremes(
                 )
                 kept_theta = theta[keep_idx]
                 kept_b = beta * S[m - 1, keep_idx]
-                Y = S[:, keep_idx].T @ V[:m]
+                Sk = S[:, keep_idx].T
                 s = len(keep_idx)
-                V[:s] = Y
+                # Rotate the basis block of columns by block of columns; each
+                # block is read in full before it is overwritten.
+                for j in range(0, n, _RESTART_COLUMNS):
+                    cols = slice(j, j + _RESTART_COLUMNS)
+                    V[:s, cols] = Sk @ V[:m, cols]
                 T[:, :] = 0.0
                 T[:s, :s] = np.diag(kept_theta)
                 if beta > breakdown:
-                    V[s] = w / beta
+                    np.divide(w, beta, out=V[s])
                     T[s, :s] = kept_b
                     T[:s, s] = kept_b
                 else:
@@ -290,7 +318,7 @@ def lanczos_extremes(
             m += 1
             continue
 
-        V[m] = w / beta
+        np.divide(w, beta, out=V[m])
         T[m, cur] = beta
         T[cur, m] = beta
         m += 1
@@ -372,8 +400,12 @@ def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
         return dense_spectrum(op)
     if op.order <= DENSE_SOLVE_LIMIT:
         return dense_spectrum(dense_matrix(op))
+    # One workspace and output vector per solve, so concurrent solves on the
+    # same truncation never share scratch.
+    workspace = op.workspace()
+    w = np.empty(op.order)
     return lanczos_extremes(
-        lambda v: matvec(op, v),
+        lambda v: matvec(op, v, out=w, workspace=workspace),
         op.order,
         k=params.k if k is None else k,
         tol=params.tol,

@@ -11,6 +11,12 @@ at or above 2N.  The linear convolution of h (length 2N-1) with reverse(u)
 (length N) has support 0..3N-3, so circular wrap-around of size P >= 2N can
 only contaminate output indices below N-1, never the window [N-1, 2N-2] that
 is read.  Cost O(N log N) per product.
+
+Each product needs three length-P work arrays: the zero-padded reversed
+input, its spectrum, and the circular convolution.  HankelTruncation.
+workspace() allocates them; matvec reuses a workspace passed to it, and
+allocates a fresh one otherwise.  A workspace belongs to one caller at a
+time: concurrent products on the same truncation each use their own.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import DiscreteSymbolSpec
 from .sequences import eval_discrete_many
@@ -53,9 +60,11 @@ def _next_pow2(n: int) -> int:
 class HankelTruncation:
     """Order-N Hankel truncation, immutable after construction.
 
-    The fast-transform image of the entries is precomputed once here, so
-    matvec calls allocate only per-call scratch and are safe to run
-    concurrently on the same instance.
+    The fast-transform image of the entries is precomputed once here and
+    only read afterwards.  The instance holds no matvec scratch: each
+    caller owns the workspace() it passes to matvec, so products on the
+    same instance are safe to run concurrently as long as no workspace is
+    shared between threads.
     """
 
     order: int
@@ -80,6 +89,15 @@ class HankelTruncation:
         object.__setattr__(self, "_embed", embed)
         object.__setattr__(self, "_fft_entries", np.fft.rfft(entries, n=embed))
 
+    def workspace(self):
+        """Fresh matvec scratch: (padded input, spectrum, convolution).
+
+        The padded input must stay zero beyond the first N entries; matvec
+        writes only those.
+        """
+        P = self._embed
+        return np.zeros(P), np.empty(P // 2 + 1, dtype=complex), np.empty(P)
+
 
 def build_discrete(spec: DiscreteSymbolSpec, N: int) -> HankelTruncation:
     """Truncation of the discrete-symbol Hankel matrix to order N >= 2."""
@@ -89,19 +107,29 @@ def build_discrete(spec: DiscreteSymbolSpec, N: int) -> HankelTruncation:
     return HankelTruncation(N, entries, 1.0, label=f"discrete alpha={spec.alpha:g}")
 
 
-def matvec(H: HankelTruncation, u) -> np.ndarray:
-    """Fast product A u through the circulant embedding."""
+def matvec(H: HankelTruncation, u, out=None, workspace=None) -> np.ndarray:
+    """Fast product A u through the circulant embedding.
+
+    The product is written to `out` when given (a float array of length N;
+    it may be u itself) and returned.  `workspace` is a tuple from
+    H.workspace(); passing the same one to repeated calls saves three
+    length-P allocations per call.
+    """
     u = np.asarray(u, dtype=float)
     N = H.order
     if u.shape != (N,):
         raise ValueError(f"expected vector of length {N}, got shape {u.shape}")
-    fu = np.fft.rfft(u[::-1], n=H._embed)
-    conv = np.fft.irfft(fu * H._fft_entries, n=H._embed)
-    out = conv[N - 1 : 2 * N - 1]
+    pad, fu, conv = H.workspace() if workspace is None else workspace
+    if out is None:
+        out = np.empty(N)
+    pad[:N] = u[::-1]
+    np.fft.rfft(pad, out=fu)
+    fu *= H._fft_entries
+    np.fft.irfft(fu, n=H._embed, out=conv)
     if H.scale != 1.0:
-        out = H.scale * out
+        np.multiply(conv[N - 1 : 2 * N - 1], H.scale, out=out)
     else:
-        out = out.copy()
+        out[:] = conv[N - 1 : 2 * N - 1]
     return out
 
 
@@ -123,11 +151,9 @@ def dense_matrix(H: HankelTruncation, limit: int = DENSE_LIMIT) -> np.ndarray:
         raise ResourceLimitError(
             f"order {H.order} exceeds the dense materialization limit {limit}"
         )
-    idx = np.arange(H.order)
-    A = H.entries[np.add.outer(idx, idx)]
-    if H.scale != 1.0:
-        A = H.scale * A
-    return A
+    # Row j of the window view is entries[j : j + N], so A[j, k] = h(j + k).
+    rows = sliding_window_view(H.entries, H.order)
+    return H.scale * rows if H.scale != 1.0 else rows.copy()
 
 
 def dump_entries(H: HankelTruncation, path) -> None:

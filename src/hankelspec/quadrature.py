@@ -39,6 +39,8 @@ __all__ = [
 
 GRID_KINDS = ("uniform", "geometric")
 MIN_POINTS = 16
+# Rows of the geometric Nystrom matrix evaluated per kernel call.
+_GRADED_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,8 @@ def build_uniform(spec, T: float, M: int) -> HankelTruncation:
 def build_graded(spec, grid: GridSpec) -> np.ndarray:
     """Symmetrized Nystrom matrix sqrt(w_i w_j) h(t_i + t_j) on a geometric grid.
 
-    `spec` is a ContinuousKernelSpec or any vectorized callable h(t).
+    `spec` is a ContinuousKernelSpec or any vectorized, elementwise callable
+    h(t).  Memory: the M x M result plus O(_GRADED_ROWS * M) scratch.
     """
     if grid.kind != "geometric":
         raise ValueError(f"build_graded needs a geometric grid, got kind={grid.kind!r}")
@@ -130,10 +133,19 @@ def build_graded(spec, grid: GridSpec) -> np.ndarray:
             f"limit {DENSE_LIMIT}"
         )
     t, w = geometric_nodes(grid)
-    K = _kernel_values(spec, np.add.outer(t, t).ravel()).reshape(len(t), len(t))
     sw = np.sqrt(w)
-    # Outer-product weights keep the matrix bitwise symmetric.
-    K *= np.multiply.outer(sw, sw)
+    M = len(t)
+    K = np.empty((M, M))
+    # Evaluate the upper triangle one row block at a time and mirror it, so
+    # the kernel's temporaries scale with the block, not with M^2.  Node sums
+    # and weight products commute, so the result is bitwise symmetric.
+    for i in range(0, M, _GRADED_ROWS):
+        rows = slice(i, min(i + _GRADED_ROWS, M))
+        block = _kernel_values(spec, np.add.outer(t[rows], t[i:]).ravel())
+        block = block.reshape(-1, M - i)
+        block *= np.multiply.outer(sw[rows], sw[i:])
+        K[rows, i:] = block
+        K[rows.stop :, rows] = block[:, rows.stop - i :].T
     return K
 
 

@@ -153,6 +153,59 @@ def test_wrong_type_names_field(tmp_path, capsys):
     assert "'spec.alpha'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha", float("nan")), ("b_plus1", float("inf")), ("b_minus1", float("-inf"))],
+)
+def test_non_finite_number_names_field(tmp_path, capsys, field, value):
+    spec = {"alpha": 1.0, "b_plus1": 1.0, field: value}
+    cfg = {"name": "bad", "kind": "discrete", "spec": spec, "N_list": [64]}
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error at 'spec.{field}'" in err
+    assert "finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_complex_coefficient_names_field(tmp_path, capsys):
+    cfg = {"name": "bad", "kind": "symbol", "spec": {"alpha": 2.0, "v0_plus": [[1.0, float("nan")]]}}
+    code, _ = _run(tmp_path, "predict", cfg)
+    assert code == 2
+    assert "'spec.v0_plus[0][1]'" in capsys.readouterr().err
+
+
+def test_overflowing_integer_names_field(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"name": "bad", "kind": "discrete", "spec": {"alpha": 1' + "0" * 400 + "}}")
+    code = main(["predict", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'spec.alpha'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["oscillations", "local_singularities"])
+@pytest.mark.parametrize("entry", [1.5, "x", [1.0, 0.0, 1.0], None])
+def test_continuous_non_object_entry_names_field(tmp_path, capsys, field, entry):
+    cfg = {
+        "name": "bad",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, field: [entry]},
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 64}],
+    }
+    code, _ = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error at 'spec.{field}[0]': expected an object" in err
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_spec_list_field_must_be_a_list(tmp_path, capsys, kind):
+    cfg = {"name": "bad", "kind": kind, "spec": {"alpha": 1.0, "oscillations": 3}}
+    code, _ = _run(tmp_path, "predict", cfg)
+    assert code == 2
+    assert "config error at 'spec.oscillations': expected a list" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["predict", "--config", str(tmp_path / "nope.json")])
     assert code == 2
@@ -250,6 +303,9 @@ def test_verify_continuous(tmp_path):
     code, out = _run(tmp_path, "verify", cfg)
     assert code == 0
     doc = json.loads((out / "tri" / "fit.json").read_text())
+    # Grids above the dense solve limit depend on the solver knobs and seed.
+    assert doc["producer"]["parameters"]["solver"]["seed"] == 0
+    assert doc["producer"]["parameters"]["window"] == [1, 8]
     assert len(doc["changes"]) == 1
     assert doc["changes"][0] < 0.05
     assert len(doc["lambda_plus"]) == 2
@@ -380,6 +436,50 @@ def test_sweep_reports_offending_scenario(tmp_path, capsys):
     code, _ = _run(tmp_path, "sweep", cfg)
     assert code == 2
     assert "scenarios[1].spec.alpha" in capsys.readouterr().err
+
+
+def test_sweep_rejects_shared_output_directory(tmp_path, capsys):
+    one = {"kind": "discrete", "action": "predict", "spec": {"alpha": 1.0, "b_plus1": 1.0}}
+    cfg = {
+        "scenarios": [
+            {**one, "name": "a", "outputs": "shared"},
+            {**one, "name": "b", "outputs": "./shared/"},
+        ]
+    }
+    code, out = _run(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert "'scenarios[1].outputs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_duplicate_names_without_outputs(tmp_path, capsys):
+    one = {"name": "same", "kind": "discrete", "action": "predict",
+           "spec": {"alpha": 1.0, "b_plus1": 1.0}}
+    code, _ = _run(tmp_path, "sweep", {"scenarios": [one, dict(one)]})
+    assert code == 2
+    assert "'scenarios[1].outputs'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outputs", ["../x", "a/../../x", "<abs>"])
+def test_outputs_outside_out_rejected(tmp_path, capsys, outputs):
+    root = tmp_path / "root"
+    root.mkdir()
+    if outputs == "<abs>":
+        outputs = str(root / "abs")
+    cfg = {"name": "p", "kind": "discrete", "outputs": outputs,
+           "spec": {"alpha": 1.0, "b_plus1": 1.0}}
+    code, _ = _run(root, "predict", cfg)
+    assert code == 2
+    assert "config error at 'outputs'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "root"]
+
+
+def test_sweep_outputs_outside_out_names_scenario(tmp_path, capsys):
+    cfg = {"scenarios": [{"name": "p", "kind": "discrete", "action": "predict",
+                          "outputs": "../x", "spec": {"alpha": 1.0}}]}
+    code, _ = _run(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert "'scenarios[0].outputs'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- symbol

@@ -1,11 +1,15 @@
 """Eigensolver cross-checks: dense oracle, Lanczos agreement, spectral counting."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 
+from hankelspec import eigensolve
 from hankelspec.eigensolve import (
     DENSE_SOLVE_LIMIT,
     SolverParams,
@@ -94,6 +98,18 @@ def test_dense_spectrum_refuses_above_dense_limit():
     # before any work.
     A = np.broadcast_to(0.0, (DENSE_LIMIT + 1, DENSE_LIMIT + 1))
     with pytest.raises(ResourceLimitError, match="dense limit"):
+        dense_spectrum(A)
+
+
+@pytest.mark.parametrize("where", [(0, -1), (-1, 0)])
+def test_dense_spectrum_rejects_asymmetry_in_a_far_tile(where):
+    # Only the corner tile pair is asymmetric; the tiled check must see it.
+    n = 3 * eigensolve._SYMMETRY_TILE + 5
+    rng = np.random.default_rng(8)
+    B = rng.standard_normal((n, n))
+    A = B + B.T
+    A[where] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
         dense_spectrum(A)
 
 
@@ -187,6 +203,38 @@ def test_lanczos_spends_applies_only_on_the_recurrence():
     assert S.details["norm_est"] == pytest.approx(S.lambda_plus[0], rel=1e-12)
 
 
+def test_lanczos_thick_restart_memory_is_basis_plus_vectors():
+    # A 1/j spectrum at both ends is not low rank, so a small cap forces
+    # thick restarts.  The restart rotates the basis in place: the traced
+    # peak stays below V plus a few n-vectors, where a rotated copy of the
+    # basis would add another (cap - 2) n-vectors.
+    n, cap = 2**14, 24
+    j = np.arange(1, n // 2 + 1)
+    d = np.concatenate([1.0 / j, -1.0 / j])
+    # Warm up numpy.linalg outside the trace: its first calls allocate once.
+    lanczos_extremes(lambda v: d[:64] * v, 64, k=4, seed=0, basis_cap=cap)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S = lanczos_extremes(lambda v: d * v, n, k=4, tol=1e-8, seed=0, basis_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert S.details["restarts"] >= 2
+    assert S.converged
+    assert np.allclose(S.lambda_plus[:4], 1.0 / j[:4], rtol=1e-8)
+    basis_bytes = (cap + 1) * n * 8
+    assert peak < basis_bytes + 8 * n * 8
+
+
+def test_lanczos_identity_apply_leaves_basis_intact():
+    # The solver updates the applied vector in place; an apply returning its
+    # own argument, a row of the basis, must not corrupt the basis.
+    S = lanczos_extremes(lambda v: v, 64, k=1, seed=0)
+    assert S.converged
+    assert np.allclose(S.lambda_plus, [1.0], rtol=1e-12)
+
+
 def test_lanczos_rejects_bad_args():
     with pytest.raises(ValueError):
         lanczos_extremes(lambda v: v, 16, k=0)
@@ -267,6 +315,28 @@ def test_weyl_counting_inequality_sample():
 
 
 # ---------------------------------------------------------------------- solve
+
+
+def test_concurrent_solves_share_a_truncation():
+    # Each solve owns its matvec workspace, so threads solving the same
+    # truncation at once return the serial spectrum bit for bit.
+    N = DENSE_SOLVE_LIMIT + 512
+    H = _hilbert_truncation(N)
+    params = SolverParams(k=6, tol=1e-10, seed=3)
+    want = solve(H, params)
+    assert want.solver_id.startswith("lanczos")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(solve, H, params) for _ in range(3)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for S in got:
+        assert np.array_equal(S.lambda_plus, want.lambda_plus)
+        assert np.array_equal(S.lambda_minus, want.lambda_minus)
+        assert S.details == want.details
 
 
 def test_solve_routes_by_operator():

@@ -129,6 +129,27 @@ def test_matvec_respects_scale():
     assert np.allclose(matvec(H1, u), 2.0 * matvec(H2, u), rtol=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1.0, -0.37])
+def test_matvec_reused_workspace_is_bitwise_fresh(scale):
+    rng = np.random.default_rng(5)
+    H = HankelTruncation(1000, rng.standard_normal(1999), scale=scale)
+    workspace = H.workspace()
+    out = np.empty(1000)
+    for _ in range(3):
+        u = rng.standard_normal(1000)
+        fresh = matvec(H, u)
+        reused = matvec(H, u, out=out, workspace=workspace)
+        assert reused is out
+        assert np.array_equal(fresh, reused)
+
+
+def test_matvec_output_may_alias_input():
+    H = _random_truncation(64, 6)
+    u = np.random.default_rng(7).standard_normal(64)
+    want = matvec(H, u)
+    assert np.array_equal(matvec(H, u, out=u), want)
+
+
 # --------------------------------------------------------------- dense matrix
 
 

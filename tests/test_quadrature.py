@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hankelspec import eigensolve
+from hankelspec import eigensolve, quadrature
 from hankelspec.eigensolve import dense_spectrum
 from hankelspec.hankel_core import HankelTruncation, ResourceLimitError, dense_matrix
 from hankelspec.model import ContinuousKernelSpec, UnsupportedCombinationError
@@ -19,6 +19,7 @@ from hankelspec.quadrature import (
     suggest_domain,
     tail_bound,
 )
+from hankelspec.sequences import eval_kernel_many
 
 RANK_ONE = lambda t: np.exp(-t)  # noqa: E731  kernel e^{-(t+s)} = e^{-t} e^{-s}
 
@@ -113,6 +114,21 @@ def test_graded_matrix_symmetric():
     g = GridSpec("geometric", 1e-10, 5.0, 128)
     spec = ContinuousKernelSpec(alpha=1.0, b_zero=1.0)
     A = build_graded(spec, g)
+    assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("rows", [16, 256])
+def test_graded_blocked_build_matches_full_formula(monkeypatch, rows):
+    # M = 300 is not a multiple of either block height.
+    monkeypatch.setattr(quadrature, "_GRADED_ROWS", rows)
+    g = GridSpec("geometric", 1e-12, 3.0, 300)
+    spec = ContinuousKernelSpec(alpha=1.0, b_zero=1.0)
+    t, w = geometric_nodes(g)
+    sw = np.sqrt(w)
+    want = eval_kernel_many(spec, np.add.outer(t, t).ravel()).reshape(300, 300)
+    want *= np.multiply.outer(sw, sw)
+    A = build_graded(spec, g)
+    assert np.array_equal(A, want)
     assert np.array_equal(A, A.T)
 
 
