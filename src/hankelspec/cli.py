@@ -230,13 +230,16 @@ def parse_solver(cfg, path: str) -> analysis.SolverParams:
         return analysis.SolverParams()
     if not isinstance(cfg, dict):
         raise ConfigError(path, "expected an object")
+    seed = _as_int(cfg.get("seed", 0), f"{path}.seed")
+    if seed < 0:
+        raise ConfigError(f"{path}.seed", f"expected a non-negative integer, got {seed}")
     return _wrap_value_error(
         path,
         analysis.SolverParams,
         k=_as_int(cfg.get("k", 64), f"{path}.k"),
         tol=_as_float(cfg.get("tol", 1e-8), f"{path}.tol"),
         max_iter=_as_int(cfg.get("max_iter", 2000), f"{path}.max_iter"),
-        seed=_as_int(cfg.get("seed", 0), f"{path}.seed"),
+        seed=seed,
         basis_cap=_as_int(cfg.get("basis_cap", 600), f"{path}.basis_cap"),
     )
 
@@ -687,7 +690,36 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
+# glibc mallopt parameters (malloc.h) and the bound both of them get.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_THRESHOLD_BYTES = 16 << 20
+
+
+def _keep_scratch_on_heap() -> None:
+    """Serve allocations below 16 MiB from the heap and keep 16 MiB of it.
+
+    numpy's FFT allocates and frees a scratch buffer on every transform
+    (8 MiB at N = 2^18).  Under glibc's default thresholds that buffer is
+    mapped fresh each time, so every matvec faults its pages in again.
+    With both thresholds at 16 MiB the freed buffer stays in the heap and
+    is reused; at most 16 MiB of freed heap stays resident.  Does nothing
+    where the C library has no mallopt.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_scratch_on_heap()
     parser = argparse.ArgumentParser(
         prog="hankelspec",
         description="Spectral asymptotics toolkit for Hankel operators",
@@ -700,6 +732,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"expected at least 1, got {args.threads}")
         cfg = _load_config(args.config)
         out_root = Path(args.out)
         if args.command == "sweep":

@@ -69,6 +69,8 @@ class SolverParams:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -195,11 +197,17 @@ def lanczos_extremes(
     apply(v) must implement the symmetric matvec for vectors of length n.
     The solver runs one Lanczos recurrence with full reorthogonalization
     against every stored basis vector, extracting Ritz pairs at both ends
-    from the same basis; when the basis reaches basis_cap vectors it is
-    thick-restarted around the wanted ends.  A Ritz pair (theta, y) counts
-    as converged when its residual ||A y - theta y|| = |beta * s_last| is
-    at most tol * max(|theta|, ||A||_est), counted contiguously inward from
-    each end.  max_iter bounds the number of operator applications.
+    from the same basis.  Each step orthogonalizes A v against the two
+    newest basis vectors first, then makes one classical Gram-Schmidt pass
+    over the whole basis; a second pass (the DGKS criterion, counted in
+    details["reorth_repeats"]) runs only when that pass shrinks the vector
+    below 1/sqrt(2) of its norm after the local step, which in practice
+    happens after restarts and breakdowns.  When the basis reaches
+    basis_cap vectors it is thick-restarted around the wanted ends.  A Ritz
+    pair (theta, y) counts as converged when its residual
+    ||A y - theta y|| = |beta * s_last| is at most
+    tol * max(|theta|, ||A||_est), counted contiguously inward from each
+    end.  max_iter bounds the number of operator applications.
 
     ||A||_est is the running maximum of ||A v_j|| over the applied basis
     vectors and of the Ritz values |theta|; both are lower bounds of ||A||
@@ -243,6 +251,7 @@ def lanczos_extremes(
     m = 1
     applies = 0
     restarts = 0
+    reorth_repeats = 0
     beta = 0.0
     flagged_converged = False
     exhausted = False
@@ -255,17 +264,27 @@ def lanczos_extremes(
         if np.may_share_memory(w, V):
             w = w.copy()  # an apply that returns (a view of) its argument
         applies += 1
-        w_pre = float(np.linalg.norm(w))
-        norm_est = max(norm_est, w_pre)
+        norm_est = max(norm_est, float(np.linalg.norm(w)))
         breakdown = max(norm_est, 1.0) * 1e-14
-        c = V[:m] @ w
-        w -= V[:m].T @ c
+        # Local step: modified Gram-Schmidt against the two newest rows, which
+        # carry the large three-term components of A v.  The global pass then
+        # removes only what rounding left along the rest of the basis.
+        c = np.zeros(m)
+        for i in range(max(cur - 1, 0), m):
+            c[i] = V[i] @ w
+            w -= c[i] * V[i]
+        w_local = float(np.linalg.norm(w))
+        cg = V[:m] @ w
+        w -= V[:m].T @ cg
+        c += cg
         beta = float(np.linalg.norm(w))
-        if beta < 0.70710678 * w_pre:
-            c2 = V[:m] @ w
-            w -= V[:m].T @ c2
-            c = c + c2
+        if beta < 0.70710678 * w_local:
+            # DGKS repeat: the global pass cancelled too much to trust.
+            cg = V[:m] @ w
+            w -= V[:m].T @ cg
+            c += cg
             beta = float(np.linalg.norm(w))
+            reorth_repeats += 1
         T[:m, cur] = c
         T[cur, :m] = c
 
@@ -368,6 +387,7 @@ def lanczos_extremes(
         details={
             "applies": applies,
             "restarts": restarts,
+            "reorth_repeats": reorth_repeats,
             "basis_final": m,
             "basis_cap": cap,
             "norm_est": norm_est,

@@ -30,6 +30,7 @@ Everything here is closed-form arithmetic; no operator is ever built.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,18 @@ class UnsupportedCombinationError(ValueError):
     """Parameter combination the asymptotic theory does not cover."""
 
 
+def require_finite(spec, *names) -> None:
+    """Raise ValueError naming the first field that holds a NaN or infinity.
+
+    Each named field is a real or complex number, or a tuple or list of them.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        for x in value if isinstance(value, (tuple, list)) else (value,):
+            if not cmath.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Oscillation:
     """One oscillating term 2 b cos(phi j - psi) of a discrete symbol."""
@@ -67,6 +80,7 @@ class Oscillation:
     b: float
 
     def __post_init__(self):
+        require_finite(self, "phi", "psi", "b")
         if not 0.0 < self.phi < math.pi:
             raise ValueError(
                 f"oscillation frequency phi must lie strictly inside (0, pi), got {self.phi}"
@@ -82,6 +96,7 @@ class KernelOscillation:
     b: float
 
     def __post_init__(self):
+        require_finite(self, "rho", "psi", "b")
         if self.rho <= 0.0:
             raise ValueError(f"kernel oscillation frequency rho must be positive, got {self.rho}")
 
@@ -95,6 +110,7 @@ class LocalSingularity:
     coeff: float
 
     def __post_init__(self):
+        require_finite(self, "t0", "m", "coeff")
         if self.t0 <= 0.0:
             raise ValueError(f"singularity location t0 must be positive, got {self.t0}")
         if self.m < 0 or self.m != int(self.m):
@@ -110,6 +126,7 @@ class Perturbation:
     beta: float
 
     def __post_init__(self):
+        require_finite(self, "scale", "beta")
         if self.beta <= 0.0:
             raise ValueError(f"perturbation decay exponent beta must be positive, got {self.beta}")
 
@@ -135,6 +152,7 @@ class DiscreteSymbolSpec:
     perturbation: Perturbation | None = None
 
     def __post_init__(self):
+        require_finite(self, "alpha", "b_plus1", "b_minus1")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         object.__setattr__(
@@ -163,6 +181,7 @@ class ContinuousKernelSpec:
     cutoffs: tuple = DEFAULT_CUTOFFS
 
     def __post_init__(self):
+        require_finite(self, "alpha", "b_zero", "b_inf", "cutoffs")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         object.__setattr__(

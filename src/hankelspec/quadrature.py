@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigensolve import SolverParams, solve
 from .hankel_core import DENSE_LIMIT, HankelTruncation, ResourceLimitError
-from .model import ContinuousKernelSpec, UnsupportedCombinationError
+from .model import ContinuousKernelSpec, UnsupportedCombinationError, require_finite
 from .sequences import eval_kernel_many
 
 __all__ = [
@@ -58,6 +58,7 @@ class GridSpec:
     def __post_init__(self):
         if self.kind not in GRID_KINDS:
             raise ValueError(f"grid kind must be one of {GRID_KINDS}, got {self.kind!r}")
+        require_finite(self, "t_min", "t_max")
         if not (0.0 < self.t_min < self.t_max):
             raise ValueError(
                 f"need 0 < t_min < t_max, got t_min={self.t_min}, t_max={self.t_max}"

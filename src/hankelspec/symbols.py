@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .model import require_finite
 from .sequences import smooth_step
 
 __all__ = [
@@ -101,12 +102,14 @@ class AsLogSpec:
     cutoffs: tuple = DEFAULT_HALF_WIDTHS
 
     def __post_init__(self):
+        require_finite(self, "alpha", "cutoffs")
         if not (self.alpha > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         for name in ("v0", "v1", "u0", "u1"):
             for side in ("plus", "minus"):
                 key = f"{name}_{side}"
                 object.__setattr__(self, key, _as_poly(getattr(self, key)))
+                require_finite(self, key)
         c1, c2 = self.cutoffs
         if not (0.0 < c1 < c2 < 1.0):
             raise ValueError(

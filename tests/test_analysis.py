@@ -257,6 +257,8 @@ def test_solver_params_validation():
         SolverParams(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         SolverParams(max_iter=0)
+    with pytest.raises(ValueError, match="seed"):
+        SolverParams(seed=-1)
 
 
 def test_discrete_spectrum_dense_route():

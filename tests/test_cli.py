@@ -1,11 +1,15 @@
 """End-to-end CLI tests: configs in, report files and exit codes out."""
 
 import json
+import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hankelspec
 from hankelspec.cli import main
 
 
@@ -415,6 +419,37 @@ def test_sweep_runs_all_scenarios(tmp_path, capsys):
     assert "two: ok" in stdout
 
 
+DISCRETE_PREDICT = {
+    "name": "d", "kind": "discrete", "action": "predict",
+    "spec": {"alpha": 1.0, "b_plus1": 1.0},
+}
+
+
+def test_negative_config_seed_names_field(tmp_path, capsys):
+    cfg = {**DISCRETE_PREDICT, "solver": {"seed": -1}}
+    code, out = _run(tmp_path, "predict", cfg)
+    assert code == 2
+    assert "config error at 'solver.seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_names_scenario_field(tmp_path, capsys):
+    cfg = {"scenarios": [DISCRETE_PREDICT]}
+    code, out = _run(tmp_path, "sweep", cfg, extra=["--seed", "-1"])
+    assert code == 2
+    assert "config error at 'scenarios[0].solver.seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = {"scenarios": [DISCRETE_PREDICT]}
+    code, out = _run(tmp_path, "sweep", cfg, extra=["--threads", threads])
+    assert code == 2
+    assert "config error at '--threads'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_needs_scenarios(tmp_path, capsys):
     code, _ = _run(tmp_path, "sweep", {"name": "x"})
     assert code == 2
@@ -572,3 +607,43 @@ def test_module_entrypoint_propagates_exit_code(tmp_path):
     )
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
+
+
+FFT_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from hankelspec import cli
+from hankelspec.hankel_core import HankelTruncation, matvec
+
+cli._keep_scratch_on_heap()
+N = 2**18
+H = HankelTruncation(N, 1.0 / (np.arange(2 * N - 1) + 1.0))
+workspace, out = H.workspace(), np.empty(N)
+u = np.random.default_rng(0).standard_normal(N)
+for _ in range(3):
+    matvec(H, u, out=out, workspace=workspace)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    matvec(H, u, out=out, workspace=workspace)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the allocator thresholds are a glibc setting",
+)
+def test_fft_scratch_is_reused_without_page_faults():
+    # numpy's FFT frees an 8 MiB scratch buffer after every transform at
+    # N = 2^18; with the thresholds the CLI sets, the next transform reuses
+    # it from the heap instead of faulting in freshly mapped pages (about
+    # 4000 faults per matvec otherwise).
+    src = str(Path(hankelspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", FFT_FAULTS_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000

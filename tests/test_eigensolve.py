@@ -25,9 +25,11 @@ from hankelspec.hankel_core import (
     DENSE_LIMIT,
     HankelTruncation,
     ResourceLimitError,
+    build_discrete,
     dense_matrix,
     matvec,
 )
+from hankelspec.model import DiscreteSymbolSpec
 
 mpmath.mp.dps = 30
 
@@ -225,6 +227,54 @@ def test_lanczos_thick_restart_memory_is_basis_plus_vectors():
     assert np.allclose(S.lambda_plus[:4], 1.0 / j[:4], rtol=1e-8)
     basis_bytes = (cap + 1) * n * 8
     assert peak < basis_bytes + 8 * n * 8
+
+
+def _triangle_truncation(M):
+    # Midpoint Nystrom matrix of the kernel 1 on [0, 1]: A[i][j] = 1/M for
+    # i + j + 1 <= M.  Its eigenvalues are 1 / (2 M sin((2k+1) pi / (2 (2M+1))))
+    # for k = 0, 1, ..., alternating in sign, starting positive.
+    return HankelTruncation(M, np.where(np.arange(2 * M - 1) < M, 1.0 / M, 0.0))
+
+
+def _count_breakdowns(monkeypatch):
+    """Counter of the fresh directions drawn after a breakdown."""
+    count = [0]
+    real = eigensolve._fresh_direction
+
+    def spy(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(eigensolve, "_fresh_direction", spy)
+    return count
+
+
+def test_lanczos_thick_restarts_reproduce_closed_form_eigenvalues(monkeypatch):
+    breakdowns = _count_breakdowns(monkeypatch)
+    M = 3000
+    H = _triangle_truncation(M)
+    S = solve(H, SolverParams(k=16, basis_cap=48))
+    assert S.details["restarts"] >= 1
+    assert S.converged
+    k = np.arange(2 * M)
+    exact = 1.0 / (2.0 * M * np.sin((2 * k + 1) * math.pi / (2 * (2 * M + 1))))
+    plus, minus = S.lambda_plus, S.lambda_minus
+    assert len(plus) >= 16 and len(minus) >= 16
+    # Compared position by position: a duplicated (ghost) value shifts every
+    # later one onto the wrong closed-form eigenvalue.
+    bound = 1e-12 * exact[0]
+    assert np.max(np.abs(plus - exact[0::2][: len(plus)])) <= bound
+    assert np.max(np.abs(minus - exact[1::2][: len(minus)])) <= bound
+    assert S.details["reorth_repeats"] <= S.details["restarts"] + breakdowns[0]
+
+
+def test_lanczos_repeats_reorthogonalization_only_after_breakdowns(monkeypatch):
+    # b1 at N = 2^14 exhausts its Krylov space and draws fresh directions.
+    breakdowns = _count_breakdowns(monkeypatch)
+    H = build_discrete(DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0), 2**14)
+    S = solve(H, SolverParams())
+    assert breakdowns[0] > 0
+    assert S.details["reorth_repeats"] <= S.details["restarts"] + breakdowns[0]
 
 
 def test_lanczos_identity_apply_leaves_basis_intact():

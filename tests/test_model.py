@@ -22,6 +22,8 @@ from hankelspec.model import (
     predict_discrete,
     predict_local_term,
 )
+from hankelspec.quadrature import GridSpec
+from hankelspec.symbols import AsLogSpec
 
 mpmath.mp.dps = 40
 
@@ -233,6 +235,37 @@ def test_local_singularity_validation():
         LocalSingularity(-1.0, 0, 1.0)
     with pytest.raises(ValueError):
         LocalSingularity(1.0, -2, 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: DiscreteSymbolSpec(alpha=NAN, b_plus1=1.0), "alpha"),
+        (lambda: DiscreteSymbolSpec(alpha=1.0, b_plus1=INF), "b_plus1"),
+        (lambda: DiscreteSymbolSpec(alpha=1.0, b_minus1=-INF), "b_minus1"),
+        (lambda: Oscillation(1.0, NAN, 1.0), "psi"),
+        (lambda: Oscillation(1.0, 0.0, INF), "b"),
+        (lambda: Perturbation(NAN, 1.0), "scale"),
+        (lambda: Perturbation(1.0, INF), "beta"),
+        (lambda: ContinuousKernelSpec(alpha=1.0, b_zero=INF), "b_zero"),
+        (lambda: ContinuousKernelSpec(alpha=1.0, b_inf=NAN), "b_inf"),
+        (lambda: ContinuousKernelSpec(alpha=1.0, cutoffs=(0.25, 0.5, 1.5, INF)), "cutoffs"),
+        (lambda: model.KernelOscillation(INF, 0.0, 1.0), "rho"),
+        (lambda: LocalSingularity(INF, 0, 1.0), "t0"),
+        (lambda: LocalSingularity(1.0, 0, NAN), "coeff"),
+        (lambda: GridSpec("uniform", 1e-12, INF, 64), "t_max"),
+        (lambda: GridSpec("geometric", NAN, 1.0, 64), "t_min"),
+        (lambda: AsLogSpec(alpha=INF), "alpha"),
+        (lambda: AsLogSpec(alpha=2.0, v0_plus=(1.0, complex(0.0, NAN))), "v0_plus"),
+        (lambda: AsLogSpec(alpha=2.0, cutoffs=(0.25, NAN)), "cutoffs"),
+    ],
+)
+def test_spec_rejects_non_finite_field(build, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        build()
 
 
 # -------------------------------------------------------- hypothesis invariants
