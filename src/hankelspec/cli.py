@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -225,12 +224,13 @@ def parse_grid(cfg: dict, path: str) -> quadrature.GridSpec:
     return grid
 
 
-def parse_solver(cfg, path: str) -> analysis.SolverParams:
+def parse_solver(cfg, path: str, seed=None) -> analysis.SolverParams:
+    """Solver knobs of cfg (None for the defaults); seed, when given, overrides cfg's."""
     if cfg is None:
-        return analysis.SolverParams()
+        cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError(path, "expected an object")
-    seed = _as_int(cfg.get("seed", 0), f"{path}.seed")
+    seed = _as_int(cfg.get("seed", 0) if seed is None else seed, f"{path}.seed")
     if seed < 0:
         raise ConfigError(f"{path}.seed", f"expected a non-negative integer, got {seed}")
     return _wrap_value_error(
@@ -266,37 +266,38 @@ def parse_fit(cfg, path: str):
     return (window[0], window[1]), mdl
 
 
-class Scenario:
-    """Parsed and validated scenario config."""
+# kind -> (spec parser, allowed actions, list field that spectrum and verify
+# need).  Actions outside the tuple exit 2 at `action`.
+_KINDS = {
+    "discrete": (parse_discrete_spec, ("predict", "spectrum", "verify"), "N_list"),
+    "continuous": (parse_continuous_spec, ("predict", "spectrum", "verify"), "grids"),
+    "symbol": (parse_aslog_spec, ("predict", "symbol"), None),
+}
 
-    def __init__(self, cfg: dict, path: str = ""):
+
+class Scenario:
+    """Parsed and validated scenario config; seed overrides the solver seed."""
+
+    def __init__(self, cfg: dict, path: str = "", seed=None):
         if not isinstance(cfg, dict):
-            raise ConfigError(path or "<root>", "expected an object")
+            raise ConfigError(path.rstrip(".") or "<root>", "expected an object")
         self.name = cfg.get("name", "scenario")
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"{path}name", "expected a nonempty string")
         self.kind = _need(cfg, "kind", path)
-        if self.kind not in ("discrete", "continuous", "symbol"):
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigError(
-                f"{path}kind", f"expected discrete|continuous|symbol, got {self.kind!r}"
+                f"{path}kind", f"expected {'|'.join(_KINDS)}, got {self.kind!r}"
             )
+        parse_spec, allowed, runs_on = _KINDS[self.kind]
         self.action = cfg.get("action", "spectrum")
-        allowed = ("predict", "symbol") if self.kind == "symbol" else (
-            "predict", "spectrum", "verify"
-        )
         if self.action not in allowed:
             raise ConfigError(
                 f"{path}action",
                 f"{self.kind} scenarios take {'|'.join(allowed)}, got {self.action!r}",
             )
-        spec_cfg = _need(cfg, "spec", path)
-        if self.kind == "discrete":
-            self.spec = parse_discrete_spec(spec_cfg, f"{path}spec")
-        elif self.kind == "continuous":
-            self.spec = parse_continuous_spec(spec_cfg, f"{path}spec")
-        else:
-            self.spec = parse_aslog_spec(spec_cfg, f"{path}spec")
-        self.solver = parse_solver(cfg.get("solver"), f"{path}solver")
+        self.spec = parse_spec(_need(cfg, "spec", path), f"{path}spec")
+        self.solver = parse_solver(cfg.get("solver"), f"{path}solver", seed)
         self.window, self.model = parse_fit(cfg.get("fit"), f"{path}fit")
         self.outputs = cfg.get("outputs", self.name)
         if not isinstance(self.outputs, str):
@@ -351,18 +352,14 @@ class Scenario:
             cfg.get("dump_samples", 4096), f"{path}dump_samples"
         )
 
-        if self.action in ("spectrum", "verify") and self.kind == "discrete":
-            if self.N_list is None:
-                raise ConfigError(f"{path}N_list", "required for discrete runs")
-        if self.action in ("spectrum", "verify") and self.kind == "continuous":
-            if self.grids is None:
-                raise ConfigError(f"{path}grids", "required for continuous runs")
-        if self.action == "spectrum":
-            count = len(self.N_list or self.grids or [])
-            if count != 1:
+        if self.action in ("spectrum", "verify"):
+            runs = getattr(self, runs_on)
+            if runs is None:
+                raise ConfigError(f"{path}{runs_on}", f"required for {self.kind} runs")
+            if self.action == "spectrum" and len(runs) != 1:
                 raise ConfigError(
-                    f"{path}{'N_list' if self.kind == 'discrete' else 'grids'}",
-                    f"spectrum runs take exactly one entry, got {count}",
+                    f"{path}{runs_on}",
+                    f"spectrum runs take exactly one entry, got {len(runs)}",
                 )
 
 
@@ -655,15 +652,16 @@ def _run_symbol(scenario, out: Path) -> int:
     return 0
 
 
+_ACTIONS = {
+    "predict": _run_predict,
+    "spectrum": _run_spectrum,
+    "verify": _run_verify,
+    "symbol": _run_symbol,
+}
+
+
 def run_scenario(scenario: Scenario, out_root: Path) -> int:
-    out = out_root / scenario.outputs
-    if scenario.action == "predict":
-        return _run_predict(scenario, out)
-    if scenario.action == "spectrum":
-        return _run_spectrum(scenario, out)
-    if scenario.action == "verify":
-        return _run_verify(scenario, out)
-    return _run_symbol(scenario, out)
+    return _ACTIONS[scenario.action](scenario, out_root / scenario.outputs)
 
 
 # ------------------------------------------------------------------ main
@@ -677,16 +675,11 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    if args.seed is not None:
-        solver = dict(cfg.get("solver") or {})
-        solver["seed"] = args.seed
-        cfg = {**cfg, "solver": solver}
+    if not isinstance(cfg, dict):
+        raise ConfigError("<config>", f"expected a JSON object in {path}")
     return cfg
 
 
@@ -727,7 +720,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["predict", "spectrum", "verify", "sweep", "symbol"])
     parser.add_argument("--config", required=True, help="scenario config path (JSON)")
     parser.add_argument("--out", default=".", help="output root directory")
-    parser.add_argument("--threads", type=int, default=1, help="sweep parallelism")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; sweep runs its scenarios in order",
+    )
     parser.add_argument("--seed", type=int, default=None, help="override solver seed")
     args = parser.parse_args(argv)
 
@@ -741,19 +737,18 @@ def main(argv=None) -> int:
             if not isinstance(raw, list) or not raw:
                 raise ConfigError("scenarios", "sweep config needs a scenario list")
             scenarios = [
-                Scenario(_apply_overrides(item, args), f"scenarios[{i}].")
+                Scenario(item, f"scenarios[{i}].", args.seed)
                 for i, item in enumerate(raw)
             ]
             _check_distinct_outputs(scenarios)
         else:
-            cfg = _apply_overrides(cfg, args)
             cfg.setdefault("action", args.command)
             if cfg["action"] != args.command:
                 raise ConfigError(
                     "action", f"config action {cfg['action']!r} does not match "
                     f"the {args.command!r} subcommand"
                 )
-            scenarios = [Scenario(cfg)]
+            scenarios = [Scenario(cfg, "", args.seed)]
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -762,16 +757,16 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.threads > 1 and len(scenarios) > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                codes = list(pool.map(lambda s: run_scenario(s, out_root), scenarios))
-        else:
-            codes = [run_scenario(s, out_root) for s in scenarios]
+        codes = [run_scenario(s, out_root) for s in scenarios]
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # e.g. a scenario name longer than the file system allows
+        print(f"cannot write reports: {exc}", file=sys.stderr)
         return 2
 
     worst = max(codes, default=0)

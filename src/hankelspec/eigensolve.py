@@ -27,6 +27,7 @@ import numpy as np
 
 from .hankel_core import (
     DENSE_LIMIT,
+    DENSE_SOLVE_LIMIT,
     HankelTruncation,
     ResourceLimitError,
     dense_matrix,
@@ -40,12 +41,10 @@ __all__ = [
     "dense_spectrum",
     "lanczos_extremes",
     "counting",
-    "delta_p_proxy",
 ]
 
 ZERO_BAND_REL = 1e-13
 ASYMMETRY_REL = 1e-12
-DENSE_SOLVE_LIMIT = 2048
 # Tile edge of the dense symmetry check and column width of the in-place
 # thick restart; both bound a transient to a small fixed number of bytes.
 _SYMMETRY_TILE = 256
@@ -442,40 +441,3 @@ def counting(S: SpectrumResult, lam: float):
     n_plus = int(np.count_nonzero(S.lambda_plus > lam))
     n_minus = int(np.count_nonzero(S.lambda_minus > lam))
     return n_plus, n_minus, n_plus + n_minus
-
-
-def merged_singular_values(S: SpectrumResult) -> np.ndarray:
-    """Non-increasing union of lambda_plus and lambda_minus."""
-    merged = np.concatenate([S.lambda_plus, S.lambda_minus])
-    return np.sort(merged)[::-1].copy()
-
-
-def delta_p_proxy(S: SpectrumResult, p: float, window):
-    """Windowed sup/inf of n * (lambda_n^{+-})^p and n * s_n^p.
-
-    window is an inclusive 1-based index range (n_min, n_max).  Each of the
-    three channels (plus, minus, merged) is evaluated over the part of the
-    window its list covers; a channel with no data in the window is an error.
-    Returns (sup_plus, inf_plus, sup_minus, inf_minus, sup_s, inf_s).
-    """
-    if p <= 0.0:
-        raise ValueError(f"power p must be positive, got {p}")
-    n_min, n_max = int(window[0]), int(window[1])
-    if n_min < 1 or n_max < n_min:
-        raise ValueError(f"window must satisfy 1 <= n_min <= n_max, got {window}")
-
-    def channel(values, name):
-        hi = min(n_max, len(values))
-        if hi < n_min:
-            raise ValueError(
-                f"window [{n_min}, {n_max}] has no {name} eigenvalues "
-                f"(only {len(values)} available)"
-            )
-        idx = np.arange(n_min, hi + 1)
-        scaled = idx * values[idx - 1] ** p
-        return float(np.max(scaled)), float(np.min(scaled))
-
-    sup_p, inf_p = channel(S.lambda_plus, "positive")
-    sup_m, inf_m = channel(S.lambda_minus, "negative")
-    sup_s, inf_s = channel(merged_singular_values(S), "merged")
-    return sup_p, inf_p, sup_m, inf_m, sup_s, inf_s

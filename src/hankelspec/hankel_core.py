@@ -21,7 +21,6 @@ time: concurrent products on the same truncation each use their own.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,14 +33,19 @@ __all__ = [
     "HankelTruncation",
     "ResourceLimitError",
     "DENSE_LIMIT",
+    "DENSE_SOLVE_LIMIT",
     "build_discrete",
     "matvec",
     "matvec_direct",
     "dense_matrix",
-    "dump_entries",
-    "load_entries",
 ]
 
+# The size policy, in matrix order.  Truncations up to DENSE_SOLVE_LIMIT are
+# solved densely (eigensolve.solve), larger ones by Lanczos through the fast
+# matvec.  No dense matrix above DENSE_LIMIT is ever built: dense_matrix,
+# dense_spectrum, the geometric Nystrom build and the CLI's geometric grids
+# refuse such an order before allocating.
+DENSE_SOLVE_LIMIT = 2048
 DENSE_LIMIT = 8192
 
 
@@ -145,35 +149,12 @@ def matvec_direct(H: HankelTruncation, u) -> np.ndarray:
     return H.scale * out
 
 
-def dense_matrix(H: HankelTruncation, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Materialize the full symmetric matrix; guarded by a size limit."""
-    if H.order > limit:
+def dense_matrix(H: HankelTruncation) -> np.ndarray:
+    """Materialize the full symmetric matrix; refused above DENSE_LIMIT."""
+    if H.order > DENSE_LIMIT:
         raise ResourceLimitError(
-            f"order {H.order} exceeds the dense materialization limit {limit}"
+            f"order {H.order} exceeds the dense materialization limit {DENSE_LIMIT}"
         )
     # Row j of the window view is entries[j : j + N], so A[j, k] = h(j + k).
     rows = sliding_window_view(H.entries, H.order)
     return H.scale * rows if H.scale != 1.0 else rows.copy()
-
-
-def dump_entries(H: HankelTruncation, path) -> None:
-    """Binary dump: little-endian uint64 count, then entries as little-endian f64."""
-    data = np.ascontiguousarray(H.entries, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(data)))
-        fh.write(data.tobytes())
-
-
-def load_entries(path) -> np.ndarray:
-    """Read back a dump written by dump_entries."""
-    with open(path, "rb") as fh:
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise ValueError("truncated dump: missing length header")
-        (count,) = struct.unpack("<Q", raw)
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError(
-                f"truncated dump: expected {count} entries, payload is short"
-            )
-        return np.frombuffer(payload, dtype="<f8").astype(float)

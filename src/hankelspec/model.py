@@ -46,10 +46,8 @@ __all__ = [
     "AsymptoticPrediction",
     "UnsupportedCombinationError",
     "kappa",
-    "m_cap",
     "predict_discrete",
     "predict_continuous",
-    "predict_local_term",
 ]
 
 DEFAULT_CUTOFFS = (0.25, 0.5, 1.5, 2.0)
@@ -250,15 +248,6 @@ def kappa(alpha: float) -> float:
     )
 
 
-def m_cap(alpha: float) -> int:
-    """Highest finite-difference order the error terms must control."""
-    if alpha <= 0.0:
-        raise ValueError(f"m_cap requires alpha > 0, got {alpha}")
-    if alpha < 0.5:
-        return 0
-    return int(math.floor(alpha)) + 1
-
-
 def _positive_part(x: float) -> float:
     # (|x| + x)/2 with an exact zero for the non-matching sign.
     return x if x > 0.0 else 0.0
@@ -357,15 +346,3 @@ def predict_continuous(spec: ContinuousKernelSpec) -> AsymptoticPrediction:
         alpha, [t[1] for t in terms], [t[2] for t in terms]
     )
     return AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
-
-
-def predict_local_term(t0: float, m: int, n: int) -> float:
-    """Exact leading eigenvalue law m! t0^{m+1} (2 pi n)^{-m-1} of one local singularity."""
-    if t0 <= 0.0:
-        raise ValueError(f"t0 must be positive, got {t0}")
-    if m < 0 or m != int(m):
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    m = int(m)
-    return math.factorial(m) * t0 ** (m + 1) * (2.0 * math.pi * n) ** (-(m + 1))

@@ -241,9 +241,6 @@ class ConvergenceReport:
     improving: bool
     converged: list
 
-    def max_change(self) -> float:
-        return max(self.changes) if self.changes else 0.0
-
 
 def convergence_report(
     spec: ContinuousKernelSpec,

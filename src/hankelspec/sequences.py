@@ -1,4 +1,4 @@
-"""Pointwise evaluation of model sequences and kernels, plus decay diagnostics.
+"""Pointwise evaluation of model sequences and kernels.
 
 The discrete sequence and the continuous kernel defined in `model` are
 evaluated here exactly, with smooth cutoffs built from the classic bump
@@ -8,12 +8,11 @@ regions the theory constrains.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ContinuousKernelSpec, DiscreteSymbolSpec, m_cap
+from .model import ContinuousKernelSpec, DiscreteSymbolSpec
 
 __all__ = [
     "CutoffPair",
@@ -22,9 +21,6 @@ __all__ = [
     "eval_discrete_many",
     "eval_kernel",
     "eval_kernel_many",
-    "finite_difference",
-    "check_error_decay",
-    "DecayReport",
 ]
 
 
@@ -157,86 +153,3 @@ def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
 def eval_kernel(spec: ContinuousKernelSpec, t: float) -> float:
     """Model kernel h(t), t > 0."""
     return float(eval_kernel_many(spec, np.asarray([t]))[0])
-
-
-def finite_difference(values, m: int):
-    """m-fold forward difference; output length shrinks by m."""
-    values = np.asarray(values, dtype=float)
-    if m < 0:
-        raise ValueError(f"difference order m must be nonnegative, got {m}")
-    if m > len(values) - 1:
-        raise ValueError(
-            f"sequence of length {len(values)} is too short for difference order {m}"
-        )
-    if m == 0:
-        return values.copy()
-    return np.diff(values, n=m)
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    m: int
-    window_starts: tuple
-    maxima: tuple
-    decreasing: bool
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Windowed maxima of |g^(m)(j)| j^{1+m} (log j)^alpha over dyadic windows."""
-
-    alpha: float
-    j0: int
-    rows: tuple = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(row.decreasing for row in self.rows)
-
-
-def _dyadic_maxima(ratios: np.ndarray, j_index: np.ndarray):
-    if len(j_index) == 0:
-        return (), ()
-    starts = []
-    maxima = []
-    s = max(int(math.floor(math.log2(j_index[0]))), 1)
-    while 2**s <= j_index[-1]:
-        lo, hi = 2**s, 2 ** (s + 1)
-        mask = (j_index >= lo) & (j_index < hi)
-        if np.any(mask):
-            starts.append(lo)
-            maxima.append(float(np.max(ratios[mask])))
-        s += 1
-    return tuple(starts), tuple(maxima)
-
-
-def check_error_decay(values, j0: int, alpha: float, m_max: int) -> DecayReport:
-    """Numerical proxy for the small-o decay conditions on an error sequence.
-
-    For each m <= m_max the m-fold forward difference g^(m)(j) is scaled by
-    j^{1+m} (log j)^alpha and its maxima over dyadic windows [2^s, 2^{s+1})
-    are reported; a decreasing sequence of maxima is the pass signal.  Entries
-    with j < 2 are skipped (the log weight is not usable there).
-    """
-    if m_max > m_cap(alpha):
-        raise ValueError(
-            f"m_max={m_max} exceeds the controlled difference order m_cap={m_cap(alpha)}"
-        )
-    values = np.asarray(values, dtype=float)
-    rows = []
-    for m in range(m_max + 1):
-        diff = finite_difference(values, m)
-        j = np.arange(j0, j0 + len(diff))
-        keep = j >= 2
-        jk = j[keep].astype(float)
-        ratios = np.abs(diff[keep]) * jk ** (1 + m) * np.log(jk) ** alpha
-        starts, maxima = _dyadic_maxima(ratios, j[keep])
-        # Strict decrease with a small relative margin, so a constant ratio
-        # cannot sneak through on rounding noise; an identically zero tail
-        # passes by definition.
-        decreasing = all(
-            b <= a * (1.0 - 1e-9) or (a == 0.0 and b == 0.0)
-            for a, b in zip(maxima, maxima[1:])
-        )
-        rows.append(DecayRow(m, starts, maxima, decreasing))
-    return DecayReport(alpha, j0, tuple(rows))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hankelspec
-from hankelspec.cli import main
+from hankelspec.cli import Scenario, main
 
 
 def _write_config(path, cfg):
@@ -248,6 +248,22 @@ def test_spectrum_needs_single_order(tmp_path, capsys):
     assert "exactly one entry" in capsys.readouterr().err
 
 
+def test_continuous_spectrum_counts_its_grids(tmp_path, capsys):
+    # The one-entry rule applies to the list the kind runs on; a stray
+    # N_list on a continuous scenario is validated but not counted.
+    cfg = {
+        "name": "x",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "N_list": [256, 512],
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 64}],
+        "fit": {"window": [1, 4]},
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 0, capsys.readouterr().err
+    assert "order=64 " in (out / "x" / "spectrum.csv").read_text().splitlines()[0]
+
+
 def test_discrete_run_needs_orders(tmp_path, capsys):
     cfg = {"name": "x", "kind": "discrete", "spec": {"alpha": 1.0, "b_plus1": 1.0}}
     code, _ = _run(tmp_path, "spectrum", cfg)
@@ -448,6 +464,50 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert code == 2
     assert "config error at '--threads'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep"])
+@pytest.mark.parametrize("cfg", [[1], "x"])
+def test_config_that_is_not_an_object_names_config(tmp_path, capsys, command, cfg):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error at '<config>': expected a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", [[1], [[1, 2]]])
+@pytest.mark.parametrize("extra", [(), ("--seed", "1")])
+def test_seed_flag_does_not_repair_a_bad_solver(tmp_path, capsys, solver, extra):
+    # [[1, 2]] would pass through dict() if the seed were merged into the raw
+    # config before validation.
+    cfg = {**DISCRETE_PREDICT, "solver": solver}
+    code, out = _run(tmp_path, "predict", cfg, extra=extra)
+    assert code == 2
+    assert "config error at 'solver': expected an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [(), ("--seed", "1")])
+def test_non_object_sweep_entry_names_scenario(tmp_path, capsys, extra):
+    code, out = _run(tmp_path, "sweep", {"scenarios": [1]}, extra=extra)
+    assert code == 2
+    assert "config error at 'scenarios[0]': expected an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_override_replaces_only_the_seed():
+    cfg = {**DISCRETE_PREDICT, "solver": {"seed": 4, "k": 8}}
+    assert Scenario(cfg, "scenarios[0].").solver.seed == 4
+    overridden = Scenario(cfg, "scenarios[0].", 9).solver
+    assert (overridden.seed, overridden.k) == (9, 8)
+    assert cfg["solver"] == {"seed": 4, "k": 8}
+
+
+def test_unwritable_output_name_exits_2(tmp_path, capsys):
+    cfg = {**DISCRETE_PREDICT, "name": "n" * 300}
+    code, _ = _run(tmp_path, "predict", cfg)
+    assert code == 2
+    assert "cannot write reports" in capsys.readouterr().err
 
 
 def test_sweep_needs_scenarios(tmp_path, capsys):

@@ -11,18 +11,16 @@ import pytest
 
 from hankelspec import eigensolve
 from hankelspec.eigensolve import (
-    DENSE_SOLVE_LIMIT,
     SolverParams,
     SpectrumResult,
     counting,
-    delta_p_proxy,
     dense_spectrum,
     lanczos_extremes,
-    merged_singular_values,
     solve,
 )
 from hankelspec.hankel_core import (
     DENSE_LIMIT,
+    DENSE_SOLVE_LIMIT,
     HankelTruncation,
     ResourceLimitError,
     build_discrete,
@@ -308,41 +306,10 @@ def test_counting_identity_and_domain():
     for lam in [0.05, 0.15, 0.3, 0.6, 0.8, 1.0]:
         n_plus, n_minus, n = counting(S, lam)
         assert n == n_plus + n_minus
-        merged = merged_singular_values(S)
+        merged = np.concatenate([S.lambda_plus, S.lambda_minus])
         assert n == int(np.sum(merged > lam))
     with pytest.raises(ValueError):
         counting(S, 0.0)
-
-
-def test_merged_singular_values_sorted():
-    S = _result([1.0, 0.5], [0.75])
-    assert np.array_equal(merged_singular_values(S), [1.0, 0.75, 0.5])
-
-
-# -------------------------------------------------------------------- delta_p
-
-
-def test_delta_p_exact_power():
-    n = np.arange(1, 33)
-    S = _result(1.0 / n, 1.0 / n)
-    sup_p, inf_p, sup_m, inf_m, sup_s, inf_s = delta_p_proxy(S, 1.0, (1, 32))
-    assert sup_p == pytest.approx(1.0, rel=1e-12)
-    assert inf_p == pytest.approx(1.0, rel=1e-12)
-    assert sup_m == pytest.approx(1.0, rel=1e-12)
-
-
-def test_delta_p_merged_example():
-    S = _result([1.0, 0.5], [0.75])
-    sup_p, inf_p, sup_m, inf_m, sup_s, inf_s = delta_p_proxy(S, 1.0, (1, 3))
-    # Merged sequence is (1, 3/4, 1/2); n * s_n = (1, 1.5, 1.5).
-    assert sup_s == pytest.approx(1.5, rel=1e-12)
-    assert inf_s == pytest.approx(1.0, rel=1e-12)
-
-
-def test_delta_p_empty_window_rejected():
-    S = _result([], [])
-    with pytest.raises(ValueError):
-        delta_p_proxy(S, 1.0, (1, 4))
 
 
 # ------------------------------------------------------------ Weyl inequality

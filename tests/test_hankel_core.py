@@ -1,7 +1,6 @@
-"""Hankel truncation construction, fast matvec correctness, binary dumps."""
+"""Hankel truncation construction and fast matvec correctness."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from hankelspec.hankel_core import (
     ResourceLimitError,
     build_discrete,
     dense_matrix,
-    dump_entries,
-    load_entries,
     matvec,
     matvec_direct,
 )
@@ -175,9 +172,10 @@ def test_dense_matrix_zero():
 
 
 def test_dense_matrix_resource_limit():
-    H = _random_truncation(32, 0)
-    with pytest.raises(ResourceLimitError):
-        dense_matrix(H, limit=16)
+    # Refused on the order alone: the 8193^2 matrix is never allocated.
+    H = HankelTruncation(DENSE_LIMIT + 1, np.zeros(2 * DENSE_LIMIT + 1))
+    with pytest.raises(ResourceLimitError, match="8192"):
+        dense_matrix(H)
     assert DENSE_LIMIT == 8192
 
 
@@ -187,36 +185,3 @@ def test_dense_matrix_agrees_with_matvec():
     rng = np.random.default_rng(12)
     u = rng.standard_normal(50)
     assert np.allclose(A @ u, matvec(H, u), rtol=1e-12, atol=1e-12)
-
-
-# --------------------------------------------------------------- binary dumps
-
-
-def test_dump_roundtrip(tmp_path):
-    H = _random_truncation(33, 5)
-    path = tmp_path / "entries.bin"
-    dump_entries(H, path)
-    back = load_entries(path)
-    assert np.array_equal(back, H.entries)
-
-
-def test_dump_format_is_little_endian(tmp_path):
-    H = HankelTruncation(2, np.array([1.0, -2.0, 0.5]))
-    path = tmp_path / "entries.bin"
-    dump_entries(H, path)
-    raw = path.read_bytes()
-    count = struct.unpack("<Q", raw[:8])[0]
-    assert count == 3
-    values = struct.unpack("<3d", raw[8:])
-    assert values == (1.0, -2.0, 0.5)
-    assert len(raw) == 8 + 8 * 3
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(struct.pack("<Q", 10) + b"\x00" * 16)
-    with pytest.raises(ValueError, match="truncated"):
-        load_entries(path)
-    path.write_bytes(b"\x00" * 4)
-    with pytest.raises(ValueError, match="length header"):
-        load_entries(path)

@@ -17,10 +17,8 @@ from hankelspec.model import (
     Perturbation,
     UnsupportedCombinationError,
     kappa,
-    m_cap,
     predict_continuous,
     predict_discrete,
-    predict_local_term,
 )
 from hankelspec.quadrature import GridSpec
 from hankelspec.symbols import AsLogSpec
@@ -89,18 +87,6 @@ def test_kappa_domain():
         kappa(0.0)
     with pytest.raises(ValueError):
         kappa(-1.0)
-
-
-def test_m_cap_values():
-    assert m_cap(0.3) == 0
-    assert m_cap(0.5) == 1
-    assert m_cap(2.7) == 3
-    assert m_cap(1.0) == 2
-    with pytest.raises(ValueError):
-        m_cap(0.0)
-
-
-# --------------------------------------------------------- discrete predictions
 
 
 def test_predict_discrete_point_only():
@@ -183,27 +169,6 @@ def test_predict_continuous_rejects_wrong_alpha_for_singularity():
 def test_spec_rejects_b_zero_with_singularity():
     with pytest.raises(UnsupportedCombinationError):
         ContinuousKernelSpec(alpha=1.0, b_zero=1.0, local_singularities=[(1.0, 0, 1.0)])
-
-
-# ------------------------------------------------------------- local term
-
-
-def test_predict_local_term_examples():
-    assert predict_local_term(1.0, 0, 1) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
-    assert predict_local_term(2.0, 1, 1) == pytest.approx(1.0 / math.pi**2, rel=1e-12)
-    assert predict_local_term(1.0, 0, 10) == pytest.approx(1.0 / (20 * math.pi), rel=1e-12)
-
-
-@given(
-    t0=st.floats(0.1, 10.0),
-    m=st.integers(0, 4),
-    n=st.integers(1, 1000),
-)
-def test_predict_local_term_identity(t0, m, n):
-    value = predict_local_term(t0, m, n)
-    assert value * (2.0 * math.pi * n) ** (m + 1) == pytest.approx(
-        math.factorial(m) * t0 ** (m + 1), rel=1e-12
-    )
 
 
 # ------------------------------------------------------------ spec validation

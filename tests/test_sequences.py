@@ -4,18 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
 from hankelspec.sequences import (
     CutoffPair,
-    check_error_decay,
     eval_discrete,
     eval_discrete_many,
     eval_kernel,
     eval_kernel_many,
-    finite_difference,
     smooth_step,
 )
 
@@ -170,62 +166,3 @@ def test_eval_kernel_oscillation_rides_tail():
     assert eval_kernel(spec, t) == pytest.approx(expected, rel=1e-12)
     # Inside the support gap (t <= C1) the tail term vanishes.
     assert eval_kernel(spec, 1.0) == 0.0
-
-
-# ---------------------------------------------------------- finite differences
-
-
-def test_finite_difference_examples():
-    assert np.array_equal(finite_difference([0, 1, 2, 3], 1), [1, 1, 1])
-    assert np.array_equal(finite_difference([0, 1, 2, 3], 2), [0, 0])
-    assert np.array_equal(finite_difference([1, 2, 4, 8], 1), [1, 2, 4])
-    assert np.array_equal(finite_difference([5, 5], 0), [5, 5])
-
-
-def test_finite_difference_too_short():
-    with pytest.raises(ValueError):
-        finite_difference([1.0, 2.0], 2)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    values=st.lists(st.floats(-100, 100), min_size=5, max_size=20),
-    m1=st.integers(0, 2),
-    m2=st.integers(0, 2),
-)
-def test_finite_difference_composes(values, m1, m2):
-    direct = finite_difference(values, m1 + m2)
-    nested = finite_difference(finite_difference(values, m1), m2)
-    assert np.allclose(direct, nested, rtol=1e-12, atol=1e-9)
-
-
-# ------------------------------------------------------------- decay reports
-
-
-def test_check_error_decay_fast_sequence_passes():
-    j = np.arange(4, 4096)
-    report = check_error_decay(j.astype(float) ** -2.0, 4, 1.0, 0)
-    assert report.passed
-    assert report.rows[0].m == 0
-    maxima = report.rows[0].maxima
-    assert all(b < a for a, b in zip(maxima, maxima[1:]))
-
-
-def test_check_error_decay_borderline_sequence_fails():
-    j = np.arange(4, 4096).astype(float)
-    values = 1.0 / (j * np.log(j))
-    report = check_error_decay(values, 4, 1.0, 0)
-    assert not report.passed
-    # The scaled ratio is identically 1 on this sequence.
-    assert all(abs(m - 1.0) < 1e-9 for m in report.rows[0].maxima)
-
-
-def test_check_error_decay_zero_sequence_passes():
-    report = check_error_decay(np.zeros(512), 4, 1.0, 0)
-    assert report.passed
-    assert all(m == 0.0 for m in report.rows[0].maxima)
-
-
-def test_check_error_decay_rejects_large_m():
-    with pytest.raises(ValueError):
-        check_error_decay(np.zeros(64), 4, 0.3, 1)

@@ -1,138 +1,37 @@
-"""Symbol evaluation tests against mpmath/scipy quadrature oracles."""
+"""Log-singular symbol tests: closed-form values, sampling and Fourier decay."""
 
-import cmath
 import math
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from hankelspec.sequences import smooth_step
 from hankelspec.symbols import (
     AsLogSpec,
     aslog_coefficient,
     eval_aslog,
-    eval_omega_model,
-    eval_omega_zeta,
-    eval_tau,
     fourier_coefficients,
-    mobius_to_circle,
-    mobius_to_line,
     sample_aslog,
-    sample_omega_zeta,
 )
 
 
-# ----------------------------------------------------------------- omega_zeta
-
-
-def test_omega_zeta_purely_imaginary_and_odd():
-    theta = np.linspace(-3.0, 3.0, 41)
-    vals = eval_omega_zeta(1.0, 1.0, 200, theta)
-    assert np.max(np.abs(vals.real)) < 1e-14
-    flipped = eval_omega_zeta(1.0, 1.0, 200, -theta)
-    assert np.allclose(flipped, -vals, rtol=0, atol=1e-13)
-
-
-def test_omega_zeta_vanishes_at_arg_zeta():
-    zeta = cmath.exp(0.7j)
-    assert eval_omega_zeta(zeta, 1.5, 300, 0.7) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_omega_zeta_scalar_matches_array():
-    v_scalar = eval_omega_zeta(1.0, 1.0, 50, 0.3)
-    v_array = eval_omega_zeta(1.0, 1.0, 50, np.array([0.3]))
-    assert isinstance(v_scalar, complex)
-    assert v_scalar == v_array[0]
-
-
-def test_omega_zeta_direct_sum_oracle():
-    # Independent evaluation of the defining sum at one point.
-    theta, alpha, J = 0.9, 1.0, 400
-    want = sum(
-        2j * math.sin(j * theta) / (j * math.log(j) ** alpha) for j in range(2, J + 1)
-    )
-    got = eval_omega_zeta(1.0, alpha, J, theta)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_omega_zeta_validation():
-    with pytest.raises(ValueError):
-        eval_omega_zeta(1.0, 1.0, 1, 0.3)
-    with pytest.raises(ValueError):
-        eval_omega_zeta(2.0, 1.0, 10, 0.3)
-
-
-def test_sample_matches_pointwise_eval():
-    J, samples = 64, 256
-    grid = sample_omega_zeta(1.0, 1.0, J, samples)
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    direct = eval_omega_zeta(1.0, 1.0, J, theta)
-    assert np.allclose(grid, direct, rtol=0, atol=1e-12)
-
-
-def test_sample_rejects_aliasing():
-    with pytest.raises(ValueError):
-        sample_omega_zeta(1.0, 1.0, 64, 128)
+# ------------------------------------------------------------ fourier basics
 
 
 def test_fft_recovers_coefficients():
-    # The partial sum is a trigonometric polynomial: with enough samples the
-    # FFT returns its coefficients exactly, here q(16) = 1/(16 log 16).
-    J, samples = 4096, 65536
-    coeffs = fourier_coefficients(sample_omega_zeta(1.0, 1.0, J, samples))
+    # Samples of a trigonometric polynomial: with enough samples the FFT
+    # returns its coefficients exactly, here q(16) = 1/(16 log 16) from
+    # sum_j q(j) (mu^j - mu^-j), q(j) = 1/(j log j).
+    J, samples = 512, 2048
+    j = np.arange(2, J + 1)
+    q = 1.0 / (j * np.log(j))
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    values = 2j * (np.sin(np.outer(theta, j)) @ q)
+    coeffs = fourier_coefficients(values)
     want = 1.0 / (16.0 * math.log(16.0))
     assert coeffs[16] == pytest.approx(want, rel=1e-10)
     assert coeffs[-16] == pytest.approx(-want, rel=1e-10)
     assert abs(coeffs[0]) < 1e-14
     assert abs(coeffs[1]) < 1e-14
-
-
-# ------------------------------------------------------------------------ tau
-
-
-def test_tau_at_zero():
-    assert eval_tau(1.0, 0, 0.0) == pytest.approx(1.0)
-    assert eval_tau(2.0, 1, 0.0) == pytest.approx(4.0 / 2.0)
-    assert eval_tau(1.5, 2, 0.0) == pytest.approx(1.5**3 / 3.0)
-
-
-def test_tau_closed_form_at_pi():
-    # m=0, t0=1: (e^{i pi} - 1)/(i pi) = 2i/pi.
-    assert eval_tau(1.0, 0, math.pi) == pytest.approx(2j / math.pi, rel=1e-14)
-
-
-def test_tau_against_mpmath_across_branch():
-    # The implementation switches from the direct formula to a series at
-    # |t0 x| = 1; probe both sides and the far field.
-    mpmath.mp.dps = 80
-
-    def oracle(t0, m, x):
-        ix = mpmath.mpc(0, x)
-        partial = sum((ix * t0) ** k / mpmath.factorial(k) for k in range(m + 1))
-        return complex(
-            mpmath.factorial(m) * ix ** (-m - 1) * (mpmath.exp(ix * t0) - partial)
-        )
-
-    for m in (0, 1, 2, 4):
-        for x in (1e-5, 9.99e-4, 1.01e-3, 0.5, 0.999, 1.001, 10.0):
-            got = eval_tau(1.0, m, x)
-            want = oracle(1.0, m, x)
-            assert got == pytest.approx(want, rel=1e-12), (m, x)
-
-
-def test_tau_conjugate_symmetry():
-    x = np.linspace(-5.0, 5.0, 21)
-    vals = eval_tau(1.0, 1, x)
-    assert np.allclose(vals[::-1], np.conj(vals), rtol=1e-14, atol=0)
-
-
-def test_tau_validation():
-    with pytest.raises(ValueError):
-        eval_tau(0.0, 0, 1.0)
-    with pytest.raises(ValueError):
-        eval_tau(1.0, -1, 1.0)
 
 
 # ---------------------------------------------------------- log-singular spec
@@ -260,83 +159,3 @@ def test_fourier_constant():
 def test_fourier_requires_power_of_two():
     with pytest.raises(ValueError):
         fourier_coefficients(np.ones(48))
-
-
-# -------------------------------------------------------------------- mobius
-
-
-def test_mobius_unit_symbol():
-    line = mobius_to_line(lambda w: 1.0)
-    # w(0) = -1, so the line symbol is +1 at x = 0.
-    assert line(0.0) == pytest.approx(1.0)
-
-
-def test_mobius_preserves_modulus():
-    line = mobius_to_line(lambda w: 1.0)
-    for x in (-3.0, -0.2, 0.0, 1.7, 50.0):
-        assert abs(line(x)) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_mobius_roundtrip(rng_factory):
-    rng = rng_factory(1234)
-    omega = lambda w: w**2 + 0.5 * w  # noqa: E731
-    back = mobius_to_circle(mobius_to_line(omega))
-    for _ in range(100):
-        theta = rng.uniform(0.05, 2.0 * np.pi - 0.05)
-        w = cmath.exp(1j * theta)
-        assert back(w) == pytest.approx(omega(w), rel=1e-12, abs=1e-12)
-
-
-def test_mobius_rejects_w_equal_one():
-    back = mobius_to_circle(lambda x: 1.0)
-    with pytest.raises(ValueError, match="infinity"):
-        back(1.0)
-
-
-# --------------------------------------------------------------- model symbol
-
-
-def test_omega_model_zero_at_origin():
-    res = eval_omega_model("zero", 1.0, 0.0)
-    assert res.value == 0.0
-    assert res.converged
-
-
-def test_omega_model_odd():
-    a = eval_omega_model("zero", 1.0, 3.0)
-    b = eval_omega_model("zero", 1.0, -3.0)
-    assert b.value == -a.value
-
-
-def test_omega_model_zero_against_quad():
-    c1, c2 = 0.25, 0.5
-    res = eval_omega_model("zero", 0.0, 1.0)
-
-    def integrand(t):
-        return smooth_step((c2 - t) / (c2 - c1)) * math.sin(t) / t
-
-    oracle, _ = quad(integrand, 0.0, c2, limit=200)
-    assert res.converged
-    assert res.value == pytest.approx(2j * oracle, abs=1e-6)
-
-
-def test_omega_model_infinity_against_quad():
-    C1, C2 = 1.5, 2.0
-    for x in (1.0, 3.0):
-        res = eval_omega_model("infinity", 1.0, x)
-
-        def integrand(t):
-            return smooth_step((t - C1) / (C2 - C1)) / (t * math.log(t))
-
-        oracle, _ = quad(integrand, C1, np.inf, weight="sin", wvar=x, limit=400)
-        assert res.converged
-        assert res.value == pytest.approx(2j * oracle, abs=1e-6)
-
-
-def test_omega_model_validation():
-    with pytest.raises(ValueError, match="zero"):
-        eval_omega_model("middle", 1.0, 1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        eval_omega_model("zero", -1.0, 1.0)
-    with pytest.raises(ValueError, match="x != 0"):
-        eval_omega_model("infinity", 1.0, 0.0)
