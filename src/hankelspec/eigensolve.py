@@ -41,6 +41,7 @@ __all__ = [
     "dense_spectrum",
     "lanczos_extremes",
     "counting",
+    "merged_singular_values",
 ]
 
 ZERO_BAND_REL = 1e-13
@@ -441,3 +442,9 @@ def counting(S: SpectrumResult, lam: float):
     n_plus = int(np.count_nonzero(S.lambda_plus > lam))
     n_minus = int(np.count_nonzero(S.lambda_minus > lam))
     return n_plus, n_minus, n_plus + n_minus
+
+
+def merged_singular_values(S: SpectrumResult) -> np.ndarray:
+    """Non-increasing union of lambda_plus and lambda_minus."""
+    merged = np.concatenate([S.lambda_plus, S.lambda_minus])
+    return np.sort(merged)[::-1].copy()

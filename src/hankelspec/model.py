@@ -48,6 +48,7 @@ __all__ = [
     "kappa",
     "predict_discrete",
     "predict_continuous",
+    "predict_local_term",
 ]
 
 DEFAULT_CUTOFFS = (0.25, 0.5, 1.5, 2.0)
@@ -346,3 +347,15 @@ def predict_continuous(spec: ContinuousKernelSpec) -> AsymptoticPrediction:
         alpha, [t[1] for t in terms], [t[2] for t in terms]
     )
     return AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
+
+
+def predict_local_term(t0: float, m: int, n: int) -> float:
+    """Exact leading eigenvalue law m! t0^{m+1} (2 pi n)^{-m-1} of one local singularity."""
+    if t0 <= 0.0:
+        raise ValueError(f"t0 must be positive, got {t0}")
+    if m < 0 or m != int(m):
+        raise ValueError(f"m must be a nonnegative integer, got {m}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    m = int(m)
+    return math.factorial(m) * t0 ** (m + 1) * (2.0 * math.pi * n) ** (-(m + 1))

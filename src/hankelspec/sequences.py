@@ -21,6 +21,7 @@ __all__ = [
     "eval_discrete_many",
     "eval_kernel",
     "eval_kernel_many",
+    "finite_difference",
 ]
 
 
@@ -153,3 +154,17 @@ def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
 def eval_kernel(spec: ContinuousKernelSpec, t: float) -> float:
     """Model kernel h(t), t > 0."""
     return float(eval_kernel_many(spec, np.asarray([t]))[0])
+
+
+def finite_difference(values, m: int):
+    """m-fold forward difference; output length shrinks by m."""
+    values = np.asarray(values, dtype=float)
+    if m < 0:
+        raise ValueError(f"difference order m must be nonnegative, got {m}")
+    if m > len(values) - 1:
+        raise ValueError(
+            f"sequence of length {len(values)} is too short for difference order {m}"
+        )
+    if m == 0:
+        return values.copy()
+    return np.diff(values, n=m)

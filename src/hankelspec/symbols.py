@@ -3,7 +3,8 @@
 The symbols carry polynomial modulations around theta = 0, and their
 Fourier coefficients decay like b / (j log(j)^alpha).  This module
 evaluates and samples them, gives the closed-form coefficient b, and
-computes normalized Fourier coefficients from uniform samples.
+computes normalized Fourier coefficients from uniform samples.  A Mobius
+map transports circle symbols to line symbols and back.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ __all__ = [
     "sample_aslog",
     "aslog_coefficient",
     "fourier_coefficients",
+    "mobius_to_line",
+    "mobius_to_circle",
 ]
 
 MAX_POLY_DEGREE = 4
@@ -214,3 +217,29 @@ def fourier_coefficients(samples) -> np.ndarray:
     if n < 2 or n & (n - 1):
         raise ValueError(f"sample count must be a power of two, got {n}")
     return np.fft.fft(samples) / n
+
+
+def mobius_to_line(omega):
+    """Transport a circle symbol to the line: x -> -w(x) omega(w(x)).
+
+    w(x) = (x - i/2) / (x + i/2) maps the real line onto the unit circle.
+    """
+
+    def line_symbol(x):
+        w = (x - 0.5j) / (x + 0.5j)
+        return -w * omega(w)
+
+    return line_symbol
+
+
+def mobius_to_circle(line_symbol):
+    """Inverse transport; the point w = 1 maps to x = infinity (domain error)."""
+
+    def circle_symbol(w):
+        w = complex(w)
+        if abs(w - 1.0) < 1e-15:
+            raise ValueError("w = 1 corresponds to x = infinity")
+        x = 0.5j * (1.0 + w) / (1.0 - w)
+        return -line_symbol(x) / w
+
+    return circle_symbol

@@ -22,6 +22,11 @@ ALLOWED_UNUSED = {
     "sequences.eval_discrete": "scalar entry point of the unit tests; the program uses eval_discrete_many",
     "sequences.eval_kernel": "scalar entry point of the unit tests; the program uses eval_kernel_many",
     "symbols.eval_aslog": "scalar entry point of the unit tests; the program uses sample_aslog",
+    "eigensolve.merged_singular_values": "the singular values s_n of the counting identity n = n_+ + n_-; library helper",
+    "model.predict_local_term": "closed-form eigenvalue law of one local singularity; library helper",
+    "sequences.finite_difference": "the m-fold differences of the regularity conditions; library helper",
+    "symbols.mobius_to_line": "circle-to-line transport of symbols; library helper",
+    "symbols.mobius_to_circle": "line-to-circle transport of symbols; library helper",
 }
 TREES = {
     path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))

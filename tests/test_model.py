@@ -19,6 +19,7 @@ from hankelspec.model import (
     kappa,
     predict_continuous,
     predict_discrete,
+    predict_local_term,
 )
 from hankelspec.quadrature import GridSpec
 from hankelspec.symbols import AsLogSpec
@@ -169,6 +170,27 @@ def test_predict_continuous_rejects_wrong_alpha_for_singularity():
 def test_spec_rejects_b_zero_with_singularity():
     with pytest.raises(UnsupportedCombinationError):
         ContinuousKernelSpec(alpha=1.0, b_zero=1.0, local_singularities=[(1.0, 0, 1.0)])
+
+
+# ------------------------------------------------------------- local term
+
+
+def test_predict_local_term_examples():
+    assert predict_local_term(1.0, 0, 1) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
+    assert predict_local_term(2.0, 1, 1) == pytest.approx(1.0 / math.pi**2, rel=1e-12)
+    assert predict_local_term(1.0, 0, 10) == pytest.approx(1.0 / (20 * math.pi), rel=1e-12)
+
+
+@given(
+    t0=st.floats(0.1, 10.0),
+    m=st.integers(0, 4),
+    n=st.integers(1, 1000),
+)
+def test_predict_local_term_identity(t0, m, n):
+    value = predict_local_term(t0, m, n)
+    assert value * (2.0 * math.pi * n) ** (m + 1) == pytest.approx(
+        math.factorial(m) * t0 ** (m + 1), rel=1e-12
+    )
 
 
 # ------------------------------------------------------------ spec validation

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
 from hankelspec.sequences import (
@@ -12,6 +14,7 @@ from hankelspec.sequences import (
     eval_discrete_many,
     eval_kernel,
     eval_kernel_many,
+    finite_difference,
     smooth_step,
 )
 
@@ -166,3 +169,30 @@ def test_eval_kernel_oscillation_rides_tail():
     assert eval_kernel(spec, t) == pytest.approx(expected, rel=1e-12)
     # Inside the support gap (t <= C1) the tail term vanishes.
     assert eval_kernel(spec, 1.0) == 0.0
+
+
+# ---------------------------------------------------------- finite differences
+
+
+def test_finite_difference_examples():
+    assert np.array_equal(finite_difference([0, 1, 2, 3], 1), [1, 1, 1])
+    assert np.array_equal(finite_difference([0, 1, 2, 3], 2), [0, 0])
+    assert np.array_equal(finite_difference([1, 2, 4, 8], 1), [1, 2, 4])
+    assert np.array_equal(finite_difference([5, 5], 0), [5, 5])
+
+
+def test_finite_difference_too_short():
+    with pytest.raises(ValueError):
+        finite_difference([1.0, 2.0], 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=st.lists(st.floats(-100, 100), min_size=5, max_size=20),
+    m1=st.integers(0, 2),
+    m2=st.integers(0, 2),
+)
+def test_finite_difference_composes(values, m1, m2):
+    direct = finite_difference(values, m1 + m2)
+    nested = finite_difference(finite_difference(values, m1), m2)
+    assert np.allclose(direct, nested, rtol=1e-12, atol=1e-9)

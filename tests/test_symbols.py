@@ -1,5 +1,6 @@
 """Log-singular symbol tests: closed-form values, sampling and Fourier decay."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from hankelspec.symbols import (
     aslog_coefficient,
     eval_aslog,
     fourier_coefficients,
+    mobius_to_circle,
+    mobius_to_line,
     sample_aslog,
 )
 
@@ -159,3 +162,34 @@ def test_fourier_constant():
 def test_fourier_requires_power_of_two():
     with pytest.raises(ValueError):
         fourier_coefficients(np.ones(48))
+
+
+# -------------------------------------------------------------------- mobius
+
+
+def test_mobius_unit_symbol():
+    line = mobius_to_line(lambda w: 1.0)
+    # w(0) = -1, so the line symbol is +1 at x = 0.
+    assert line(0.0) == pytest.approx(1.0)
+
+
+def test_mobius_preserves_modulus():
+    line = mobius_to_line(lambda w: 1.0)
+    for x in (-3.0, -0.2, 0.0, 1.7, 50.0):
+        assert abs(line(x)) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_mobius_roundtrip(rng_factory):
+    rng = rng_factory(1234)
+    omega = lambda w: w**2 + 0.5 * w  # noqa: E731
+    back = mobius_to_circle(mobius_to_line(omega))
+    for _ in range(100):
+        theta = rng.uniform(0.05, 2.0 * np.pi - 0.05)
+        w = cmath.exp(1j * theta)
+        assert back(w) == pytest.approx(omega(w), rel=1e-12, abs=1e-12)
+
+
+def test_mobius_rejects_w_equal_one():
+    back = mobius_to_circle(lambda x: 1.0)
+    with pytest.raises(ValueError, match="infinity"):
+        back(1.0)
