@@ -11,7 +11,9 @@ are still written, flagged).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__, analysis, model, quadrature, symbols
 from .eigensolve import solve
-from .hankel_core import DENSE_LIMIT
+from .hankel_core import DENSE_LIMIT, solve_bytes
 
 __all__ = ["main", "run_scenario", "ConfigError"]
 
@@ -41,6 +43,10 @@ def _need(cfg: dict, field: str, path: str):
     return cfg[field]
 
 
+# Converters: each turns one JSON value into a field value, or raises a
+# ConfigError at the field's path.
+
+
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -60,6 +66,13 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_seed(value, path: str) -> int:
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise ConfigError(path, f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_as_float(value, path))
@@ -72,148 +85,74 @@ def _as_complex(value, path: str) -> complex:
     raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
-def _objects(cfg: dict, field: str, path: str) -> list:
-    """The optional list cfg[field] of objects, empty when absent."""
-    raw = cfg.get(field, [])
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path}.{field}", "expected a list")
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ConfigError(f"{path}.{field}[{i}]", "expected an object")
-    return raw
+def _as_poly(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a coefficient list")
+    return tuple(_as_complex(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _wrap_value_error(path: str, fn, *args, **kwargs):
+def _floats(*names: str):
+    """Converter of a list of len(names) numbers."""
+
+    def convert(value, path: str) -> tuple:
+        if not isinstance(value, list) or len(value) != len(names):
+            raise ConfigError(path, f"expected [{', '.join(names)}]")
+        return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return convert
+
+
+def _objects(cls, **convert):
+    """Converter of a list of objects, each built as cls."""
+
+    def convert_list(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, "expected a list")
+        return tuple(
+            _build(cls, item, f"{path}[{i}]", **convert) for i, item in enumerate(value)
+        )
+
+    return convert_list
+
+
+def _as_perturbation(value, path: str):
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object or null")
+    return _build(model.Perturbation, value, path)
+
+
+def _build(cls, cfg, path: str, **convert):
+    """The dataclass cls, read field by field from the JSON object cfg.
+
+    A field cfg leaves out takes its dataclass default, and is required
+    when it has none.  A present value goes through convert[field] (default
+    _as_float).  A ValueError from cls itself is reported at path.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(path, "expected an object")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in cfg:
+            kwargs[f.name] = convert.get(f.name, _as_float)(cfg[f.name], f"{path}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{f.name}", "missing required field")
     try:
-        return fn(*args, **kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def parse_discrete_spec(cfg: dict, path: str) -> model.DiscreteSymbolSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    alpha = _as_float(_need(cfg, "alpha", path + "."), f"{path}.alpha")
-    oscs = []
-    for i, item in enumerate(_objects(cfg, "oscillations", path)):
-        p = f"{path}.oscillations[{i}]"
-        oscs.append(
-            _wrap_value_error(
-                p,
-                model.Oscillation,
-                _as_float(_need(item, "phi", p + "."), p + ".phi"),
-                _as_float(_need(item, "psi", p + "."), p + ".psi"),
-                _as_float(_need(item, "b", p + "."), p + ".b"),
-            )
-        )
-    pert = None
-    if cfg.get("perturbation") is not None:
-        pcfg = cfg["perturbation"]
-        p = f"{path}.perturbation"
-        if not isinstance(pcfg, dict):
-            raise ConfigError(p, "expected an object or null")
-        pert = _wrap_value_error(
-            p,
-            model.Perturbation,
-            _as_float(_need(pcfg, "scale", p + "."), p + ".scale"),
-            _as_float(_need(pcfg, "beta", p + "."), p + ".beta"),
-        )
-    return _wrap_value_error(
-        path,
-        model.DiscreteSymbolSpec,
-        alpha=alpha,
-        b_plus1=_as_float(cfg.get("b_plus1", 0.0), f"{path}.b_plus1"),
-        b_minus1=_as_float(cfg.get("b_minus1", 0.0), f"{path}.b_minus1"),
-        oscillations=tuple(oscs),
-        perturbation=pert,
-    )
+# GridSpec leaves t_min to its callers; configs that omit it get this one.
+_GRID_T_MIN = 1e-12
 
 
-def parse_continuous_spec(cfg: dict, path: str) -> model.ContinuousKernelSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    alpha = _as_float(_need(cfg, "alpha", path + "."), f"{path}.alpha")
-    oscs = []
-    for i, item in enumerate(_objects(cfg, "oscillations", path)):
-        p = f"{path}.oscillations[{i}]"
-        oscs.append(
-            _wrap_value_error(
-                p,
-                model.KernelOscillation,
-                _as_float(_need(item, "rho", p + "."), p + ".rho"),
-                _as_float(_need(item, "psi", p + "."), p + ".psi"),
-                _as_float(_need(item, "b", p + "."), p + ".b"),
-            )
-        )
-    sings = []
-    for i, item in enumerate(_objects(cfg, "local_singularities", path)):
-        p = f"{path}.local_singularities[{i}]"
-        sings.append(
-            _wrap_value_error(
-                p,
-                model.LocalSingularity,
-                _as_float(_need(item, "t0", p + "."), p + ".t0"),
-                _as_int(_need(item, "m", p + "."), p + ".m"),
-                _as_float(_need(item, "coeff", p + "."), p + ".coeff"),
-            )
-        )
-    kwargs = dict(
-        alpha=alpha,
-        b_zero=_as_float(cfg.get("b_zero", 0.0), f"{path}.b_zero"),
-        b_inf=_as_float(cfg.get("b_inf", 0.0), f"{path}.b_inf"),
-        oscillations=tuple(oscs),
-        local_singularities=tuple(sings),
-    )
-    if "cutoffs" in cfg:
-        raw = cfg["cutoffs"]
-        if not isinstance(raw, list) or len(raw) != 4:
-            raise ConfigError(f"{path}.cutoffs", "expected [c1, c2, C1, C2]")
-        kwargs["cutoffs"] = tuple(
-            _as_float(v, f"{path}.cutoffs[{i}]") for i, v in enumerate(raw)
-        )
-    return _wrap_value_error(path, model.ContinuousKernelSpec, **kwargs)
-
-
-_ASLOG_POLYS = (
-    "v0_plus", "v0_minus", "v1_plus", "v1_minus",
-    "u0_plus", "u0_minus", "u1_plus", "u1_minus",
-)
-
-
-def parse_aslog_spec(cfg: dict, path: str) -> symbols.AsLogSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    kwargs = {"alpha": _as_float(_need(cfg, "alpha", path + "."), f"{path}.alpha")}
-    for name in _ASLOG_POLYS:
-        if name in cfg:
-            raw = cfg[name]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"{path}.{name}", "expected a coefficient list")
-            kwargs[name] = tuple(
-                _as_complex(v, f"{path}.{name}[{i}]") for i, v in enumerate(raw)
-            )
-    if "cutoffs" in cfg:
-        raw = cfg["cutoffs"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError(f"{path}.cutoffs", "expected [c1, c2]")
-        kwargs["cutoffs"] = (
-            _as_float(raw[0], f"{path}.cutoffs[0]"),
-            _as_float(raw[1], f"{path}.cutoffs[1]"),
-        )
-    return _wrap_value_error(path, symbols.AsLogSpec, **kwargs)
-
-
-def parse_grid(cfg: dict, path: str) -> quadrature.GridSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    grid = _wrap_value_error(
-        path,
-        quadrature.GridSpec,
-        kind=_need(cfg, "kind", path + "."),
-        t_min=_as_float(cfg.get("t_min", 1e-12), f"{path}.t_min"),
-        t_max=_as_float(_need(cfg, "t_max", path + "."), f"{path}.t_max"),
-        points=_as_int(_need(cfg, "points", path + "."), f"{path}.points"),
-    )
+def parse_grid(cfg, path: str) -> quadrature.GridSpec:
+    if isinstance(cfg, dict):
+        cfg = {"t_min": _GRID_T_MIN, **cfg}
+    # GridSpec checks the kind itself.
+    grid = _build(quadrature.GridSpec, cfg, path, kind=lambda v, p: v, points=_as_int)
     if grid.kind == "geometric" and grid.points > DENSE_LIMIT:
         # Geometric grids are dense-only; refuse before anything is allocated.
         raise ConfigError(
@@ -226,22 +165,28 @@ def parse_grid(cfg: dict, path: str) -> quadrature.GridSpec:
 
 def parse_solver(cfg, path: str, seed=None) -> analysis.SolverParams:
     """Solver knobs of cfg (None for the defaults); seed, when given, overrides cfg's."""
-    if cfg is None:
-        cfg = {}
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    seed = _as_int(cfg.get("seed", 0) if seed is None else seed, f"{path}.seed")
-    if seed < 0:
-        raise ConfigError(f"{path}.seed", f"expected a non-negative integer, got {seed}")
-    return _wrap_value_error(
-        path,
-        analysis.SolverParams,
-        k=_as_int(cfg.get("k", 64), f"{path}.k"),
-        tol=_as_float(cfg.get("tol", 1e-8), f"{path}.tol"),
-        max_iter=_as_int(cfg.get("max_iter", 2000), f"{path}.max_iter"),
-        seed=seed,
-        basis_cap=_as_int(cfg.get("basis_cap", 600), f"{path}.basis_cap"),
+    cfg = {} if cfg is None else cfg
+    if seed is not None and isinstance(cfg, dict):
+        cfg = {**cfg, "seed": seed}
+    return _build(
+        analysis.SolverParams, cfg, path,
+        k=_as_int, max_iter=_as_int, seed=_as_seed, basis_cap=_as_int,
     )
+
+
+def _refuse_oversize(order: int, solver: analysis.SolverParams, path: str) -> None:
+    """Refuse an order whose solve needs more bytes than physical memory holds."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # unknown size: refuse nothing
+    need = solve_bytes(order, solver.k, solver.basis_cap)
+    if need > have:
+        raise ConfigError(
+            path,
+            f"an order-{order} solve needs {need} bytes, more than the "
+            f"{have} bytes of physical memory",
+        )
 
 
 def parse_fit(cfg, path: str):
@@ -266,12 +211,40 @@ def parse_fit(cfg, path: str):
     return (window[0], window[1]), mdl
 
 
-# kind -> (spec parser, allowed actions, list field that spectrum and verify
-# need).  Actions outside the tuple exit 2 at `action`.
+# kind -> (spec class, converters of its fields that are not plain numbers,
+# allowed actions, list field that spectrum and verify need).  Actions
+# outside the tuple exit 2 at `action`.
 _KINDS = {
-    "discrete": (parse_discrete_spec, ("predict", "spectrum", "verify"), "N_list"),
-    "continuous": (parse_continuous_spec, ("predict", "spectrum", "verify"), "grids"),
-    "symbol": (parse_aslog_spec, ("predict", "symbol"), None),
+    "discrete": (
+        model.DiscreteSymbolSpec,
+        dict(
+            oscillations=_objects(model.Oscillation),
+            perturbation=_as_perturbation,
+        ),
+        ("predict", "spectrum", "verify"),
+        "N_list",
+    ),
+    "continuous": (
+        model.ContinuousKernelSpec,
+        dict(
+            oscillations=_objects(model.KernelOscillation),
+            local_singularities=_objects(model.LocalSingularity, m=_as_int),
+            cutoffs=_floats("c1", "c2", "C1", "C2"),
+        ),
+        ("predict", "spectrum", "verify"),
+        "grids",
+    ),
+    "symbol": (
+        symbols.AsLogSpec,
+        # Every field but alpha and cutoffs is a polynomial's coefficient list.
+        {
+            **{f.name: _as_poly for f in dataclasses.fields(symbols.AsLogSpec)},
+            "alpha": _as_float,
+            "cutoffs": _floats("c1", "c2"),
+        },
+        ("predict", "symbol"),
+        None,
+    ),
 }
 
 
@@ -289,14 +262,14 @@ class Scenario:
             raise ConfigError(
                 f"{path}kind", f"expected {'|'.join(_KINDS)}, got {self.kind!r}"
             )
-        parse_spec, allowed, runs_on = _KINDS[self.kind]
+        spec_cls, convert, allowed, runs_on = _KINDS[self.kind]
         self.action = cfg.get("action", "spectrum")
         if self.action not in allowed:
             raise ConfigError(
                 f"{path}action",
                 f"{self.kind} scenarios take {'|'.join(allowed)}, got {self.action!r}",
             )
-        self.spec = parse_spec(_need(cfg, "spec", path), f"{path}spec")
+        self.spec = _build(spec_cls, _need(cfg, "spec", path), f"{path}spec", **convert)
         self.solver = parse_solver(cfg.get("solver"), f"{path}solver", seed)
         self.window, self.model = parse_fit(cfg.get("fit"), f"{path}fit")
         self.outputs = cfg.get("outputs", self.name)
@@ -361,6 +334,11 @@ class Scenario:
                     f"{path}{runs_on}",
                     f"spectrum runs take exactly one entry, got {len(runs)}",
                 )
+            for i, run in enumerate(runs):
+                if runs_on == "N_list":
+                    _refuse_oversize(run, self.solver, f"{path}N_list[{i}]")
+                elif run.kind == "uniform":
+                    _refuse_oversize(run.points, self.solver, f"{path}grids[{i}].points")
 
 
 def _check_distinct_outputs(scenarios) -> None:
@@ -379,8 +357,9 @@ def _check_distinct_outputs(scenarios) -> None:
 
 
 def _f(x: float) -> str:
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return '"' + repr(x) + '"'
+    # No NaN or infinity is written as a result; JSON null marks one.
+    if not math.isfinite(x):
+        return "null"
     return format(float(x), ".17g")
 
 
@@ -431,13 +410,6 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _solver_dict(p: analysis.SolverParams) -> dict:
-    return {
-        "k": p.k, "tol": p.tol, "max_iter": p.max_iter,
-        "seed": p.seed, "basis_cap": p.basis_cap,
-    }
-
-
 # ------------------------------------------------------------ pipelines
 
 
@@ -459,7 +431,7 @@ def _spectrum_csv(S, alpha: float) -> str:
 
 
 def _fit_json(fit: analysis.FitReport, solver) -> str:
-    doc = {"producer": _producer("analysis", solver=_solver_dict(solver))}
+    doc = {"producer": _producer("analysis", solver=dataclasses.asdict(solver))}
     doc.update(fit.to_dict())
     return _to_json(doc) + "\n"
 
@@ -558,7 +530,7 @@ def _run_verify(scenario, out: Path) -> int:
         _write(out / "spectrum.csv", _spectrum_csv(study.spectra[-1], alpha))
         doc = {
             "producer": _producer(
-                "analysis", solver=_solver_dict(scenario.solver),
+                "analysis", solver=dataclasses.asdict(scenario.solver),
                 window=list(scenario.window), model=scenario.model,
             ),
             "N_list": study.N_list,
@@ -583,7 +555,7 @@ def _run_verify(scenario, out: Path) -> int:
     )
     doc = {
         "producer": _producer(
-            "quadrature", solver=_solver_dict(scenario.solver),
+            "quadrature", solver=dataclasses.asdict(scenario.solver),
             window=list(report.window),
         ),
         "labels": report.labels,

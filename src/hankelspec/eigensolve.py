@@ -31,6 +31,7 @@ from .hankel_core import (
     HankelTruncation,
     ResourceLimitError,
     dense_matrix,
+    lanczos_cap,
     matvec,
 )
 
@@ -50,6 +51,8 @@ ASYMMETRY_REL = 1e-12
 # thick restart; both bound a transient to a small fixed number of bytes.
 _SYMMETRY_TILE = 256
 _RESTART_COLUMNS = 2048
+# Lanczos steps between Ritz convergence checks.
+_CHECK_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,6 @@ def lanczos_extremes(
     max_iter: int = 2000,
     seed: int = 0,
     basis_cap: int = 600,
-    check_every: int = 8,
 ) -> SpectrumResult:
     """Extreme eigenvalues at both spectral ends of a symmetric operator.
 
@@ -234,7 +236,7 @@ def lanczos_extremes(
 
     rng = np.random.default_rng(seed)
     k_eff = min(k, n)
-    cap = max(min(basis_cap, n), min(n, 2 * k_eff + 2))
+    cap = lanczos_cap(n, k_eff, basis_cap)
     keep_per_end = min(k_eff + 32, (cap - 2) // 2 if cap >= 6 else cap // 2)
 
     v0 = rng.standard_normal(n)
@@ -293,7 +295,7 @@ def lanczos_extremes(
             break
 
         at_cap = m == cap
-        if at_cap or m % check_every == 0:
+        if at_cap or m % _CHECK_EVERY == 0:
             theta, S = np.linalg.eigh(T[:m, :m])
             norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
             res = beta * np.abs(S[m - 1, :])

@@ -1,7 +1,7 @@
 """Compact Hankel truncations with an FFT-based fast matvec.
 
 An order-N truncation stores only the 2N-1 distinct entries h(0)..h(2N-2) of
-the symmetric matrix A[j][k] = scale * h(j+k).  Products A u are computed by
+the symmetric matrix A[j][k] = h(j+k).  Products A u are computed by
 embedding the Hankel product into a circular convolution:
 
     (A u)[j] = sum_k h(j+k) u[k] = (h * reverse(u))[j + N - 1],
@@ -34,6 +34,8 @@ __all__ = [
     "ResourceLimitError",
     "DENSE_LIMIT",
     "DENSE_SOLVE_LIMIT",
+    "lanczos_cap",
+    "solve_bytes",
     "build_discrete",
     "matvec",
     "matvec_direct",
@@ -44,9 +46,32 @@ __all__ = [
 # solved densely (eigensolve.solve), larger ones by Lanczos through the fast
 # matvec.  No dense matrix above DENSE_LIMIT is ever built: dense_matrix,
 # dense_spectrum, the geometric Nystrom build and the CLI's geometric grids
-# refuse such an order before allocating.
+# refuse such an order before allocating, and the CLI refuses a run whose
+# solve_bytes exceed physical memory.
 DENSE_SOLVE_LIMIT = 2048
 DENSE_LIMIT = 8192
+
+
+def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
+    """Basis vectors eigensolve.lanczos_extremes keeps before a thick restart.
+
+    basis_cap, raised to the 2k + 2 that k eigenvalues per end need, and
+    never above the order.
+    """
+    return min(order, max(basis_cap, 2 * k + 2))
+
+
+def solve_bytes(order: int, k: int, basis_cap: int) -> int:
+    """Bytes a Lanczos solve of an order-N truncation allocates, by arithmetic.
+
+    The 2N - 1 entries and their FFT image, one matvec workspace, and the
+    cap + 1 basis rows of N floats that lanczos_extremes allocates at once.
+    """
+    P = _next_pow2(2 * order)
+    spectrum = 16 * (P // 2 + 1)
+    entries = 8 * (2 * order - 1) + spectrum
+    workspace = 8 * P + spectrum + 8 * P
+    return entries + workspace + 8 * (lanczos_cap(order, k, basis_cap) + 1) * order
 
 
 class ResourceLimitError(RuntimeError):
@@ -73,8 +98,6 @@ class HankelTruncation:
 
     order: int
     entries: np.ndarray
-    scale: float = 1.0
-    label: str = ""
     _embed: int = field(init=False, repr=False)
     _fft_entries: np.ndarray = field(init=False, repr=False)
 
@@ -108,7 +131,7 @@ def build_discrete(spec: DiscreteSymbolSpec, N: int) -> HankelTruncation:
     if N < 2:
         raise ValueError(f"truncation order must be at least 2, got {N}")
     entries = eval_discrete_many(spec, np.arange(2 * N - 1))
-    return HankelTruncation(N, entries, 1.0, label=f"discrete alpha={spec.alpha:g}")
+    return HankelTruncation(N, entries)
 
 
 def matvec(H: HankelTruncation, u, out=None, workspace=None) -> np.ndarray:
@@ -130,10 +153,7 @@ def matvec(H: HankelTruncation, u, out=None, workspace=None) -> np.ndarray:
     np.fft.rfft(pad, out=fu)
     fu *= H._fft_entries
     np.fft.irfft(fu, n=H._embed, out=conv)
-    if H.scale != 1.0:
-        np.multiply(conv[N - 1 : 2 * N - 1], H.scale, out=out)
-    else:
-        out[:] = conv[N - 1 : 2 * N - 1]
+    out[:] = conv[N - 1 : 2 * N - 1]
     return out
 
 
@@ -146,7 +166,7 @@ def matvec_direct(H: HankelTruncation, u) -> np.ndarray:
     out = np.empty(N)
     for j in range(N):
         out[j] = np.dot(H.entries[j : j + N], u)
-    return H.scale * out
+    return out
 
 
 def dense_matrix(H: HankelTruncation) -> np.ndarray:
@@ -157,4 +177,4 @@ def dense_matrix(H: HankelTruncation) -> np.ndarray:
         )
     # Row j of the window view is entries[j : j + N], so A[j, k] = h(j + k).
     rows = sliding_window_view(H.entries, H.order)
-    return H.scale * rows if H.scale != 1.0 else rows.copy()
+    return rows.copy()

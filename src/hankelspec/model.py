@@ -34,8 +34,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from ._special import log_beta
-
 __all__ = [
     "Oscillation",
     "KernelOscillation",
@@ -243,7 +241,8 @@ def kappa(alpha: float) -> float:
     """Universal leading coefficient 2^{-a} pi^{1-2a} B(1/(2a), 1/2)^a."""
     if alpha <= 0.0:
         raise ValueError(f"kappa requires alpha > 0, got {alpha}")
-    lb = log_beta(1.0 / (2.0 * alpha), 0.5)
+    a = 1.0 / (2.0 * alpha)
+    lb = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)  # log B(a, 1/2)
     return math.exp(
         -alpha * math.log(2.0) + (1.0 - 2.0 * alpha) * math.log(math.pi) + alpha * lb
     )

@@ -112,12 +112,7 @@ def build_uniform(spec, T: float, M: int) -> HankelTruncation:
     w = T / M
     k = np.arange(2 * M - 1)
     entries = w * _kernel_values(spec, (k + 1.0) * w)
-    return HankelTruncation(
-        order=M,
-        entries=entries,
-        scale=1.0,
-        label=f"uniform T={T:g} M={M}",
-    )
+    return HankelTruncation(M, entries)
 
 
 def build_graded(spec, grid: GridSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: configs in, report files and exit codes out."""
 
+import dataclasses
 import json
 import os
 import platform
@@ -404,6 +405,161 @@ def test_symbol_action_rejects_discrete_kind(tmp_path, capsys):
     code, _ = _run(tmp_path, "symbol", cfg)
     assert code == 2
     assert "'action'" in capsys.readouterr().err
+
+
+def test_infinite_drift_is_written_as_null(tmp_path):
+    # Only the top point mass shows in a window of the first three
+    # eigenvalues, so the minus channel's median is 0 with a nonzero spread.
+    cfg = {
+        "name": "b1",
+        "kind": "discrete",
+        "spec": {"alpha": 1.0, "b_plus1": 1.0},
+        "N_list": [256],
+        "fit": {"window": [1, 3]},
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 0
+    fit_text = (out / "b1" / "fit.json").read_text()
+    assert json.loads(fit_text)["drift"] is None
+    assert "inf" not in fit_text
+    assert "drift: null\n" in (out / "b1" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "runs, field",
+    [
+        ({"N_list": [256, 2**40]}, "N_list[1]"),
+        ({"grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]}, "grids[0].points"),
+    ],
+    ids=["order", "uniform-grid"],
+)
+def test_run_beyond_physical_memory_rejected(tmp_path, capsys, runs, field):
+    kind = "discrete" if "N_list" in runs else "continuous"
+    spec = {"alpha": 1.0, "b_plus1": 1.0} if kind == "discrete" else {"alpha": 1.0, "b_inf": 1.0}
+    cfg = {"name": "huge", "kind": kind, "spec": spec, **runs}
+    code, out = _run(tmp_path, "verify", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}'" in err
+    assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ config schema
+
+
+@pytest.mark.parametrize(
+    "kind, spec_cls",
+    [
+        ("discrete", hankelspec.model.DiscreteSymbolSpec),
+        ("continuous", hankelspec.model.ContinuousKernelSpec),
+        ("symbol", hankelspec.symbols.AsLogSpec),
+    ],
+)
+def test_omitted_fields_take_the_dataclass_defaults(kind, spec_cls):
+    scenario = Scenario({"kind": kind, "action": "predict", "spec": {"alpha": 1.5}})
+    assert scenario.spec == spec_cls(alpha=1.5)
+    assert scenario.solver == hankelspec.analysis.SolverParams()
+
+
+FULL_SCENARIOS = [
+    (
+        {
+            "kind": "discrete",
+            "spec": {
+                "alpha": 1.5, "b_plus1": 0.75, "b_minus1": -0.25,
+                "oscillations": [{"phi": 1.0, "psi": 0.5, "b": -0.5}],
+                "perturbation": {"scale": 0.1, "beta": 2.0},
+            },
+        },
+        hankelspec.model.DiscreteSymbolSpec(
+            alpha=1.5, b_plus1=0.75, b_minus1=-0.25,
+            oscillations=(hankelspec.model.Oscillation(phi=1.0, psi=0.5, b=-0.5),),
+            perturbation=hankelspec.model.Perturbation(scale=0.1, beta=2.0),
+        ),
+    ),
+    (
+        {
+            "kind": "continuous",
+            "spec": {
+                "alpha": 1.0, "b_zero": 0.5, "b_inf": -0.5,
+                "oscillations": [{"rho": 2.0, "psi": 0.25, "b": 0.5}],
+                "local_singularities": [],
+                "cutoffs": [0.2, 0.4, 1.6, 2.5],
+            },
+        },
+        hankelspec.model.ContinuousKernelSpec(
+            alpha=1.0, b_zero=0.5, b_inf=-0.5,
+            oscillations=(hankelspec.model.KernelOscillation(rho=2.0, psi=0.25, b=0.5),),
+            cutoffs=(0.2, 0.4, 1.6, 2.5),
+        ),
+    ),
+    (
+        {
+            "kind": "continuous",
+            "spec": {"alpha": 1.0, "local_singularities": [{"t0": 2.0, "m": 0, "coeff": -1.5}]},
+        },
+        hankelspec.model.ContinuousKernelSpec(
+            alpha=1.0,
+            local_singularities=(hankelspec.model.LocalSingularity(t0=2.0, m=0, coeff=-1.5),),
+        ),
+    ),
+    (
+        {
+            "kind": "symbol",
+            "spec": {
+                "alpha": 2.0, "v0_plus": [2.0, [0.0, 1.0]], "v0_minus": [2.0, [0.0, -1.0]],
+                "v1_plus": [0.5], "v1_minus": [[0.0, 0.5]], "u0_plus": [0.1], "u0_minus": [0.2],
+                "u1_plus": [0.3, 0.1], "u1_minus": [0.4], "cutoffs": [0.2, 0.4],
+            },
+        },
+        hankelspec.symbols.AsLogSpec(
+            alpha=2.0, v0_plus=(2.0, 1j), v0_minus=(2.0, -1j), v1_plus=(0.5,),
+            v1_minus=(0.5j,), u0_plus=(0.1,), u0_minus=(0.2,), u1_plus=(0.3, 0.1),
+            u1_minus=(0.4,), cutoffs=(0.2, 0.4),
+        ),
+    ),
+]
+FULL_SOLVER = {"k": 12, "tol": 1e-6, "max_iter": 300, "seed": 7, "basis_cap": 90}
+FULL_GRIDS = [
+    {"kind": "uniform", "t_min": 1e-9, "t_max": 2.0, "points": 64},
+    {"kind": "geometric", "t_min": 1e-6, "t_max": 3.0, "points": 128},
+]
+
+
+def _json_fields(obj, cfg: dict) -> set:
+    """(class, field) pairs that the JSON object cfg sets on obj, through nested objects."""
+    pairs = {(type(obj).__name__, name) for name in cfg}
+    for name, value in cfg.items():
+        parsed = getattr(obj, name)
+        for item, sub in zip(
+            value if isinstance(value, list) else [value],
+            parsed if isinstance(parsed, tuple) else (parsed,),
+        ):
+            if isinstance(item, dict):
+                pairs |= _json_fields(sub, item)
+    return pairs
+
+
+def test_config_setting_every_field_parses_to_the_dataclasses():
+    covered = set()
+    for cfg, expected in FULL_SCENARIOS:
+        scenario = Scenario({**cfg, "action": "predict", "solver": FULL_SOLVER, "grids": FULL_GRIDS})
+        assert scenario.spec == expected
+        covered |= _json_fields(scenario.spec, cfg["spec"])
+    assert scenario.solver == hankelspec.analysis.SolverParams(**FULL_SOLVER)
+    assert scenario.grids == [hankelspec.quadrature.GridSpec(**g) for g in FULL_GRIDS]
+    covered |= _json_fields(scenario.solver, FULL_SOLVER)
+    for grid, cfg in zip(scenario.grids, FULL_GRIDS):
+        covered |= _json_fields(grid, cfg)
+    classes = [
+        hankelspec.model.DiscreteSymbolSpec, hankelspec.model.Oscillation,
+        hankelspec.model.Perturbation, hankelspec.model.ContinuousKernelSpec,
+        hankelspec.model.KernelOscillation, hankelspec.model.LocalSingularity,
+        hankelspec.symbols.AsLogSpec, hankelspec.analysis.SolverParams,
+        hankelspec.quadrature.GridSpec,
+    ]
+    assert covered == {(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)}
 
 
 # -------------------------------------------------------------------- sweep

@@ -29,7 +29,6 @@ def test_build_discrete_b1_order_two():
     H = build_discrete(DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0), 2)
     expected = np.array([0.0, 0.0, 1.0 / (2.0 * math.log(2.0))])
     assert np.allclose(H.entries, expected, rtol=1e-14, atol=0.0)
-    assert H.scale == 1.0
 
 
 def test_build_discrete_zero_spec():
@@ -118,18 +117,9 @@ def test_matvec_dimension_check():
         matvec_direct(H, np.ones(11))
 
 
-def test_matvec_respects_scale():
-    entries = np.arange(1.0, 8.0)
-    H1 = HankelTruncation(4, entries, scale=2.0)
-    H2 = HankelTruncation(4, entries, scale=1.0)
-    u = np.array([1.0, -1.0, 0.5, 2.0])
-    assert np.allclose(matvec(H1, u), 2.0 * matvec(H2, u), rtol=1e-14)
-
-
-@pytest.mark.parametrize("scale", [1.0, -0.37])
-def test_matvec_reused_workspace_is_bitwise_fresh(scale):
+def test_matvec_reused_workspace_is_bitwise_fresh():
     rng = np.random.default_rng(5)
-    H = HankelTruncation(1000, rng.standard_normal(1999), scale=scale)
+    H = HankelTruncation(1000, rng.standard_normal(1999))
     workspace = H.workspace()
     out = np.empty(1000)
     for _ in range(3):
