@@ -174,13 +174,19 @@ def parse_solver(cfg, path: str, seed=None) -> analysis.SolverParams:
     )
 
 
-def _refuse_oversize(order: int, solver: analysis.SolverParams, path: str) -> None:
-    """Refuse an order whose solve needs more bytes than physical memory holds."""
+def _refuse_oversize(
+    order: int, structured: bool, solver: analysis.SolverParams, path: str
+) -> None:
+    """Refuse an order whose solve needs more bytes than physical memory holds.
+
+    structured is False for a dense matrix (a geometric grid), which is
+    always solved densely.
+    """
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # unknown size: refuse nothing
-    need = solve_bytes(order, solver.k, solver.basis_cap)
+    need = solve_bytes(order, solver.k, solver.basis_cap, structured)
     if need > have:
         raise ConfigError(
             path,
@@ -336,9 +342,12 @@ class Scenario:
                 )
             for i, run in enumerate(runs):
                 if runs_on == "N_list":
-                    _refuse_oversize(run, self.solver, f"{path}N_list[{i}]")
-                elif run.kind == "uniform":
-                    _refuse_oversize(run.points, self.solver, f"{path}grids[{i}].points")
+                    _refuse_oversize(run, True, self.solver, f"{path}N_list[{i}]")
+                else:
+                    _refuse_oversize(
+                        run.points, run.kind == "uniform", self.solver,
+                        f"{path}grids[{i}].points",
+                    )
 
 
 def _check_distinct_outputs(scenarios) -> None:

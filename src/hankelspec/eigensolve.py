@@ -15,7 +15,9 @@ go to Lanczos with the knobs of SolverParams.
 Both report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
 end.  Eigenvalues inside the zero band |theta| <= 1e-13 * ||A|| are dropped
-from the lists and counted separately.
+from the lists and counted once each in n_dropped.  One helper, _result,
+builds the result of both routes; the dense route is the case in which
+every eigenvalue has converged.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import numpy as np
 
 from .hankel_core import (
     DENSE_LIMIT,
-    DENSE_SOLVE_LIMIT,
     HankelTruncation,
     ResourceLimitError,
     dense_matrix,
+    dense_route,
     lanczos_cap,
     matvec,
 )
@@ -99,21 +101,6 @@ class SpectrumResult:
     n_dropped: int = 0
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "solver_id": self.solver_id,
-            "seed": self.seed,
-            "tol": self.tol,
-            "converged": self.converged,
-            "n_dropped": self.n_dropped,
-            "lambda_plus": [float(x) for x in self.lambda_plus],
-            "lambda_minus": [float(x) for x in self.lambda_minus],
-            "residuals_plus": [float(x) for x in self.residuals_plus],
-            "residuals_minus": [float(x) for x in self.residuals_minus],
-            "details": {k: v for k, v in sorted(self.details.items())},
-        }
-
 
 def dense_spectrum(A) -> SpectrumResult:
     """Full spectrum by symmetric eigendecomposition (reference route)."""
@@ -133,24 +120,9 @@ def dense_spectrum(A) -> SpectrumResult:
             )
     evals = np.linalg.eigvalsh(A)
     anorm = float(np.max(np.abs(evals))) if n else 0.0
-    band = ZERO_BAND_REL * anorm
-    pos = evals[evals > band]
-    neg = evals[evals < -band]
-    lam_plus = np.sort(pos)[::-1].copy()
-    lam_minus = np.sort(-neg)[::-1].copy()
-    dropped = n - len(pos) - len(neg)
-    return SpectrumResult(
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
-        residuals_plus=np.zeros(len(lam_plus)),
-        residuals_minus=np.zeros(len(lam_minus)),
-        order=n,
-        solver_id="dense",
-        seed=0,
-        tol=0.0,
-        converged=True,
-        n_dropped=dropped,
-        details={"norm_est": anorm},
+    return _result(
+        evals, np.zeros(n), n, n, anorm,
+        order=n, solver_id="dense", seed=0, tol=0.0, details={"norm_est": anorm},
     )
 
 
@@ -167,22 +139,33 @@ def _max_asymmetry(A) -> float:
 
 def _converged_prefixes(theta, res, tol, norm_est):
     """Contiguous converged position counts inward from both spectral ends."""
-    m = len(theta)
-    thresh = tol * np.maximum(np.abs(theta), norm_est)
-    ok = res <= thresh
-    top = 0
-    for i in range(m - 1, -1, -1):
-        if ok[i]:
-            top += 1
-        else:
-            break
-    bot = 0
-    for i in range(m):
-        if ok[i]:
-            bot += 1
-        else:
-            break
-    return top, bot
+    bad = np.flatnonzero(~(res <= tol * np.maximum(np.abs(theta), norm_est)))
+    if bad.size == 0:
+        return len(res), len(res)
+    return len(res) - 1 - int(bad[-1]), int(bad[0])
+
+
+def _result(theta, res, top, bot, norm_est, **fields) -> SpectrumResult:
+    """The SpectrumResult of ascending eigenvalues theta with residuals res.
+
+    The top `top` and the bottom `bot` positions of theta are the converged
+    prefixes.  lambda_plus takes the values of the top prefix above the zero
+    band |theta| <= ZERO_BAND_REL * norm_est, lambda_minus the magnitudes of
+    the values of the bottom prefix below it, and n_dropped counts the band
+    values in the union of the two prefixes, each once.
+    """
+    band = ZERO_BAND_REL * norm_est
+    pos = np.arange(len(theta))
+    in_top, in_bot = pos >= len(theta) - top, pos < bot
+    plus, minus = in_top & (theta > band), in_bot & (theta < -band)
+    return SpectrumResult(
+        lambda_plus=theta[plus][::-1],
+        lambda_minus=-theta[minus],
+        residuals_plus=res[plus][::-1],
+        residuals_minus=res[minus],
+        n_dropped=int(np.count_nonzero((in_top | in_bot) & (np.abs(theta) <= band))),
+        **fields,
+    )
 
 
 def lanczos_extremes(
@@ -346,46 +329,19 @@ def lanczos_extremes(
 
     theta, S = np.linalg.eigh(T[:m, :m])
     norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
-    zero_band = ZERO_BAND_REL * norm_est
     if exhausted:
         # The basis spans the whole space, so T is exact and residuals vanish.
-        res = np.zeros(m)
-        top = bot = m
+        res, top, bot = np.zeros(m), m, m
     else:
         res = beta * np.abs(S[m - 1, :])
         top, bot = _converged_prefixes(theta, res, tol, norm_est)
-    converged = (top >= k_eff and bot >= k_eff) or exhausted
-
-    lam_plus, res_plus, dropped_top = [], [], 0
-    for i in range(m - 1, m - 1 - top, -1):
-        if theta[i] > zero_band:
-            lam_plus.append(theta[i])
-            res_plus.append(res[i])
-        elif abs(theta[i]) <= zero_band:
-            dropped_top += 1
-        else:
-            break
-    lam_minus, res_minus, dropped_bot = [], [], 0
-    for i in range(bot):
-        if theta[i] < -zero_band:
-            lam_minus.append(-theta[i])
-            res_minus.append(res[i])
-        elif abs(theta[i]) <= zero_band:
-            dropped_bot += 1
-        else:
-            break
-
-    return SpectrumResult(
-        lambda_plus=np.asarray(lam_plus),
-        lambda_minus=np.asarray(lam_minus),
-        residuals_plus=np.asarray(res_plus),
-        residuals_minus=np.asarray(res_minus),
+    return _result(
+        theta, res, top, bot, norm_est,
         order=n,
         solver_id="lanczos_full_reorth_thick_restart",
         seed=seed,
         tol=tol,
-        converged=converged,
-        n_dropped=dropped_top + dropped_bot,
+        converged=(top >= k_eff and bot >= k_eff) or exhausted,
         details={
             "applies": applies,
             "restarts": restarts,
@@ -414,13 +370,14 @@ def _fresh_direction(rng, basis, n):
 def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
     """Spectrum of a dense matrix or a Hankel truncation, by the cheaper route.
 
-    Dense matrices and truncations of order up to DENSE_SOLVE_LIMIT take
-    the exhaustive dense route; larger truncations take Lanczos through the
-    fast matvec, asking for k eigenvalues per end (params.k when k is None).
+    hankel_core.dense_route picks the route: dense matrices and truncations
+    of order up to DENSE_SOLVE_LIMIT take the exhaustive dense route; larger
+    truncations take Lanczos through the fast matvec, asking for k
+    eigenvalues per end (params.k when k is None).
     """
     if not isinstance(op, HankelTruncation):
         return dense_spectrum(op)
-    if op.order <= DENSE_SOLVE_LIMIT:
+    if dense_route(op.order):
         return dense_spectrum(dense_matrix(op))
     # One workspace and output vector per solve, so concurrent solves on the
     # same truncation never share scratch.

@@ -34,6 +34,7 @@ __all__ = [
     "ResourceLimitError",
     "DENSE_LIMIT",
     "DENSE_SOLVE_LIMIT",
+    "dense_route",
     "lanczos_cap",
     "solve_bytes",
     "build_discrete",
@@ -43,13 +44,22 @@ __all__ = [
 ]
 
 # The size policy, in matrix order.  Truncations up to DENSE_SOLVE_LIMIT are
-# solved densely (eigensolve.solve), larger ones by Lanczos through the fast
-# matvec.  No dense matrix above DENSE_LIMIT is ever built: dense_matrix,
+# solved densely, larger ones by Lanczos through the fast matvec (the rule is
+# dense_route).  No dense matrix above DENSE_LIMIT is ever built: dense_matrix,
 # dense_spectrum, the geometric Nystrom build and the CLI's geometric grids
 # refuse such an order before allocating, and the CLI refuses a run whose
 # solve_bytes exceed physical memory.
 DENSE_SOLVE_LIMIT = 2048
 DENSE_LIMIT = 8192
+
+
+def dense_route(order: int, structured: bool = True) -> bool:
+    """Whether eigensolve.solve solves an order-N operator densely.
+
+    A dense matrix (structured=False) always is; a Hankel truncation is up
+    to DENSE_SOLVE_LIMIT and goes to Lanczos above it.
+    """
+    return not structured or order <= DENSE_SOLVE_LIMIT
 
 
 def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
@@ -61,12 +71,16 @@ def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
     return min(order, max(basis_cap, 2 * k + 2))
 
 
-def solve_bytes(order: int, k: int, basis_cap: int) -> int:
-    """Bytes a Lanczos solve of an order-N truncation allocates, by arithmetic.
+def solve_bytes(order: int, k: int, basis_cap: int, structured: bool) -> int:
+    """Bytes eigensolve.solve allocates for an order-N operator, by arithmetic.
 
-    The 2N - 1 entries and their FFT image, one matvec workspace, and the
-    cap + 1 basis rows of N floats that lanczos_extremes allocates at once.
+    On the dense route (see dense_route): the matrix and the copy eigvalsh
+    factors, 8 N^2 bytes each.  On the Lanczos route: the 2N - 1 entries
+    and their FFT image, one matvec workspace, and the cap + 1 basis rows of
+    N floats that lanczos_extremes allocates at once.
     """
+    if dense_route(order, structured):
+        return 2 * 8 * order * order
     P = _next_pow2(2 * order)
     spectrum = 16 * (P // 2 + 1)
     entries = 8 * (2 * order - 1) + spectrum

@@ -60,11 +60,16 @@ def require_finite(spec, *names) -> None:
     """Raise ValueError naming the first field that holds a NaN or infinity.
 
     Each named field is a real or complex number, or a tuple or list of them.
+    An integer too large for a float counts as infinite.
     """
     for name in names:
         value = getattr(spec, name)
         for x in value if isinstance(value, (tuple, list)) else (value,):
-            if not cmath.isfinite(x):
+            try:
+                finite = cmath.isfinite(x)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -248,13 +253,16 @@ def kappa(alpha: float) -> float:
     )
 
 
-def _positive_part(x: float) -> float:
-    # (|x| + x)/2 with an exact zero for the non-matching sign.
-    return x if x > 0.0 else 0.0
+def _signed_terms(kap_p: float, p: float, *pairs) -> list:
+    """(label, kap_p (b)_+^p, kap_p (b)_-^p) for each (label, b) with b != 0.
 
-
-def _negative_part(x: float) -> float:
-    return -x if x < 0.0 else 0.0
+    x_+- = (|x| +- x)/2, with an exact zero for the non-matching sign.
+    """
+    return [
+        (label, kap_p * (b if b > 0.0 else 0.0) ** p, kap_p * (-b if b < 0.0 else 0.0) ** p)
+        for label, b in pairs
+        if b != 0.0
+    ]
 
 
 def _combine(alpha: float, plus_terms, minus_terms):
@@ -276,23 +284,9 @@ def predict_discrete(spec: DiscreteSymbolSpec) -> AsymptoticPrediction:
     p = 1.0 / alpha
     kap_p = kappa(alpha) ** p
 
-    terms = []
-    if spec.b_minus1 != 0.0:
-        terms.append(
-            (
-                "point mu=-1",
-                kap_p * _positive_part(spec.b_minus1) ** p,
-                kap_p * _negative_part(spec.b_minus1) ** p,
-            )
-        )
-    if spec.b_plus1 != 0.0:
-        terms.append(
-            (
-                "point mu=+1",
-                kap_p * _positive_part(spec.b_plus1) ** p,
-                kap_p * _negative_part(spec.b_plus1) ** p,
-            )
-        )
+    terms = _signed_terms(
+        kap_p, p, ("point mu=-1", spec.b_minus1), ("point mu=+1", spec.b_plus1)
+    )
     for osc in spec.oscillations:
         share = kap_p * abs(osc.b) ** p
         terms.append((f"oscillation phi={osc.phi:.12g}", share, share))
@@ -322,22 +316,9 @@ def predict_continuous(spec: ContinuousKernelSpec) -> AsymptoticPrediction:
             sing.t0 / (2.0 * math.pi) * (math.factorial(sing.m) * abs(sing.coeff)) ** p
         )
         terms.append((f"local singularity t0={sing.t0:.12g}", share, share))
-    if spec.b_zero != 0.0:
-        terms.append(
-            (
-                "t->0 singularity",
-                kap_p * _positive_part(spec.b_zero) ** p,
-                kap_p * _negative_part(spec.b_zero) ** p,
-            )
-        )
-    if spec.b_inf != 0.0:
-        terms.append(
-            (
-                "slow tail",
-                kap_p * _positive_part(spec.b_inf) ** p,
-                kap_p * _negative_part(spec.b_inf) ** p,
-            )
-        )
+    terms += _signed_terms(
+        kap_p, p, ("t->0 singularity", spec.b_zero), ("slow tail", spec.b_inf)
+    )
     for osc in spec.oscillations:
         share = kap_p * abs(osc.b) ** p
         terms.append((f"oscillation rho={osc.rho:.12g}", share, share))

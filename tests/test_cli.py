@@ -188,6 +188,16 @@ def test_overflowing_integer_names_field(tmp_path, capsys):
     assert "'spec.alpha'" in capsys.readouterr().err
 
 
+def test_overflowing_integer_order_names_singularity(tmp_path, capsys):
+    # m is an integer field, so the 401-digit order reaches the spec's own
+    # finiteness check unconverted.
+    spec = {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 10**400, "coeff": 1.0}]}
+    code, out = _run(tmp_path, "predict", {"name": "bad", "kind": "continuous", "spec": spec})
+    assert code == 2
+    assert "config error at 'spec.local_singularities[0]'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["oscillations", "local_singularities"])
 @pytest.mark.parametrize("entry", [1.5, "x", [1.0, 0.0, 1.0], None])
 def test_continuous_non_object_entry_names_field(tmp_path, capsys, field, entry):
@@ -441,6 +451,25 @@ def test_run_beyond_physical_memory_rejected(tmp_path, capsys, runs, field):
     assert code == 2
     err = capsys.readouterr().err
     assert f"config error at '{field}'" in err
+    assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
+def test_geometric_grid_beyond_physical_memory_rejected(tmp_path, capsys, monkeypatch):
+    # A 4096-point geometric grid is solved densely: 2 * 8 * 4096^2 bytes,
+    # 256 MiB, against 64 MiB of physical memory.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = {
+        "name": "geometric",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "b_zero": 1.0},
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 4096}],
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error at 'grids[0].points'" in err
     assert "bytes of physical memory" in err
     assert not out.exists()
 

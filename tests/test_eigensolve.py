@@ -146,6 +146,36 @@ def test_lanczos_zero_operator():
     assert len(S.lambda_minus) == 0
 
 
+def test_lanczos_counts_each_zero_band_value_once():
+    # b1 at 2^14 converges 32 positive and 1 negative value inside a 64-vector
+    # basis; the two converged prefixes overlap on the 31 band values between.
+    S = solve(build_discrete(DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0), 2**14), SolverParams())
+    assert S.solver_id == "lanczos_full_reorth_thick_restart"
+    assert S.n_dropped == 31
+    # The zero operator: every Ritz value is in the band, at k = 2 after the
+    # first convergence check and at k = 16 once the space is exhausted.
+    zero = [lanczos_extremes(lambda v: np.zeros_like(v), 16, k=k, seed=0) for k in (2, 16)]
+    for R in [S, *zero]:
+        held = len(R.lambda_plus) + len(R.lambda_minus) + R.n_dropped
+        assert held <= R.details["basis_final"]
+
+
+def test_converged_prefixes_match_the_scan_from_each_end():
+    def scan(ok):
+        top = next((i for i, v in enumerate(ok[::-1]) if not v), len(ok))
+        bot = next((i for i, v in enumerate(ok) if not v), len(ok))
+        return top, bot
+
+    rng = np.random.default_rng(7)
+    theta = np.linspace(-1.0, 1.0, 12)
+    draws = [np.where(rng.random(12) < 0.7, 0.0, 1.0) for _ in range(200)]
+    for res in draws:
+        res[rng.random(12) < 0.1] = np.nan  # a NaN residual never converges
+    for res in [np.zeros(12), np.ones(12), *draws]:
+        expected = scan(res <= 1e-8 * np.maximum(np.abs(theta), 1.0))
+        assert eigensolve._converged_prefixes(theta, res, 1e-8, 1.0) == expected
+
+
 def test_lanczos_deterministic_given_seed():
     H = _hilbert_truncation(512)
     runs = [
