@@ -8,12 +8,13 @@ against closed-form predictions.
 
 __version__ = "1.0.0"
 
-from . import analysis, eigensolve, hankel_core, model, quadrature, sequences, symbols
+from . import analysis, eigensolve, expsum, hankel_core, model, quadrature, sequences, symbols
 
 __all__ = [
     "__version__",
     "analysis",
     "eigensolve",
+    "expsum",
     "hankel_core",
     "model",
     "quadrature",

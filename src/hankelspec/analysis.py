@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import SolverParams, SpectrumResult, solve
-from .hankel_core import build_discrete
+from .hankel_core import DiscreteTruncation
 from .model import (
     AsymptoticPrediction,
     DiscreteSymbolSpec,
@@ -45,8 +45,13 @@ __all__ = [
 
 
 def discrete_spectrum(spec: DiscreteSymbolSpec, N: int, params: SolverParams):
-    """Build the order-N truncation of the spec and solve for both ends."""
-    return solve(build_discrete(spec, N), params)
+    """Spectrum of the order-N truncation of the spec.
+
+    Dense up to DENSE_SOLVE_LIMIT, by the exponential-sum factorization
+    above it; neither route reads params, which stays for the callers'
+    common signature.
+    """
+    return solve(DiscreteTruncation(spec, N), params)
 
 
 def _window_values(values, n_lo, n_hi, extend_by_zero, channel):

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, analysis, model, quadrature, symbols
 from .eigensolve import solve
+from .expsum import PHASE_ORDER_LIMIT
 from .hankel_core import DENSE_LIMIT, solve_bytes
 
 __all__ = ["main", "run_scenario", "ConfigError"]
@@ -128,7 +129,8 @@ def _build(cls, cfg, path: str, **convert):
 
     A field cfg leaves out takes its dataclass default, and is required
     when it has none.  A present value goes through convert[field] (default
-    _as_float).  A ValueError from cls itself is reported at path.
+    _as_float).  A ValueError from cls itself is reported at path, or at
+    the field it names (model.FieldError).
     """
     if not isinstance(cfg, dict):
         raise ConfigError(path, "expected an object")
@@ -140,6 +142,8 @@ def _build(cls, cfg, path: str, **convert):
             raise ConfigError(f"{path}.{f.name}", "missing required field")
     try:
         return cls(**kwargs)
+    except model.FieldError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.reason) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -175,18 +179,18 @@ def parse_solver(cfg, path: str, seed=None) -> analysis.SolverParams:
 
 
 def _refuse_oversize(
-    order: int, structured: bool, solver: analysis.SolverParams, path: str
+    order: int, kind: str, solver: analysis.SolverParams, path: str, spec=None
 ) -> None:
     """Refuse an order whose solve needs more bytes than physical memory holds.
 
-    structured is False for a dense matrix (a geometric grid), which is
-    always solved densely.
+    kind is the hankel_core.solve_route kind: "matrix" for a geometric grid,
+    "entries" for a uniform grid, "symbol" for a discrete spec.
     """
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # unknown size: refuse nothing
-    need = solve_bytes(order, solver.k, solver.basis_cap, structured)
+    need = solve_bytes(order, kind, solver.k, solver.basis_cap, spec)
     if need > have:
         raise ConfigError(
             path,
@@ -342,11 +346,18 @@ class Scenario:
                 )
             for i, run in enumerate(runs):
                 if runs_on == "N_list":
-                    _refuse_oversize(run, True, self.solver, f"{path}N_list[{i}]")
+                    field = f"{path}N_list[{i}]"
+                    if self.spec.oscillations and run > PHASE_ORDER_LIMIT:
+                        raise ConfigError(
+                            field,
+                            f"an oscillation's phases phi * n are reduced exactly "
+                            f"only up to order {PHASE_ORDER_LIMIT}, got {run}",
+                        )
+                    _refuse_oversize(run, "symbol", self.solver, field, self.spec)
                 else:
                     _refuse_oversize(
-                        run.points, run.kind == "uniform", self.solver,
-                        f"{path}grids[{i}].points",
+                        run.points, "entries" if run.kind == "uniform" else "matrix",
+                        self.solver, f"{path}grids[{i}].points",
                     )
 
 
@@ -439,8 +450,8 @@ def _spectrum_csv(S, alpha: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_json(fit: analysis.FitReport, solver) -> str:
-    doc = {"producer": _producer("analysis", solver=dataclasses.asdict(solver))}
+def _fit_json(fit: analysis.FitReport, **params) -> str:
+    doc = {"producer": _producer("analysis", **params)}
     doc.update(fit.to_dict())
     return _to_json(doc) + "\n"
 
@@ -487,29 +498,44 @@ def _run_predict(scenario, out: Path) -> int:
     return 0
 
 
+# The deterministic counters of each route that summary.txt reports.
+_DETAIL_KEYS = (
+    "nodes", "columns", "gram_rank", "head_order",
+    "applies", "restarts", "reorth_repeats", "basis_final",
+)
+
+
+def _details_line(S) -> str:
+    shown = [f"{key}={S.details[key]}" for key in _DETAIL_KEYS if key in S.details]
+    return "details: " + (" ".join(shown) if shown else "none")
+
+
 def _run_spectrum(scenario, out: Path) -> int:
     if scenario.kind == "discrete":
         N = scenario.N_list[0]
         S = analysis.discrete_spectrum(scenario.spec, N, scenario.solver)
         pred = model.predict_discrete(scenario.spec)
         label = f"N={N}"
+        params = {}  # no discrete route reads the solver knobs
     else:
         grid = scenario.grids[0]
         S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver)
         pred = model.predict_continuous(scenario.spec)
         label = f"grid {grid.kind} M={grid.points}"
+        params = {"solver": dataclasses.asdict(scenario.solver)}
     alpha = scenario.spec.alpha
     fit = analysis.fit_coefficient(
         S, alpha, scenario.window, scenario.model, extend_by_zero=True
     )
     _write(out / "spectrum.csv", _spectrum_csv(S, alpha))
-    _write(out / "fit.json", _fit_json(fit, scenario.solver))
+    _write(out / "fit.json", _fit_json(fit, **params))
     _write(out / "prediction.json", _prediction_json(pred))
     lines = [
         f"scenario: {scenario.name}",
         f"kind: {scenario.kind}",
         f"run: {label}",
         f"solver: {S.solver_id} converged={S.converged}",
+        _details_line(S),
         f"eigenvalues: {len(S.lambda_plus)} positive, "
         f"{len(S.lambda_minus)} negative, {S.n_dropped} in the zero band",
         f"window: [{scenario.window[0]}, {scenario.window[1]}] model={scenario.model}",
@@ -539,8 +565,7 @@ def _run_verify(scenario, out: Path) -> int:
         _write(out / "spectrum.csv", _spectrum_csv(study.spectra[-1], alpha))
         doc = {
             "producer": _producer(
-                "analysis", solver=dataclasses.asdict(scenario.solver),
-                window=list(scenario.window), model=scenario.model,
+                "analysis", window=list(scenario.window), model=scenario.model
             ),
             "N_list": study.N_list,
             "deviations": study.deviations,

@@ -1,23 +1,29 @@
 """Eigensolvers and counting functions for symmetric truncations.
 
-Two routes to the spectrum:
+Three routes to the spectrum:
 
   * dense_spectrum: full symmetric eigendecomposition, the reference route,
     usable up to the dense materialization limit;
+  * expsum.eigenvalues: the exponential-sum factorization of a discrete
+    symbol's truncation, whose cost grows with log N only, so it reaches
+    orders far beyond any stored vector;
   * lanczos_extremes: matrix-free Lanczos with full reorthogonalization and
     thick restarts, returning converged eigenvalues at both spectral ends,
-    usable at orders around 2^18 where dense storage is impossible.
+    for truncations given by their entries (uniform grids) at orders around
+    2^18 where dense storage is impossible.
 
-solve() picks between them with one rule for every caller: dense matrices
-and Hankel truncations up to DENSE_SOLVE_LIMIT go dense, larger truncations
-go to Lanczos with the knobs of SolverParams.
+solve() picks between them with one rule for every caller,
+hankel_core.solve_route: dense matrices and truncations up to
+DENSE_SOLVE_LIMIT go dense, larger discrete symbols go to expsum, and
+larger truncations given by their entries go to Lanczos with the knobs of
+SolverParams.  Only Lanczos reads those knobs.
 
 Both report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
 end.  Eigenvalues inside the zero band |theta| <= 1e-13 * ||A|| are dropped
 from the lists and counted once each in n_dropped.  One helper, _result,
-builds the result of both routes; the dense route is the case in which
-every eigenvalue has converged.
+builds the result of every route; the dense and expsum routes are the case
+in which every eigenvalue has converged.
 """
 
 from __future__ import annotations
@@ -27,14 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expsum
 from .hankel_core import (
     DENSE_LIMIT,
+    DiscreteTruncation,
     HankelTruncation,
     ResourceLimitError,
+    build_discrete,
     dense_matrix,
-    dense_route,
     lanczos_cap,
     matvec,
+    solve_route,
 )
 
 __all__ = [
@@ -224,10 +233,6 @@ def lanczos_extremes(
 
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    # Skip one draw, which earlier releases spent on a power-method norm
-    # estimate, so that the directions drawn after a breakdown, and with
-    # them the values reported for a given seed, stay the same.
-    rng.standard_normal(n)
     norm_est = 0.0
 
     V = np.empty((cap + 1, n))
@@ -368,17 +373,39 @@ def _fresh_direction(rng, basis, n):
 
 
 def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
-    """Spectrum of a dense matrix or a Hankel truncation, by the cheaper route.
+    """Spectrum of a dense matrix or a truncation, by the route solve_route names.
 
-    hankel_core.dense_route picks the route: dense matrices and truncations
-    of order up to DENSE_SOLVE_LIMIT take the exhaustive dense route; larger
-    truncations take Lanczos through the fast matvec, asking for k
+    op is a dense matrix, a DiscreteTruncation or a HankelTruncation.
+    Dense matrices and truncations of order up to DENSE_SOLVE_LIMIT take the
+    exhaustive dense route.  Above it a DiscreteTruncation takes the expsum
+    route, which returns every eigenvalue above its Gram truncation, and a
+    HankelTruncation takes Lanczos through the fast matvec, asking for k
     eigenvalues per end (params.k when k is None).
     """
-    if not isinstance(op, HankelTruncation):
+    if isinstance(op, DiscreteTruncation):
+        kind = "symbol"
+    elif isinstance(op, HankelTruncation):
+        kind = "entries"
+    else:
         return dense_spectrum(op)
-    if dense_route(op.order):
-        return dense_spectrum(dense_matrix(op))
+    route = solve_route(op.order, kind)
+    if route == "dense":
+        H = build_discrete(op.spec, op.order) if kind == "symbol" else op
+        return dense_spectrum(dense_matrix(H))
+    if route == "expsum":
+        theta, details = expsum.eigenvalues(op.spec, op.order)
+        n = len(theta)
+        norm = float(np.max(np.abs(theta))) if n else 0.0
+        S = _result(
+            theta, np.zeros(n), n, n, norm,
+            order=op.order, solver_id="expsum", seed=0, tol=0.0,
+            details={**details, "norm_est": norm},
+        )
+        # As on the dense route, every eigenvalue not returned is a zero-band
+        # value: the factorization's N - n implicit ones lie below its Gram
+        # truncation.
+        S.n_dropped = op.order - len(S.lambda_plus) - len(S.lambda_minus)
+        return S
     # One workspace and output vector per solve, so concurrent solves on the
     # same truncation never share scratch.
     workspace = op.workspace()

@@ -17,6 +17,11 @@ input, its spectrum, and the circular convolution.  HankelTruncation.
 workspace() allocates them; matvec reuses a workspace passed to it, and
 allocates a fresh one otherwise.  A workspace belongs to one caller at a
 time: concurrent products on the same truncation each use their own.
+
+A DiscreteTruncation only describes the truncation of a discrete spec; it
+is built (build_discrete) for the dense route and factorized by expsum
+above it.  solve_route names the route eigensolve.solve takes for each kind
+of operator, and solve_bytes what that route allocates.
 """
 
 from __future__ import annotations
@@ -26,15 +31,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import expsum
 from .model import DiscreteSymbolSpec
 from .sequences import eval_discrete_many
 
 __all__ = [
     "HankelTruncation",
+    "DiscreteTruncation",
     "ResourceLimitError",
     "DENSE_LIMIT",
     "DENSE_SOLVE_LIMIT",
-    "dense_route",
+    "solve_route",
     "lanczos_cap",
     "solve_bytes",
     "build_discrete",
@@ -43,23 +50,31 @@ __all__ = [
     "dense_matrix",
 ]
 
-# The size policy, in matrix order.  Truncations up to DENSE_SOLVE_LIMIT are
-# solved densely, larger ones by Lanczos through the fast matvec (the rule is
-# dense_route).  No dense matrix above DENSE_LIMIT is ever built: dense_matrix,
-# dense_spectrum, the geometric Nystrom build and the CLI's geometric grids
-# refuse such an order before allocating, and the CLI refuses a run whose
-# solve_bytes exceed physical memory.
+# The size policy, in matrix order.  Operators up to DENSE_SOLVE_LIMIT are
+# solved densely; above it a discrete symbol's truncation goes to the
+# exponential-sum factorization (expsum) and a truncation given by its
+# entries to Lanczos through the fast matvec (the rule is solve_route).  No
+# dense matrix above DENSE_LIMIT is ever built: dense_matrix, dense_spectrum,
+# the geometric Nystrom build and the CLI's geometric grids refuse such an
+# order before allocating, and the CLI refuses a run whose solve_bytes exceed
+# physical memory.
 DENSE_SOLVE_LIMIT = 2048
 DENSE_LIMIT = 8192
 
 
-def dense_route(order: int, structured: bool = True) -> bool:
-    """Whether eigensolve.solve solves an order-N operator densely.
+def solve_route(order: int, kind: str) -> str:
+    """The route eigensolve.solve takes for an order-N operator of this kind.
 
-    A dense matrix (structured=False) always is; a Hankel truncation is up
-    to DENSE_SOLVE_LIMIT and goes to Lanczos above it.
+    kind is "matrix" for a dense matrix (a geometric Nystrom grid),
+    "entries" for a truncation given by its entries (a HankelTruncation,
+    such as a uniform grid) and "symbol" for the truncation of a discrete
+    spec (a DiscreteTruncation).  The route is "dense" for a matrix and for
+    any truncation up to DENSE_SOLVE_LIMIT; above it, "expsum" for a symbol
+    and "lanczos" for entries.
     """
-    return not structured or order <= DENSE_SOLVE_LIMIT
+    if kind == "matrix" or order <= DENSE_SOLVE_LIMIT:
+        return "dense"
+    return "expsum" if kind == "symbol" else "lanczos"
 
 
 def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
@@ -71,16 +86,20 @@ def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
     return min(order, max(basis_cap, 2 * k + 2))
 
 
-def solve_bytes(order: int, k: int, basis_cap: int, structured: bool) -> int:
+def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int:
     """Bytes eigensolve.solve allocates for an order-N operator, by arithmetic.
 
-    On the dense route (see dense_route): the matrix and the copy eigvalsh
-    factors, 8 N^2 bytes each.  On the Lanczos route: the 2N - 1 entries
-    and their FFT image, one matvec workspace, and the cap + 1 basis rows of
-    N floats that lanczos_extremes allocates at once.
+    On the dense route (see solve_route): the matrix and the copy eigvalsh
+    factors, 8 N^2 bytes each.  On the expsum route: expsum.solve_bytes of
+    the spec, which grows with log N only.  On the Lanczos route: the
+    2N - 1 entries and their FFT image, one matvec workspace, and the
+    cap + 1 basis rows of N floats that lanczos_extremes allocates at once.
     """
-    if dense_route(order, structured):
+    route = solve_route(order, kind)
+    if route == "dense":
         return 2 * 8 * order * order
+    if route == "expsum":
+        return expsum.solve_bytes(spec, order)
     P = _next_pow2(2 * order)
     spectrum = 16 * (P // 2 + 1)
     entries = 8 * (2 * order - 1) + spectrum
@@ -138,6 +157,23 @@ class HankelTruncation:
         """
         P = self._embed
         return np.zeros(P), np.empty(P // 2 + 1, dtype=complex), np.empty(P)
+
+
+@dataclass(frozen=True)
+class DiscreteTruncation:
+    """Order-N truncation of a discrete symbol, described by its spec.
+
+    Nothing is built here: eigensolve.solve builds the entries for the dense
+    route and factorizes the symbol for the expsum route, whose cost grows
+    with log N only.
+    """
+
+    spec: DiscreteSymbolSpec
+    order: int
+
+    def __post_init__(self):
+        if self.order < 2:
+            raise ValueError(f"truncation order must be at least 2, got {self.order}")
 
 
 def build_discrete(spec: DiscreteSymbolSpec, N: int) -> HankelTruncation:

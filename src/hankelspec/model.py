@@ -43,6 +43,7 @@ __all__ = [
     "ContinuousKernelSpec",
     "AsymptoticPrediction",
     "UnsupportedCombinationError",
+    "FieldError",
     "kappa",
     "predict_discrete",
     "predict_continuous",
@@ -54,6 +55,50 @@ DEFAULT_CUTOFFS = (0.25, 0.5, 1.5, 2.0)
 
 class UnsupportedCombinationError(ValueError):
     """Parameter combination the asymptotic theory does not cover."""
+
+
+class FieldError(ValueError):
+    """A spec field the closed forms cannot take; field names it."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+def _kappa_p(alpha: float) -> float:
+    """kappa(alpha)^(1/alpha), or FieldError at alpha where it overflows."""
+    try:
+        kap_p = kappa(alpha) ** (1.0 / alpha)
+    except OverflowError:
+        kap_p = math.inf
+    if not math.isfinite(kap_p):
+        raise FieldError("alpha", f"kappa(alpha)^(1/alpha) overflows at alpha = {alpha!r}")
+    return kap_p
+
+
+def require_finite_shares(alpha: float, shares) -> None:
+    """Raise FieldError where the p-th power shares of a prediction overflow.
+
+    shares lists (field, weight, base): the field's share of
+    a_plus^p + a_minus^p is weight * base^p with p = 1/alpha.  The first
+    field at which its share, the running sum of the shares (a bound of
+    both totals) or that sum to the power alpha leaves the float range is
+    named.
+    """
+    total = 0.0
+    for field, weight, base in shares:
+        try:
+            total += weight * base ** (1.0 / alpha)
+            finite = math.isfinite(total) and math.isfinite(total**alpha)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise FieldError(
+                field,
+                f"its share of the predicted coefficients' p-th powers "
+                f"(p = 1/alpha = {1.0 / alpha!r}) overflows",
+            )
 
 
 def require_finite(spec, *names) -> None:
@@ -169,6 +214,12 @@ class DiscreteSymbolSpec:
                     )
         if self.perturbation is not None and not isinstance(self.perturbation, Perturbation):
             object.__setattr__(self, "perturbation", Perturbation(*self.perturbation))
+        kap_p = _kappa_p(self.alpha)
+        require_finite_shares(
+            self.alpha,
+            [("b_minus1", kap_p, abs(self.b_minus1)), ("b_plus1", kap_p, abs(self.b_plus1))]
+            + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(self.oscillations)],
+        )
 
 
 @dataclass(frozen=True)
@@ -210,6 +261,23 @@ class ContinuousKernelSpec:
                 "a t->0 singular term (b_zero != 0) cannot be combined with local "
                 "singularities; the two contributions are not independent"
             )
+        # A local singularity enters a prediction only at alpha = m + 1 >= 1,
+        # with the share t0 (m! |coeff|)^p / (2 pi); m! overflows above 170.
+        kap_p = _kappa_p(self.alpha)
+        require_finite_shares(
+            self.alpha,
+            [
+                (
+                    f"local_singularities[{i}]",
+                    sing.t0 / (2.0 * math.pi),
+                    math.factorial(sing.m) * abs(sing.coeff) if sing.m <= 170 else math.inf,
+                )
+                for i, sing in enumerate(self.local_singularities)
+                if self.alpha == sing.m + 1
+            ]
+            + [("b_zero", kap_p, abs(self.b_zero)), ("b_inf", kap_p, abs(self.b_inf))]
+            + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(self.oscillations)],
+        )
 
 
 @dataclass(frozen=True)

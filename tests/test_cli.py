@@ -103,11 +103,14 @@ def test_spectrum_run_outputs(tmp_path):
 
 
 def test_spectrum_seed_override_recorded(tmp_path):
+    # Only the Lanczos route of a uniform grid above the dense solve limit
+    # reads the seed; no discrete order does.
     cfg = {
         "name": "seeded",
-        "kind": "discrete",
-        "spec": {"alpha": 1.0, "b_plus1": 1.0},
-        "N_list": [256],
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 4096}],
+        "solver": {"k": 4},
         "fit": {"window": [1, 4]},
     }
     code, out = _run(tmp_path, "spectrum", cfg, extra=["--seed", "5"])
@@ -198,6 +201,22 @@ def test_overflowing_integer_order_names_singularity(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, spec, field",
+    [
+        # |b|^(1/alpha) = 1e600 leaves the float range of the predicted coefficients.
+        *[(c, {"alpha": 0.5, "b_plus1": 1e300}, "b_plus1") for c in ("predict", "spectrum", "verify")],
+        ("predict", {"alpha": 0.25, "oscillations": [{"phi": 1.0, "psi": 0.0, "b": 1e100}]}, "oscillations[0].b"),
+    ],
+)
+def test_overflowing_share_names_field(tmp_path, capsys, command, spec, field):
+    cfg = {"name": "bad", "kind": "discrete", "spec": spec, "N_list": [64]}
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"config error at 'spec.{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["oscillations", "local_singularities"])
 @pytest.mark.parametrize("entry", [1.5, "x", [1.0, 0.0, 1.0], None])
 def test_continuous_non_object_entry_names_field(tmp_path, capsys, field, entry):
@@ -283,13 +302,13 @@ def test_discrete_run_needs_orders(tmp_path, capsys):
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):
-    # N above the dense-solve limit forces the iterative route; with two
-    # iterations it cannot converge and must flag the run, not hide it.
+    # A uniform grid above the dense-solve limit takes the iterative route;
+    # with two iterations it cannot converge and must flag the run, not hide it.
     cfg = {
         "name": "starved",
-        "kind": "discrete",
-        "spec": {"alpha": 1.0, "b_plus1": 1.0},
-        "N_list": [4096],
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 4096}],
         "solver": {"k": 40, "tol": 1e-15, "max_iter": 2},
         "fit": {"window": [1, 4]},
     }
@@ -436,14 +455,19 @@ def test_infinite_drift_is_written_as_null(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "runs, field",
+    "runs, field, memory",
     [
-        ({"N_list": [256, 2**40]}, "N_list[1]"),
-        ({"grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]}, "grids[0].points"),
+        # By solve_bytes the expsum solve of order 2^40 needs about 14 MB,
+        # the dense one of order 256 1 MiB: 4 MiB refuses only the first.
+        ({"N_list": [256, 2**40]}, "N_list[1]", 4 << 20),
+        ({"grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]}, "grids[0].points", None),
     ],
     ids=["order", "uniform-grid"],
 )
-def test_run_beyond_physical_memory_rejected(tmp_path, capsys, runs, field):
+def test_run_beyond_physical_memory_rejected(tmp_path, capsys, monkeypatch, runs, field, memory):
+    if memory is not None:
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     kind = "discrete" if "N_list" in runs else "continuous"
     spec = {"alpha": 1.0, "b_plus1": 1.0} if kind == "discrete" else {"alpha": 1.0, "b_inf": 1.0}
     cfg = {"name": "huge", "kind": kind, "spec": spec, **runs}
@@ -453,6 +477,84 @@ def test_run_beyond_physical_memory_rejected(tmp_path, capsys, runs, field):
     assert f"config error at '{field}'" in err
     assert "bytes of physical memory" in err
     assert not out.exists()
+
+
+def test_verify_discrete_at_order_2_40(tmp_path):
+    # The expsum route reaches orders no stored vector could: its cost grows
+    # with log N only.
+    cfg = {
+        "name": "far",
+        "kind": "discrete",
+        "spec": {"alpha": 1.0, "b_plus1": 1.0},
+        "N_list": [256, 2**40],
+    }
+    code, out = _run(tmp_path, "verify", cfg)
+    assert code == 0
+    small, large = json.loads((out / "far" / "fit.json").read_text())["fits"]
+    for row_s, row_l in zip(small["per_n"], large["per_n"]):
+        assert row_s[0] == row_l[0]
+        assert row_l[1] >= row_s[1] and row_l[2] >= row_s[2]
+    assert "solver=expsum" in (out / "far" / "spectrum.csv").read_text()
+
+
+def test_oscillation_beyond_phase_limit_rejected(tmp_path, capsys):
+    osc = {"alpha": 1.0, "oscillations": [{"phi": 1.0, "psi": 0.0, "b": 1.0}]}
+    cfg = {"name": "osc", "kind": "discrete", "spec": osc, "N_list": [2**14, 2**53 + 1]}
+    code, out = _run(tmp_path, "verify", cfg)
+    assert code == 2
+    assert "config error at 'N_list[1]'" in capsys.readouterr().err
+    assert not out.exists()
+    # Characters phi = 0 and pi need no phase reduction: any order runs.
+    cfg = {"name": "far", "kind": "discrete", "spec": {"alpha": 1.0, "b_minus1": 1.0}, "N_list": [10**40]}
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 0
+
+
+def test_discrete_reports_do_not_depend_on_seed(tmp_path):
+    cfg = {
+        "name": "b1-osc",
+        "kind": "discrete",
+        "spec": {"alpha": 1.0, "b_plus1": 1.0, "oscillations": [{"phi": 1.5707963267948966, "psi": 0.0, "b": 1.0}]},
+        "N_list": [2**14],
+        "solver": {"k": 16, "tol": 1e-6},
+    }
+    outs = []
+    for seed in (0, 1):
+        (tmp_path / f"seed{seed}").mkdir()
+        code, out = _run(tmp_path / f"seed{seed}", "spectrum", cfg, extra=["--seed", str(seed)])
+        assert code == 0
+        outs.append(out / "b1-osc")
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["fit.json", "prediction.json", "spectrum.csv", "summary.txt"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    summary = (outs[0] / "summary.txt").read_text()
+    assert "solver: expsum converged=True\ndetails: nodes=" in summary
+    assert "seed=0 tol=0 " in (outs[0] / "spectrum.csv").read_text()
+
+
+def test_summary_details_line_per_route(tmp_path):
+    cfg = {
+        "name": "tri",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 4096}],
+        "solver": {"k": 4},
+    }
+    for route in ("lanczos", "dense"):
+        (tmp_path / route).mkdir()
+    code, out = _run(tmp_path / "lanczos", "spectrum", cfg)
+    assert code == 0
+    lines = (out / "tri" / "summary.txt").read_text().splitlines()
+    details = [line for line in lines if line.startswith("details: ")]
+    assert len(details) == 1
+    assert [kv.split("=")[0] for kv in details[0].split()[1:]] == [
+        "applies", "restarts", "reorth_repeats", "basis_final",
+    ]
+    cfg["grids"] = [{"kind": "geometric", "t_min": 1e-10, "t_max": 1.0, "points": 64}]
+    code, out = _run(tmp_path / "dense", "spectrum", cfg)
+    assert code == 0
+    assert "details: none\n" in (out / "tri" / "summary.txt").read_text()
 
 
 def test_geometric_grid_beyond_physical_memory_rejected(tmp_path, capsys, monkeypatch):
