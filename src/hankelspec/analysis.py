@@ -33,6 +33,7 @@ __all__ = [
     "SolverParams",
     "FitReport",
     "fit_coefficient",
+    "fit_bytes",
     "window_scaled_median",
     "SymmetryStats",
     "symmetry_ratio",
@@ -47,9 +48,8 @@ __all__ = [
 def discrete_spectrum(spec: DiscreteSymbolSpec, N: int, params: SolverParams):
     """Spectrum of the order-N truncation of the spec.
 
-    Dense up to DENSE_SOLVE_LIMIT, by the exponential-sum factorization
-    above it; neither route reads params, which stays for the callers'
-    common signature.
+    By the exponential-sum factorization at every order; it does not read
+    params, which stays for the callers' common signature.
     """
     return solve(DiscreteTruncation(spec, N), params)
 
@@ -150,6 +150,11 @@ def fit_coefficient(
     if model not in ("plain", "log_corrected"):
         raise ValueError(f"model must be 'plain' or 'log_corrected', got {model!r}")
     n_lo, n_hi = _check_window(window)
+    if model == "log_corrected" and n_lo < 2:
+        raise ValueError(
+            f"the log_corrected model divides by log n, so its window must start "
+            f"at n >= 2, got {window}"
+        )
     n = np.arange(n_lo, n_hi + 1, dtype=float)
     lam_p = _window_values(S.lambda_plus, n_lo, n_hi, extend_by_zero, "positive")
     lam_m = _window_values(S.lambda_minus, n_lo, n_hi, extend_by_zero, "negative")
@@ -171,6 +176,17 @@ def fit_coefficient(
         per_n=per_n,
         drift=max(_channel_drift(scaled_p), _channel_drift(scaled_m)),
     )
+
+
+def fit_bytes(window) -> int:
+    """Bytes fit_coefficient allocates for the window, by arithmetic.
+
+    Per window row: six float arrays (n, n^alpha, the two channels and
+    their scaled values), 48 bytes, and the per_n row, a list slot holding
+    a 5-tuple of an int and four numpy floats, 8 + 80 + 32 + 4 * 32 bytes.
+    """
+    n_lo, n_hi = _check_window(window)
+    return 296 * (n_hi - n_lo + 1)
 
 
 @dataclass

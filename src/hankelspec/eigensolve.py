@@ -13,10 +13,10 @@ Three routes to the spectrum:
     2^18 where dense storage is impossible.
 
 solve() picks between them with one rule for every caller,
-hankel_core.solve_route: dense matrices and truncations up to
-DENSE_SOLVE_LIMIT go dense, larger discrete symbols go to expsum, and
-larger truncations given by their entries go to Lanczos with the knobs of
-SolverParams.  Only Lanczos reads those knobs.
+hankel_core.solve_route: discrete symbols go to expsum at every order,
+dense matrices go dense, and truncations given by their entries go dense
+up to DENSE_SOLVE_LIMIT and to Lanczos with the knobs of SolverParams
+above it.  Only Lanczos reads those knobs.
 
 Both report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
@@ -39,7 +39,6 @@ from .hankel_core import (
     DiscreteTruncation,
     HankelTruncation,
     ResourceLimitError,
-    build_discrete,
     dense_matrix,
     lanczos_cap,
     matvec,
@@ -243,7 +242,6 @@ def lanczos_extremes(
     restarts = 0
     reorth_repeats = 0
     beta = 0.0
-    flagged_converged = False
     exhausted = False
 
     while True:
@@ -289,7 +287,6 @@ def lanczos_extremes(
             res = beta * np.abs(S[m - 1, :])
             top, bot = _converged_prefixes(theta, res, tol, norm_est)
             if top >= k_eff and bot >= k_eff:
-                flagged_converged = True
                 break
             if at_cap:
                 # Thick restart: lock both spectral ends plus a buffer and
@@ -375,12 +372,12 @@ def _fresh_direction(rng, basis, n):
 def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
     """Spectrum of a dense matrix or a truncation, by the route solve_route names.
 
-    op is a dense matrix, a DiscreteTruncation or a HankelTruncation.
-    Dense matrices and truncations of order up to DENSE_SOLVE_LIMIT take the
-    exhaustive dense route.  Above it a DiscreteTruncation takes the expsum
-    route, which returns every eigenvalue above its Gram truncation, and a
-    HankelTruncation takes Lanczos through the fast matvec, asking for k
-    eigenvalues per end (params.k when k is None).
+    op is a dense matrix, a DiscreteTruncation or a HankelTruncation.  A
+    DiscreteTruncation takes the expsum route, which returns every
+    eigenvalue above its Gram truncation.  Dense matrices and
+    HankelTruncations up to DENSE_SOLVE_LIMIT take the exhaustive dense
+    route; a larger HankelTruncation takes Lanczos through the fast matvec,
+    asking for k eigenvalues per end (params.k when k is None).
     """
     if isinstance(op, DiscreteTruncation):
         kind = "symbol"
@@ -390,8 +387,7 @@ def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
         return dense_spectrum(op)
     route = solve_route(op.order, kind)
     if route == "dense":
-        H = build_discrete(op.spec, op.order) if kind == "symbol" else op
-        return dense_spectrum(dense_matrix(H))
+        return dense_spectrum(dense_matrix(op))
     if route == "expsum":
         theta, details = expsum.eigenvalues(op.spec, op.order)
         n = len(theta)

@@ -18,8 +18,8 @@ characters e^{i phi x}: phi = 0 carries b_plus1 and the perturbation (whose
 q_{a+beta} shares the nodes with its own weights), phi = pi carries
 b_minus1, and each oscillation 2 b cos(phi x - psi) = 2 Re(b e^{-i psi}
 e^{i phi x}) gives the pair of real columns Re and Im of e^{(-s + i phi) x}.
-With the head of order HEAD kept dense (from eval_discrete_many) and the
-tail rows written as columns F,
+With the head of order HEAD kept dense (from eval_discrete_many; up to
+order HEAD it is the whole matrix) and the tail rows written as columns F,
 
     A = [I 0; 0 F] K [I 0; 0 F]^T,   K = [A_hh, B M; M B^T, M],
 
@@ -87,7 +87,9 @@ _PI_TAIL = 1.2246467991473532e-16
 
 
 def nodes(N: int) -> np.ndarray:
-    """log s_m of the nodes for order N, descending from log 1.5 by _STEP."""
+    """log s_m of the nodes for order N (none up to HEAD), descending from log 1.5 by _STEP."""
+    if N <= HEAD:
+        return np.empty(0)
     lo = _LOG_S_MIN - math.log(N)
     top = math.log(_S_MAX)
     return top - _STEP * np.arange(int((top - lo) / _STEP) + 1)
@@ -263,22 +265,22 @@ def solve_bytes(spec: DiscreteSymbolSpec, N: int) -> int:
 def eigenvalues(spec: DiscreteSymbolSpec, N: int):
     """Eigenvalues of the order-N truncation of spec, and the route's counters.
 
-    Returns (theta, details): theta holds the HEAD + rank eigenvalues of the
-    reduced matrix, ascending; the other N - HEAD - rank eigenvalues of the
-    truncation lie below the Gram truncation.  details holds the
-    deterministic counters nodes, columns, gram_rank and head_order.
+    Returns (theta, details): theta holds the head + rank eigenvalues of the
+    reduced matrix, ascending, the head of order min(HEAD, N); the other
+    N - head - rank eigenvalues lie below the Gram truncation.  details
+    holds the deterministic counters nodes, columns, gram_rank and
+    head_order.
     """
-    if N <= HEAD:
-        raise ValueError(f"order must exceed the head order {HEAD}, got {N}")
     if spec.oscillations and N > PHASE_ORDER_LIMIT:
         raise ValueError(
             f"order {N} exceeds {PHASE_ORDER_LIMIT}: the phases phi * n of an "
             f"oscillation are reduced exactly only up to that order"
         )
+    head = min(HEAD, N)
     log_s = nodes(N)
     chars = _characters(spec, log_s)
-    rows = eval_discrete_many(spec, np.arange(2 * HEAD - 1))
-    A_hh = np.lib.stride_tricks.sliding_window_view(rows, HEAD)
+    rows = eval_discrete_many(spec, np.arange(2 * head - 1))
+    A_hh = np.lib.stride_tricks.sliding_window_view(rows, head)
     cols = sum(len(amps) for _, amps, _ in chars) * len(log_s)
     rank = 0
     if cols:
@@ -296,5 +298,5 @@ def eigenvalues(spec: DiscreteSymbolSpec, N: int):
         "nodes": len(log_s),
         "columns": cols,
         "gram_rank": rank,
-        "head_order": HEAD,
+        "head_order": head,
     }

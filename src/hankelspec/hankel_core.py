@@ -18,10 +18,10 @@ workspace() allocates them; matvec reuses a workspace passed to it, and
 allocates a fresh one otherwise.  A workspace belongs to one caller at a
 time: concurrent products on the same truncation each use their own.
 
-A DiscreteTruncation only describes the truncation of a discrete spec; it
-is built (build_discrete) for the dense route and factorized by expsum
-above it.  solve_route names the route eigensolve.solve takes for each kind
-of operator, and solve_bytes what that route allocates.
+A DiscreteTruncation only describes the truncation of a discrete spec;
+expsum factorizes it at every order (build_discrete builds its entries as
+the tests' dense reference).  solve_route names the route eigensolve.solve
+takes for each kind of operator, and solve_bytes what that route allocates.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ __all__ = [
     "dense_matrix",
 ]
 
-# The size policy, in matrix order.  Operators up to DENSE_SOLVE_LIMIT are
-# solved densely; above it a discrete symbol's truncation goes to the
-# exponential-sum factorization (expsum) and a truncation given by its
-# entries to Lanczos through the fast matvec (the rule is solve_route).  No
+# The size policy, in matrix order.  A truncation given by its entries is
+# solved densely up to DENSE_SOLVE_LIMIT and by Lanczos through the fast
+# matvec above it; a discrete symbol's truncation always goes to the
+# exponential-sum factorization (expsum; the rule is solve_route).  No
 # dense matrix above DENSE_LIMIT is ever built: dense_matrix, dense_spectrum,
 # the geometric Nystrom build and the CLI's geometric grids refuse such an
 # order before allocating, and the CLI refuses a run whose solve_bytes exceed
@@ -68,13 +68,13 @@ def solve_route(order: int, kind: str) -> str:
     kind is "matrix" for a dense matrix (a geometric Nystrom grid),
     "entries" for a truncation given by its entries (a HankelTruncation,
     such as a uniform grid) and "symbol" for the truncation of a discrete
-    spec (a DiscreteTruncation).  The route is "dense" for a matrix and for
-    any truncation up to DENSE_SOLVE_LIMIT; above it, "expsum" for a symbol
-    and "lanczos" for entries.
+    spec (a DiscreteTruncation).  The route is "dense" for a matrix,
+    "expsum" for a symbol, and for entries "dense" up to DENSE_SOLVE_LIMIT
+    and "lanczos" above it.
     """
-    if kind == "matrix" or order <= DENSE_SOLVE_LIMIT:
-        return "dense"
-    return "expsum" if kind == "symbol" else "lanczos"
+    if kind == "symbol":
+        return "expsum"
+    return "dense" if kind == "matrix" or order <= DENSE_SOLVE_LIMIT else "lanczos"
 
 
 def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
@@ -163,9 +163,8 @@ class HankelTruncation:
 class DiscreteTruncation:
     """Order-N truncation of a discrete symbol, described by its spec.
 
-    Nothing is built here: eigensolve.solve builds the entries for the dense
-    route and factorizes the symbol for the expsum route, whose cost grows
-    with log N only.
+    Nothing is built here: eigensolve.solve factorizes the symbol by
+    expsum, whose cost grows with log N only.
     """
 
     spec: DiscreteSymbolSpec
@@ -177,7 +176,7 @@ class DiscreteTruncation:
 
 
 def build_discrete(spec: DiscreteSymbolSpec, N: int) -> HankelTruncation:
-    """Truncation of the discrete-symbol Hankel matrix to order N >= 2."""
+    """Truncation of the discrete-symbol Hankel matrix to order N >= 2 (a test reference)."""
     if N < 2:
         raise ValueError(f"truncation order must be at least 2, got {N}")
     entries = eval_discrete_many(spec, np.arange(2 * N - 1))

@@ -20,6 +20,7 @@ __all__ = [
     "AsLogSpec",
     "eval_aslog",
     "sample_aslog",
+    "sample_bytes",
     "aslog_coefficient",
     "fourier_coefficients",
     "mobius_to_line",
@@ -190,6 +191,18 @@ def sample_aslog(spec: AsLogSpec, samples: int):
     out = np.zeros(samples, dtype=complex)
     out[1:] = _eval_aslog_nonzero(spec, theta[1:], False)
     return out
+
+
+def sample_bytes(samples: int) -> int:
+    """Bytes sample_aslog allocates at its peak, by arithmetic.
+
+    Per sample: the index and angle grids, the complex result, the complex
+    values of the nonzero samples, |theta| and the cutoff's argument
+    (8 + 8 + 16 + 16 + 8 + 8 bytes), and inside smooth_step five float
+    arrays and three masks (5 * 8 + 3 bytes).  The DFT that follows holds
+    less: three complex arrays.
+    """
+    return 107 * samples
 
 
 def aslog_coefficient(spec: AsLogSpec) -> complex:

@@ -81,6 +81,9 @@ def test_fit_validation():
         fit_coefficient(S, 1.0, (1, 8), model="quadratic")
     with pytest.raises(ValueError, match="window"):
         fit_coefficient(S, 1.0, (5, 3))
+    # 1 / log 1 is infinite: the log-corrected model needs n >= 2.
+    with pytest.raises(ValueError, match="log n"):
+        fit_coefficient(S, 1.0, (1, 4), model="log_corrected")
 
 
 def test_window_scaled_median():
@@ -262,12 +265,16 @@ def test_solver_params_validation():
 
 
 def test_discrete_spectrum_dense_route():
+    # Every discrete order takes the expsum route; the dense route of the
+    # built truncation is its reference.
     spec = DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0)
     S = discrete_spectrum(spec, 512, SolverParams())
     direct = dense_spectrum(dense_matrix(build_discrete(spec, 512)))
-    assert np.array_equal(S.lambda_plus, direct.lambda_plus)
-    assert np.array_equal(S.lambda_minus, direct.lambda_minus)
-    assert S.solver_id == "dense"
+    assert S.solver_id == "expsum"
+    norm = float(direct.lambda_plus[0])
+    for got, want in ((S.lambda_plus, direct.lambda_plus), (S.lambda_minus, direct.lambda_minus)):
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * norm
 
 
 def test_discrete_spectrum_monotone_in_order():

@@ -87,7 +87,7 @@ def test_spectrum_run_outputs(tmp_path):
     csv = (out / "run" / "spectrum.csv").read_text().splitlines()
     assert csv[0].startswith("# hankelspec ")
     assert "order=512" in csv[0]
-    assert "solver=dense" in csv[0]
+    assert "solver=expsum" in csv[0]
     assert "converged=true" in csv[0]
     assert csv[1] == "n,lambda_plus,lambda_minus,scaled_plus,scaled_minus"
     assert csv[2].startswith("1,")
@@ -457,9 +457,9 @@ def test_infinite_drift_is_written_as_null(tmp_path):
 @pytest.mark.parametrize(
     "runs, field, memory",
     [
-        # By solve_bytes the expsum solve of order 2^40 needs about 14 MB,
-        # the dense one of order 256 1 MiB: 4 MiB refuses only the first.
-        ({"N_list": [256, 2**40]}, "N_list[1]", 4 << 20),
+        # By solve_bytes the expsum solve of order 2^40 needs 13.6 MiB, the
+        # one of order 256 6.3 MiB: 8 MiB refuses only the first.
+        ({"N_list": [256, 2**40]}, "N_list[1]", 8 << 20),
         ({"grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]}, "grids[0].points", None),
     ],
     ids=["order", "uniform-grid"],
@@ -476,6 +476,48 @@ def test_run_beyond_physical_memory_rejected(tmp_path, capsys, monkeypatch, runs
     err = capsys.readouterr().err
     assert f"config error at '{field}'" in err
     assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        # The samples, their DFT and the dumped angles: 2^40 points are far
+        # beyond any physical memory.
+        ("symbol", {"kind": "symbol", "spec": {"alpha": 2.0}, "samples": 2**40}, "samples"),
+        # A per_n row for each of 10^12 window indices.
+        (
+            "spectrum",
+            {"kind": "discrete", "spec": {"alpha": 1.0, "b_plus1": 1.0}, "N_list": [64],
+             "fit": {"window": [1, 10**12]}},
+            "fit.window",
+        ),
+    ],
+    ids=["samples", "fit-window"],
+)
+def test_sampling_and_fitting_beyond_physical_memory_rejected(
+    tmp_path, capsys, command, cfg, field
+):
+    code, out = _run(tmp_path, command, {"name": "huge", **cfg})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}'" in err
+    assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
+def test_log_corrected_window_from_one_rejected(tmp_path, capsys):
+    # 1 / log 1 is infinite, so the least-squares design would hold inf.
+    cfg = {
+        "name": "lc",
+        "kind": "discrete",
+        "spec": {"alpha": 1.0, "b_plus1": 1.0},
+        "N_list": [64],
+        "fit": {"window": [1, 4], "model": "log_corrected"},
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    assert "config error at 'fit.window'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -818,6 +860,32 @@ def test_sweep_reports_offending_scenario(tmp_path, capsys):
     code, _ = _run(tmp_path, "sweep", cfg)
     assert code == 2
     assert "scenarios[1].spec.alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"kind": "discrete", "N_list": [128, 64]}, "N_list"),
+        ({"kind": "discrete", "N_list": [128, 128]}, "N_list"),
+        ({"kind": "continuous", "grids": [{"kind": "uniform", "t_max": 1.0, "points": 64}]}, "grids"),
+    ],
+    ids=["decreasing-orders", "repeated-order", "one-grid"],
+)
+def test_sweep_refuses_an_unrunnable_verify_before_writing(tmp_path, capsys, bad, field):
+    b1 = {"alpha": 1.0, "b_plus1": 1.0}
+    triangle = {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]}
+    spec = b1 if bad["kind"] == "discrete" else triangle
+    cfg = {
+        "scenarios": [
+            {"name": "a", "kind": "discrete", "action": "predict", "spec": b1},
+            {"name": "b", "kind": "discrete", "action": "verify", "spec": b1, "N_list": [64, 128]},
+            {"name": "c", "action": "verify", "spec": spec, **bad},
+        ]
+    }
+    code, out = _run(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert f"config error at 'scenarios[2].{field}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_shared_output_directory(tmp_path, capsys):

@@ -40,7 +40,7 @@ VALID = [
             {"kind": "uniform", "t_max": 1.0, "points": 64},
             {"kind": "geometric", "t_min": 1e-8, "t_max": 1.0, "points": 64},
         ],
-        "fit": {"window": [1, 4], "model": "log_corrected"},
+        "fit": {"window": [2, 4], "model": "log_corrected"},
     },
     {
         "name": "t", "kind": "continuous", "action": "predict",

@@ -80,19 +80,23 @@ def test_phase_reduction_is_exact(phi, n):
 
 
 @pytest.mark.parametrize("name", list(SPECS))
-@pytest.mark.parametrize("N", [256, 2048])
+@pytest.mark.parametrize("N", [2, 16, 32, 33, 64, 256, 512, 2048])
 def test_matches_dense_eigvalsh(name, N):
     spec = SPECS[name]
     theta, details = expsum.eigenvalues(spec, N)
     dense = np.linalg.eigvalsh(dense_matrix(build_discrete(spec, N)))
+    if N <= expsum.HEAD:
+        # The head block is the whole matrix: the same eigvalsh call.
+        assert np.array_equal(theta, dense)
+        assert details["columns"] == 0
     norm = float(np.max(np.abs(dense)))
     # Every eigenvalue: the ones the factorization does not return are zero.
     full = np.sort(np.concatenate([theta, np.zeros(N - len(theta))]))
     assert np.max(np.abs(full - dense)) <= AGREE * norm
     got, want = _channels(theta, norm), _channels(dense, norm)
     assert [len(c) for c in got] == [len(c) for c in want]
-    assert details["head_order"] == expsum.HEAD
-    assert len(theta) == expsum.HEAD + details["gram_rank"]
+    assert details["head_order"] == min(expsum.HEAD, N)
+    assert len(theta) == details["head_order"] + details["gram_rank"]
 
 
 @pytest.mark.parametrize("N", [2**14, 2**18])
@@ -127,7 +131,9 @@ def test_solve_reports_the_route():
     assert (S.solver_id, S.seed, S.tol, S.converged) == ("expsum", 0, 0.0, True)
     assert not np.any(S.residuals_plus) and not np.any(S.residuals_minus)
     assert {"nodes", "columns", "gram_rank", "head_order"} <= set(S.details)
-    dense = solve(DiscreteTruncation(B1_OSC, 2048), SolverParams())
+    for N in (2, 32, 33, 2048):
+        assert solve(DiscreteTruncation(B1_OSC, N), SolverParams()).solver_id == "expsum"
+    dense = solve(dense_matrix(build_discrete(B1_OSC, 2048)), SolverParams())
     assert dense.solver_id == "dense"
     # Both routes are exhaustive: every eigenvalue not returned is in the zero band.
     for R in (S, dense):
