@@ -62,8 +62,8 @@ def _window_values(values, n_lo, n_hi, extend_by_zero, channel):
             f"missing tail as zero"
         )
     out = np.zeros(n_hi - n_lo + 1)
-    for i, n in enumerate(range(n_lo, n_hi + 1)):
-        out[i] = values[n - 1] if n <= len(values) else 0.0
+    present = values[n_lo - 1 : n_hi]
+    out[: len(present)] = present
     return out
 
 
@@ -93,7 +93,11 @@ def _check_window(window):
 
 @dataclass
 class FitReport:
-    """Windowed fit of lambda_n ~ a n^-alpha for both sign channels."""
+    """Windowed fit of lambda_n ~ a n^-alpha for both sign channels.
+
+    per_n has one row (n, lambda_n^+, lambda_n^-, n^alpha lambda_n^+,
+    n^alpha lambda_n^-) per window index.
+    """
 
     alpha: float
     window: tuple
@@ -101,10 +105,13 @@ class FitReport:
     a_hat_minus: float
     model: str
     c_hat: tuple | None
-    per_n: list
+    per_n: np.ndarray
     drift: float
 
     def to_dict(self) -> dict:
+        rows = self.per_n.tolist()
+        for row in rows:
+            row[0] = int(row[0])  # n, written as an integer
         return {
             "alpha": self.alpha,
             "window": list(self.window),
@@ -113,7 +120,7 @@ class FitReport:
             "model": self.model,
             "c_hat": list(self.c_hat) if self.c_hat is not None else None,
             "drift": self.drift,
-            "per_n": [list(row) for row in self.per_n],
+            "per_n": rows,
         }
 
 
@@ -162,10 +169,7 @@ def fit_coefficient(
     scaled_m = n**alpha * lam_m
     a_plus, c_plus = _fit_channel(scaled_p, n, model)
     a_minus, c_minus = _fit_channel(scaled_m, n, model)
-    per_n = [
-        (int(n[i]), lam_p[i], lam_m[i], scaled_p[i], scaled_m[i])
-        for i in range(len(n))
-    ]
+    per_n = np.column_stack([n, lam_p, lam_m, scaled_p, scaled_m])
     return FitReport(
         alpha=alpha,
         window=(n_lo, n_hi),
@@ -179,11 +183,13 @@ def fit_coefficient(
 
 
 def fit_bytes(window) -> int:
-    """Bytes fit_coefficient allocates for the window, by arithmetic.
+    """Bytes fit_coefficient and FitReport.to_dict allocate for the window, by arithmetic.
 
-    Per window row: six float arrays (n, n^alpha, the two channels and
-    their scaled values), 48 bytes, and the per_n row, a list slot holding
-    a 5-tuple of an int and four numpy floats, 8 + 80 + 32 + 4 * 32 bytes.
+    296 bytes per window row bound both steps.  While fitting: the per_n
+    row, five floats, 40 bytes, and at most 56 bytes of transient arrays
+    (n, n^alpha, the two channels and their scaled values).  While
+    reporting: the per_n row and the list to_dict makes of it, a list slot
+    and a list of an int and four floats, 8 + 96 + 28 + 4 * 24 bytes.
     """
     n_lo, n_hi = _check_window(window)
     return 296 * (n_hi - n_lo + 1)

@@ -158,10 +158,11 @@ def parse_grid(cfg, path: str) -> quadrature.GridSpec:
     # GridSpec checks the kind itself.
     grid = _build(quadrature.GridSpec, cfg, path, kind=lambda v, p: v, points=_as_int)
     if grid.kind == "geometric" and grid.points > DENSE_LIMIT:
-        # Geometric grids are dense-only; refuse before anything is allocated.
+        # Geometric grids are built as dense matrices; refuse before anything
+        # is allocated.
         raise ConfigError(
             f"{path}.points",
-            f"geometric grids are solved densely, so at most {DENSE_LIMIT} "
+            f"geometric grids are built densely, so at most {DENSE_LIMIT} "
             f"points; got {grid.points}",
         )
     return grid
@@ -346,7 +347,8 @@ class Scenario:
                 )
             for i, run in enumerate(runs):
                 # The solve_route kind: a discrete spec, a uniform grid given
-                # by its entries, or a dense geometric grid.
+                # by its entries, or a geometric grid built as a dense matrix
+                # (solved by the range finder, or densely when it falls back).
                 if runs_on == "N_list":
                     field, order, kind = f"{path}N_list[{i}]", run, "symbol"
                     if self.spec.oscillations and run > PHASE_ORDER_LIMIT:
@@ -363,6 +365,14 @@ class Scenario:
             if self.action == "verify" and runs_on == "grids" and len(runs) < 2:
                 raise ConfigError(
                     f"{path}grids", f"verify compares at least 2 grids, got {len(runs)}"
+                )
+            if self.action == "verify" and runs_on == "grids" and self.model != "plain":
+                # A continuous verify compares eigenvalue tables and fits no
+                # model, so a log_corrected request would be silently ignored.
+                raise ConfigError(
+                    f"{path}fit.model",
+                    f"continuous verify fits no model, so only plain is accepted, "
+                    f"got {self.model!r}",
                 )
             if self.action == "verify" and runs_on == "N_list" and any(
                 b <= a for a, b in zip(runs, runs[1:])
@@ -520,6 +530,7 @@ def _run_predict(scenario, out: Path) -> int:
 _DETAIL_KEYS = (
     "nodes", "columns", "gram_rank", "head_order",
     "applies", "restarts", "reorth_repeats", "basis_final",
+    "blocks", "basis_rank", "fell_back",
 )
 
 

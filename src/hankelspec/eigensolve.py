@@ -1,9 +1,14 @@
 """Eigensolvers and counting functions for symmetric truncations.
 
-Three routes to the spectrum:
+Four routes to the spectrum:
 
   * dense_spectrum: full symmetric eigendecomposition, the reference route,
     usable up to the dense materialization limit;
+  * the randomized range finder: for a dense matrix of low numerical rank
+    (a geometric Nystrom grid), an orthonormal basis grown from Gaussian
+    test blocks until it captures the matrix to within the zero band, then
+    the eigenvalues of the matrix compressed to that basis; it falls back
+    to dense_spectrum when the matrix is not low rank;
   * expsum.eigenvalues: the exponential-sum factorization of a discrete
     symbol's truncation, whose cost grows with log N only, so it reaches
     orders far beyond any stored vector;
@@ -14,16 +19,17 @@ Three routes to the spectrum:
 
 solve() picks between them with one rule for every caller,
 hankel_core.solve_route: discrete symbols go to expsum at every order,
-dense matrices go dense, and truncations given by their entries go dense
-up to DENSE_SOLVE_LIMIT and to Lanczos with the knobs of SolverParams
-above it.  Only Lanczos reads those knobs.
+dense matrices to the range finder (dense below order 256), and
+truncations given by their entries go dense up to DENSE_SOLVE_LIMIT and to
+Lanczos with the knobs of SolverParams above it.  Only Lanczos reads those
+knobs.
 
-Both report eigenvalues as two positive, non-increasing lists: lambda_plus
+All report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
 end.  Eigenvalues inside the zero band |theta| <= 1e-13 * ||A|| are dropped
 from the lists and counted once each in n_dropped.  One helper, _result,
-builds the result of every route; the dense and expsum routes are the case
-in which every eigenvalue has converged.
+builds the result of every route; the dense, range and expsum routes are
+the case in which every eigenvalue has converged.
 """
 
 from __future__ import annotations
@@ -36,12 +42,14 @@ import numpy as np
 from . import expsum
 from .hankel_core import (
     DENSE_LIMIT,
+    RANGE_BLOCK,
     DiscreteTruncation,
     HankelTruncation,
     ResourceLimitError,
     dense_matrix,
     lanczos_cap,
     matvec,
+    range_cap,
     solve_route,
 )
 
@@ -63,6 +71,17 @@ _SYMMETRY_TILE = 256
 _RESTART_COLUMNS = 2048
 # Lanczos steps between Ritz convergence checks.
 _CHECK_EVERY = 8
+# The range finder's test blocks come from this seed, so its results never
+# depend on SolverParams.seed.  It stops once the a posteriori bound of
+# Halko, Martinsson and Tropp (SIREV 2011, Lemma 4.1),
+#   ||(I - Q Q^T) A|| <= 10 sqrt(2/pi) max_i ||(I - Q Q^T) A w_i||,
+# which holds with probability at least 1 - 10^-RANGE_BLOCK over a Gaussian
+# block w, puts the part of A outside the basis Q inside the zero band.
+_RANGE_SEED = 0
+_RANGE_BOUND = 10.0 * math.sqrt(2.0 / math.pi)
+# Blocks a residual may go without a tenfold drop before the range finder
+# gives up on low rank and falls back to dense.
+_RANGE_STALL = 2
 
 
 @dataclass(frozen=True)
@@ -112,6 +131,11 @@ class SpectrumResult:
 
 def dense_spectrum(A) -> SpectrumResult:
     """Full spectrum by symmetric eigendecomposition (reference route)."""
+    return _dense(_symmetric_matrix(A))
+
+
+def _symmetric_matrix(A) -> np.ndarray:
+    """A as a float array, refused unless square, within DENSE_LIMIT and symmetric."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -126,12 +150,95 @@ def dense_spectrum(A) -> SpectrumResult:
                 f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
                 f"{ASYMMETRY_REL:.0e} * max entry {amax:.3e}"
             )
+    return A
+
+
+def _dense(A) -> SpectrumResult:
+    """The dense route on a matrix _symmetric_matrix has accepted."""
+    n = A.shape[0]
     evals = np.linalg.eigvalsh(A)
     anorm = float(np.max(np.abs(evals))) if n else 0.0
     return _result(
         evals, np.zeros(n), n, n, anorm,
         order=n, solver_id="dense", seed=0, tol=0.0, details={"norm_est": anorm},
     )
+
+
+def _range_spectrum(A) -> SpectrumResult:
+    """Spectrum of an accepted symmetric matrix by a randomized range finder.
+
+    Each step draws a Gaussian block W of RANGE_BLOCK columns from a fixed
+    seed and projects Y = A W twice against the orthonormal basis Q held so
+    far.  The block stops the search when 10 sqrt(2/pi) times its largest
+    column norm is at most ZERO_BAND_REL times ||A||_est, the largest Ritz
+    value |theta| of Q^T A Q, a lower bound of ||A||; otherwise its
+    orthonormalized columns join Q (orthogonalized against Q once more after
+    the QR, which would otherwise amplify what rounding left along Q when Y
+    is ill-conditioned).  The result holds the eigenvalues of Q^T A Q, and
+    the order - rank values outside the basis count as zero-band values.
+
+    The route falls back to the dense route, bitwise, when the basis would
+    pass range_cap(order) columns, or when the residual goes _RANGE_STALL
+    blocks without a tenfold drop below the last one that made it: a
+    matrix that is not low rank pays a few blocks, never a full-rank basis.
+    details records the blocks drawn, the basis rank and fell_back.
+
+    Memory: the basis Q, the products A Q and Q^T A Q, allocated once at
+    range_cap(order) columns (hankel_core.solve_bytes counts them), and a
+    few blocks of RANGE_BLOCK rows; all are released before a fallback.
+    """
+    n, b, cap = A.shape[0], RANGE_BLOCK, range_cap(A.shape[0])
+    rng = np.random.default_rng(_RANGE_SEED)
+    # The basis vectors are rows, so every block is a contiguous row slice.
+    Qt, AQt, T = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
+    theta = np.empty(0)
+    r = blocks = stall = 0
+    norm_est, last_drop = 0.0, math.inf
+    while True:
+        # Rows of W^T A are the columns of A W, since A is symmetric.
+        Y = rng.standard_normal((b, n)) @ A
+        blocks += 1
+        _project_out(Y, Qt[:r])
+        _project_out(Y, Qt[:r])
+        res = float(np.max(np.linalg.norm(Y, axis=1)))
+        if _RANGE_BOUND * res <= ZERO_BAND_REL * norm_est:
+            break
+        if res <= 0.1 * last_drop:
+            last_drop, stall = res, 0
+        else:
+            stall += 1
+        if stall >= _RANGE_STALL or r + b > cap:
+            del Qt, AQt, T, Y
+            S = _dense(A)
+            S.details.update(blocks=blocks, basis_rank=r, fell_back=True)
+            return S
+        new = slice(r, r + b)
+        Qt[new] = np.linalg.qr(Y.T)[0].T
+        _project_out(Qt[new], Qt[:r])
+        Qt[new] = np.linalg.qr(Qt[new].T)[0].T
+        np.matmul(Qt[new], A, out=AQt[new])
+        r += b
+        # Grow the Rayleigh quotient T = Q^T A Q by its new columns and
+        # mirror them, so T stays exactly symmetric.
+        T[:r, new] = Qt[:r] @ AQt[new].T
+        T[new, : r - b] = T[: r - b, new].T
+        T[new, new] = 0.5 * (T[new, new] + T[new, new].T)
+        theta = np.linalg.eigvalsh(T[:r, :r])
+        norm_est = max(-float(theta[0]), float(theta[-1]))
+    S = _result(
+        theta, np.zeros(r), r, r, norm_est,
+        order=n, solver_id="randomized_range_finder", seed=0, tol=0.0,
+        details={"blocks": blocks, "basis_rank": r, "fell_back": False, "norm_est": norm_est},
+    )
+    # The n - r eigenvalues outside the basis lie in the zero band.
+    S.n_dropped = n - len(S.lambda_plus) - len(S.lambda_minus)
+    return S
+
+
+def _project_out(Y, Qt) -> None:
+    """Remove from the rows of Y, in place, their components along the orthonormal rows of Qt."""
+    if len(Qt):
+        Y -= (Y @ Qt.T) @ Qt
 
 
 def _max_asymmetry(A) -> float:
@@ -374,17 +481,22 @@ def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
 
     op is a dense matrix, a DiscreteTruncation or a HankelTruncation.  A
     DiscreteTruncation takes the expsum route, which returns every
-    eigenvalue above its Gram truncation.  Dense matrices and
-    HankelTruncations up to DENSE_SOLVE_LIMIT take the exhaustive dense
-    route; a larger HankelTruncation takes Lanczos through the fast matvec,
-    asking for k eigenvalues per end (params.k when k is None).
+    eigenvalue above its Gram truncation.  A dense matrix takes the range
+    finder, which returns every eigenvalue outside the zero band (dense
+    below order 256 and on fallback).  HankelTruncations up to
+    DENSE_SOLVE_LIMIT take the exhaustive dense route; a larger one takes
+    Lanczos through the fast matvec, asking for k eigenvalues per end
+    (params.k when k is None).
     """
     if isinstance(op, DiscreteTruncation):
         kind = "symbol"
     elif isinstance(op, HankelTruncation):
         kind = "entries"
     else:
-        return dense_spectrum(op)
+        A = _symmetric_matrix(op)
+        if solve_route(A.shape[0], "matrix") == "range":
+            return _range_spectrum(A)
+        return _dense(A)
     route = solve_route(op.order, kind)
     if route == "dense":
         return dense_spectrum(dense_matrix(op))

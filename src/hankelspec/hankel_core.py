@@ -41,8 +41,10 @@ __all__ = [
     "ResourceLimitError",
     "DENSE_LIMIT",
     "DENSE_SOLVE_LIMIT",
+    "RANGE_BLOCK",
     "solve_route",
     "lanczos_cap",
+    "range_cap",
     "solve_bytes",
     "build_discrete",
     "matvec",
@@ -53,13 +55,17 @@ __all__ = [
 # The size policy, in matrix order.  A truncation given by its entries is
 # solved densely up to DENSE_SOLVE_LIMIT and by Lanczos through the fast
 # matvec above it; a discrete symbol's truncation always goes to the
-# exponential-sum factorization (expsum; the rule is solve_route).  No
-# dense matrix above DENSE_LIMIT is ever built: dense_matrix, dense_spectrum,
-# the geometric Nystrom build and the CLI's geometric grids refuse such an
-# order before allocating, and the CLI refuses a run whose solve_bytes exceed
-# physical memory.
+# exponential-sum factorization (expsum); a dense matrix (a geometric
+# Nystrom grid) goes to the randomized range finder, which gives up for
+# dense eigvalsh once its basis would pass range_cap(order) columns (the
+# rule is solve_route).  No dense matrix above DENSE_LIMIT is ever built:
+# dense_matrix, the dense routes, the geometric Nystrom build and the CLI's
+# geometric grids refuse such an order before allocating, and the CLI
+# refuses a run whose solve_bytes exceed physical memory.
 DENSE_SOLVE_LIMIT = 2048
 DENSE_LIMIT = 8192
+# Columns of each Gaussian test block the range finder draws.
+RANGE_BLOCK = 64
 
 
 def solve_route(order: int, kind: str) -> str:
@@ -68,13 +74,18 @@ def solve_route(order: int, kind: str) -> str:
     kind is "matrix" for a dense matrix (a geometric Nystrom grid),
     "entries" for a truncation given by its entries (a HankelTruncation,
     such as a uniform grid) and "symbol" for the truncation of a discrete
-    spec (a DiscreteTruncation).  The route is "dense" for a matrix,
-    "expsum" for a symbol, and for entries "dense" up to DENSE_SOLVE_LIMIT
-    and "lanczos" above it.
+    spec (a DiscreteTruncation).  The route is "expsum" for a symbol; for a
+    matrix "range" (the randomized range finder) when range_cap leaves room
+    for one test block and "dense" below that, that is below order 256; for
+    entries "dense" up to DENSE_SOLVE_LIMIT and "lanczos" above it.  Uniform
+    grids carry triangle kernels, which are not low rank, so their dense
+    orders skip the range finder.
     """
     if kind == "symbol":
         return "expsum"
-    return "dense" if kind == "matrix" or order <= DENSE_SOLVE_LIMIT else "lanczos"
+    if kind == "matrix":
+        return "range" if range_cap(order) >= RANGE_BLOCK else "dense"
+    return "dense" if order <= DENSE_SOLVE_LIMIT else "lanczos"
 
 
 def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
@@ -86,18 +97,37 @@ def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
     return min(order, max(basis_cap, 2 * k + 2))
 
 
+def range_cap(order: int) -> int:
+    """Basis columns the range finder may hold before it falls back to dense.
+
+    A quarter of the order: a basis much wider than that costs more than
+    the dense eigvalsh it would replace.
+    """
+    return order // 4
+
+
 def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int:
     """Bytes eigensolve.solve allocates for an order-N operator, by arithmetic.
 
     On the dense route (see solve_route): the matrix and the copy eigvalsh
-    factors, 8 N^2 bytes each.  On the expsum route: expsum.solve_bytes of
-    the spec, which grows with log N only.  On the Lanczos route: the
-    2N - 1 entries and their FFT image, one matvec workspace, and the
-    cap + 1 basis rows of N floats that lanczos_extremes allocates at once.
+    factors, 8 N^2 bytes each.  On the range route: the matrix, and the
+    larger of that copy, made only on fallback once the rest is freed, and
+    what the range finder holds before it: the basis and its product with
+    the matrix, range_cap(N) rows of N floats each, the Rayleigh quotient
+    and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows (the
+    test block, its product, a projection and a QR copy).  On the expsum
+    route: expsum.solve_bytes of the spec, which grows with log N only.  On
+    the Lanczos route: the 2N - 1 entries and their FFT image, one matvec
+    workspace, and the cap + 1 basis rows of N floats that lanczos_extremes
+    allocates at once.
     """
     route = solve_route(order, kind)
     if route == "dense":
         return 2 * 8 * order * order
+    if route == "range":
+        cap = range_cap(order)
+        finder = 8 * (2 * order * cap + 2 * cap * cap + 4 * RANGE_BLOCK * order)
+        return 8 * order * order + max(8 * order * order, finder)
     if route == "expsum":
         return expsum.solve_bytes(spec, order)
     P = _next_pow2(2 * order)

@@ -5,7 +5,11 @@ nodes t_i = (i + 1/2) w the node sums t_i + t_j = (i + j + 1) w depend on
 i + j only, so the weighted kernel matrix w * h((i+j+1) w) is a Hankel
 truncation and the FFT fast matvec applies at orders up to 2^18.  Geometric
 grids resolve the t -> 0 logarithmic singularity instead; they produce a
-dense symmetric matrix with the node weights split symmetrically.
+dense symmetric matrix with the node weights split symmetrically.  Its
+singular values decay rapidly, so eigensolve.solve takes it to the
+randomized range finder, which holds a basis of a few hundred columns in
+place of the M^3 dense eigendecomposition; building the matrix still costs
+M^2 kernel values, bounded by DENSE_LIMIT.
 
 The domain truncation helper bounds the neglected tail of an oscillating
 kernel by integration by parts (one oscillation period costs 2 q(T) / rho),

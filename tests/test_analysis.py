@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hankelspec import analysis
 from hankelspec.analysis import (
     SolverParams,
     compare_localization,
@@ -103,6 +104,35 @@ def test_window_scaled_median_extends_by_zero():
     assert window_scaled_median(S, 1.0, (1, 5), "plus", extend_by_zero=True) == 0.0
     with pytest.raises(ValueError, match="extend_by_zero"):
         window_scaled_median(S, 1.0, (1, 5), "plus")
+
+
+def _window_values_loop(values, n_lo, n_hi):
+    """The per-n loop _window_values replaced, kept as its reference."""
+    out = np.zeros(n_hi - n_lo + 1)
+    for i, n in enumerate(range(n_lo, n_hi + 1)):
+        out[i] = values[n - 1] if n <= len(values) else 0.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_lo, n_hi",
+    [(1, 5), (3, 10), (10, 10), (10, 14), (11, 11), (11, 20), (40, 50)],
+    ids=["head", "inside", "last", "across-end", "just-past", "beyond", "far-beyond"],
+)
+@pytest.mark.parametrize("container", [np.asarray, list])
+def test_window_values_match_the_per_n_loop(n_lo, n_hi, container):
+    values = container(0.5 / np.arange(1.0, 11.0))
+    got = analysis._window_values(values, n_lo, n_hi, True, "positive")
+    assert np.array_equal(got, _window_values_loop(values, n_lo, n_hi))
+
+
+def test_fit_json_rows_keep_integer_n():
+    rep = fit_coefficient(_power_law(0.5, 0.25, 1.0, 4), 1.0, (3, 6), extend_by_zero=True)
+    rows = rep.to_dict()["per_n"]
+    assert [row[0] for row in rows] == [3, 4, 5, 6]
+    assert all(type(row[0]) is int for row in rows)
+    assert rows[0][1:] == [0.5 / 3, 0.25 / 3, 0.5, 0.25]
+    assert rows[-1][1:] == [0.0, 0.0, 0.0, 0.0]
 
 
 # ------------------------------------------------------------------ symmetry

@@ -575,6 +575,56 @@ def test_discrete_reports_do_not_depend_on_seed(tmp_path):
     assert "seed=0 tol=0 " in (outs[0] / "spectrum.csv").read_text()
 
 
+def test_geometric_reports_do_not_depend_on_seed(tmp_path):
+    # The range finder draws its test blocks from a fixed internal seed.
+    cfg = {
+        "name": "b0",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "b_zero": 1.0},
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 1024}],
+    }
+    outs = []
+    for run, seed in enumerate((0, 1, 0)):
+        (tmp_path / f"run{run}").mkdir()
+        code, out = _run(tmp_path / f"run{run}", "spectrum", cfg, extra=["--seed", str(seed)])
+        assert code == 0
+        outs.append(out / "b0")
+    for name in ("spectrum.csv", "summary.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for name in ("fit.json", "prediction.json", "spectrum.csv", "summary.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+    seeds = [json.loads((o / "fit.json").read_text())["producer"]["parameters"]["solver"]["seed"] for o in outs]
+    assert seeds == [0, 1, 0]
+    summary = (outs[0] / "summary.txt").read_text()
+    assert "solver: randomized_range_finder converged=True\n" in summary
+    assert "details: blocks=" in summary and " fell_back=False\n" in summary
+    assert "solver=randomized_range_finder seed=0 tol=0 " in (outs[0] / "spectrum.csv").read_text()
+
+
+def test_continuous_verify_refuses_log_corrected_model(tmp_path, capsys):
+    # A continuous verify compares eigenvalue tables and fits no model.
+    cfg = {
+        "name": "tri",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [
+            {"kind": "uniform", "t_max": 1.0, "points": 128},
+            {"kind": "uniform", "t_max": 1.0, "points": 256},
+        ],
+        "fit": {"window": [2, 8], "model": "log_corrected"},
+    }
+    code, out = _run(tmp_path, "verify", cfg)
+    assert code == 2
+    assert "config error at 'fit.model'" in capsys.readouterr().err
+    assert not out.exists()
+    # The same config with a plain model, or none, runs.
+    for model in ("plain", None):
+        fit = {"window": [2, 8]} if model is None else {"window": [2, 8], "model": model}
+        (tmp_path / str(model)).mkdir()
+        code, _ = _run(tmp_path / str(model), "verify", {**cfg, "fit": fit})
+        assert code == 0
+
+
 def test_summary_details_line_per_route(tmp_path):
     cfg = {
         "name": "tri",

@@ -22,13 +22,17 @@ from hankelspec.eigensolve import (
 from hankelspec.hankel_core import (
     DENSE_LIMIT,
     DENSE_SOLVE_LIMIT,
+    RANGE_BLOCK,
     HankelTruncation,
     ResourceLimitError,
     build_discrete,
     dense_matrix,
     matvec,
+    solve_bytes,
+    solve_route,
 )
-from hankelspec.model import DiscreteSymbolSpec
+from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
+from hankelspec.quadrature import GridSpec, build_graded
 
 mpmath.mp.dps = 30
 
@@ -319,6 +323,86 @@ def test_lanczos_rejects_bad_args():
         lanczos_extremes(lambda v: v, 16, k=0)
     with pytest.raises(ValueError):
         lanczos_extremes(lambda v: v, 0, k=1)
+
+
+# --------------------------------------------------------------- range finder
+
+
+def _b_zero_grid(M):
+    return build_graded(ContinuousKernelSpec(alpha=1.0, b_zero=1.0), GridSpec("geometric", 1e-12, 1.0, M))
+
+
+def _full_rank(M):
+    G = np.random.default_rng(7).standard_normal((M, M))
+    return G + G.T
+
+
+def test_range_route_covers_dense_matrices_from_order_256():
+    assert solve_route(4 * RANGE_BLOCK - 1, "matrix") == "dense"
+    assert solve_route(4 * RANGE_BLOCK, "matrix") == "range"
+    assert solve_route(DENSE_LIMIT, "matrix") == "range"
+    # Uniform grids carry triangle kernels, which are not low rank.
+    assert solve_route(DENSE_SOLVE_LIMIT, "entries") == "dense"
+
+
+def test_range_finder_returns_an_adversarial_tail():
+    # 64 eigenvalues at 1 and 300 at 1e-9 in a random basis: the residual of
+    # the second block is tiny against ||A|| but far above the zero band, so
+    # the stop rule must not fire before the tail is resolved.
+    M = 1024
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.standard_normal((M, 364)))[0]
+    d = np.concatenate([np.ones(64), np.full(300, 1e-9)])
+    A = (U * d) @ U.T
+    A = 0.5 * (A + A.T)
+    S = solve(A, SolverParams())
+    assert len(S.lambda_plus) == 364 and len(S.lambda_minus) == 0
+    assert np.max(np.abs(S.lambda_plus - d)) <= 1e-12
+    assert S.n_dropped == M - 364
+
+
+def test_range_finder_falls_back_bitwise_on_a_full_rank_matrix():
+    A = _full_rank(1024)
+    S = solve(A, SolverParams())
+    D = dense_spectrum(A)
+    assert S.details["fell_back"] is True
+    assert S.details["blocks"] <= 3
+    assert S.solver_id == D.solver_id == "dense"
+    for name in ("lambda_plus", "lambda_minus", "residuals_plus", "residuals_minus"):
+        assert np.array_equal(getattr(S, name), getattr(D, name)), name
+    assert S.n_dropped == D.n_dropped
+    assert S.details["norm_est"] == D.details["norm_est"]
+
+
+def test_range_finder_checks_symmetry_first():
+    A = _full_rank(256)
+    A[0, 255] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve(A, SolverParams())
+
+
+def test_range_finder_on_the_zero_matrix_drops_every_value():
+    S = solve(np.zeros((256, 256)), SolverParams())
+    assert S.solver_id == "randomized_range_finder"
+    assert S.details["blocks"] == 1 and S.details["basis_rank"] == 0
+    assert len(S.lambda_plus) == len(S.lambda_minus) == 0
+    assert S.n_dropped == 256
+
+
+@pytest.mark.parametrize("matrix", [_b_zero_grid, _full_rank], ids=["b_zero", "full-rank"])
+def test_range_route_peak_is_within_solve_bytes(matrix):
+    M = 1024
+    A = matrix(M)
+    solve(matrix(256), SolverParams())  # numpy.linalg allocates once on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S = solve(A, SolverParams())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert S.details["fell_back"] is (matrix is _full_rank)
+    assert A.nbytes + peak <= solve_bytes(M, "matrix", 64, 600)
 
 
 # ------------------------------------------------------------------- counting

@@ -166,6 +166,29 @@ def test_graded_q0_negative_channel_subordinate():
     assert abs(np.median(scaled) - 0.5) < 0.15 * 0.5
 
 
+def test_graded_rank_one_kernel_stops_after_two_blocks():
+    A = build_graded(RANK_ONE, GridSpec("geometric", 1e-8, 40.0, 2048))
+    S = eigensolve.solve(A, eigensolve.SolverParams())
+    assert S.solver_id == "randomized_range_finder"
+    assert S.details["blocks"] <= 2 and not S.details["fell_back"]
+    assert S.lambda_plus[0] == pytest.approx(0.5, abs=1e-6)
+    assert len(S.lambda_plus) == 1 and len(S.lambda_minus) == 0
+
+
+@pytest.mark.parametrize("M", [512, 1024, 2048, 4096])
+def test_graded_range_finder_agrees_with_dense(M):
+    spec = ContinuousKernelSpec(alpha=1.0, b_zero=1.0)
+    A = build_graded(spec, GridSpec("geometric", 1e-12, 1.0, M))
+    S = eigensolve.solve(A, eigensolve.SolverParams())
+    D = dense_spectrum(A)
+    assert len(S.lambda_plus) == len(D.lambda_plus)
+    assert len(S.lambda_minus) == len(D.lambda_minus)
+    assert S.n_dropped == D.n_dropped
+    norm = D.details["norm_est"]
+    assert np.max(np.abs(S.lambda_plus - D.lambda_plus)) <= 1e-12 * norm
+    assert np.max(np.abs(S.lambda_minus - D.lambda_minus)) <= 1e-12 * norm
+
+
 def test_build_from_grid_dispatch():
     spec = ContinuousKernelSpec(alpha=1.0, b_inf=1.0)
     H = build_from_grid(spec, GridSpec("uniform", 1e-8, 20.0, 64))
