@@ -668,6 +668,144 @@ def test_geometric_grid_beyond_physical_memory_rejected(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+# ----------------------------------------------------------- refusal table
+
+B1 = {"alpha": 1.0, "b_plus1": 1.0}
+TRIANGLE = {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]}
+DISCRETE = {"kind": "discrete", "spec": B1}
+SYMBOL = {"kind": "symbol", "spec": {"alpha": 2.0}}
+TWO_GRIDS = [{"kind": "uniform", "t_max": 1.0, "points": n} for n in (128, 256)]
+
+
+def _refusal(id, command, cfg, field, memory=None):
+    return pytest.param(command, cfg, field, memory, id=id)
+
+
+# One config for each way the config parser refuses a scenario: the command
+# it runs under, the scenario, the field the refusal names and, for the
+# memory refusals, the physical memory the machine reports.  The sweep-only
+# refusals (shared outputs, a non-object entry, the scenario list itself)
+# and the action-mismatch check have their own tests.
+REFUSALS = [
+    # The value converters.
+    _refusal("number-type", "predict", {**DISCRETE, "spec": {"alpha": "one"}}, "spec.alpha"),
+    _refusal("number-nan", "predict", {**DISCRETE, "spec": {**B1, "b_plus1": float("nan")}}, "spec.b_plus1"),
+    _refusal("number-overflow", "predict", {**DISCRETE, "spec": {"alpha": 10**400}}, "spec.alpha"),
+    _refusal("integer", "predict", {**DISCRETE, "dump_samples": "x"}, "dump_samples"),
+    _refusal("seed", "predict", {**DISCRETE, "solver": {"seed": -1}}, "solver.seed"),
+    _refusal("complex", "predict", {**SYMBOL, "spec": {"alpha": 2.0, "v0_plus": ["x"]}}, "spec.v0_plus[0]"),
+    _refusal("complex-nan", "predict", {**SYMBOL, "spec": {"alpha": 2.0, "v0_plus": [[1.0, float("nan")]]}}, "spec.v0_plus[0][1]"),
+    _refusal("polynomial", "predict", {**SYMBOL, "spec": {"alpha": 2.0, "v0_plus": []}}, "spec.v0_plus"),
+    _refusal("number-list", "predict", {"kind": "continuous", "spec": {"alpha": 1.0, "cutoffs": [1.0]}}, "spec.cutoffs"),
+    _refusal("object-list", "predict", {**DISCRETE, "spec": {**B1, "oscillations": 3}}, "spec.oscillations"),
+    _refusal("perturbation", "predict", {**DISCRETE, "spec": {**B1, "perturbation": 3}}, "spec.perturbation"),
+    # The dataclass builder and the dataclasses' own checks.
+    _refusal("spec-object", "predict", {**DISCRETE, "spec": 3}, "spec"),
+    _refusal("spec-field-missing", "predict", {**DISCRETE, "spec": {}}, "spec.alpha"),
+    _refusal("spec-share-overflow", "spectrum", {**DISCRETE, "spec": {"alpha": 0.5, "b_plus1": 1e300}, "N_list": [64]}, "spec.b_plus1"),
+    _refusal(
+        "spec-entry", "predict",
+        {**DISCRETE, "spec": {"alpha": 1.0, "oscillations": [{"phi": 3.141592653589793, "psi": 0.0, "b": 1.0}]}},
+        "spec.oscillations[0]",
+    ),
+    _refusal(
+        "spec-singularity-order", "predict",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 10**400, "coeff": 1.0}]}},
+        "spec.local_singularities[0]",
+    ),
+    _refusal("solver-object", "predict", {**DISCRETE, "solver": [1]}, "solver"),
+    _refusal("grid-object", "predict", {**DISCRETE, "grids": [1]}, "grids[0]"),
+    _refusal("grid-kind", "predict", {**DISCRETE, "grids": [{"kind": "x", "t_max": 1.0, "points": 64}]}, "grids[0]"),
+    _refusal(
+        "geometric-dense-limit", "spectrum",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0},
+         "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 9000}]},
+        "grids[0].points",
+    ),
+    # The fit block.
+    _refusal("fit-object", "predict", {**DISCRETE, "fit": 3}, "fit"),
+    _refusal("fit-window-shape", "predict", {**DISCRETE, "fit": {"window": "x"}}, "fit.window"),
+    _refusal("fit-window-order", "predict", {**DISCRETE, "fit": {"window": [5, 3]}}, "fit.window"),
+    _refusal("fit-window-zero", "predict", {**DISCRETE, "fit": {"window": [0, 3]}}, "fit.window"),
+    _refusal("fit-model", "predict", {**DISCRETE, "fit": {"model": "quadratic"}}, "fit.model"),
+    _refusal("log-corrected-from-one", "predict", {**DISCRETE, "fit": {"window": [1, 4], "model": "log_corrected"}}, "fit.window"),
+    # The scenario's own fields.
+    _refusal("name", "predict", {**DISCRETE, "name": ""}, "name"),
+    _refusal("kind", "predict", {**DISCRETE, "kind": "x"}, "kind"),
+    _refusal("kind-missing", "predict", {"spec": B1}, "kind"),
+    _refusal("spec-missing", "predict", {"kind": "discrete"}, "spec"),
+    _refusal("symbol-kind-verify", "verify", SYMBOL, "action"),
+    _refusal("discrete-kind-symbol", "symbol", DISCRETE, "action"),
+    _refusal("outputs-type", "predict", {**DISCRETE, "outputs": 3}, "outputs"),
+    _refusal("outputs-parent", "predict", {**DISCRETE, "outputs": "../x"}, "outputs"),
+    _refusal("outputs-from-name", "predict", {**DISCRETE, "name": "../x"}, "outputs"),
+    _refusal("orders-empty", "predict", {**DISCRETE, "N_list": []}, "N_list"),
+    _refusal("order-type", "predict", {**DISCRETE, "N_list": ["x"]}, "N_list[0]"),
+    _refusal("order-below-2", "predict", {**DISCRETE, "N_list": [64, 1]}, "N_list[1]"),
+    _refusal("grids-empty", "predict", {**DISCRETE, "grids": []}, "grids"),
+    _refusal("samples-type", "predict", {**SYMBOL, "samples": "x"}, "samples"),
+    _refusal("samples-power-of-two", "predict", {**SYMBOL, "samples": 1000}, "samples"),
+    _refusal("j-window-shape", "predict", {**DISCRETE, "j_window": [1]}, "j_window"),
+    _refusal("j-window-entry", "predict", {**DISCRETE, "j_window": [1.5, 8]}, "j_window[0]"),
+    _refusal("j-window-beyond-samples", "symbol", {**SYMBOL, "samples": 4096, "j_window": [8, 9000]}, "j_window"),
+    _refusal("j-window-below-2", "symbol", {**SYMBOL, "samples": 4096, "j_window": [1, 8]}, "j_window"),
+    # The rules between fields.
+    _refusal("discrete-run-needs-orders", "spectrum", DISCRETE, "N_list"),
+    _refusal("continuous-run-needs-grids", "verify", {"kind": "continuous", "spec": TRIANGLE}, "grids"),
+    _refusal("spectrum-one-order", "spectrum", {**DISCRETE, "N_list": [256, 512]}, "N_list"),
+    _refusal("spectrum-one-grid", "spectrum", {"kind": "continuous", "spec": TRIANGLE, "grids": TWO_GRIDS}, "grids"),
+    _refusal("verify-decreasing-orders", "verify", {**DISCRETE, "N_list": [128, 64]}, "N_list"),
+    _refusal("verify-repeated-order", "verify", {**DISCRETE, "N_list": [128, 128]}, "N_list"),
+    _refusal("verify-one-grid", "verify", {"kind": "continuous", "spec": TRIANGLE, "grids": TWO_GRIDS[:1]}, "grids"),
+    _refusal(
+        "continuous-verify-log-corrected", "verify",
+        {"kind": "continuous", "spec": TRIANGLE, "grids": TWO_GRIDS, "fit": {"window": [2, 8], "model": "log_corrected"}},
+        "fit.model",
+    ),
+    _refusal(
+        "phase-order-limit", "verify",
+        {**DISCRETE, "spec": {"alpha": 1.0, "oscillations": [{"phi": 1.0, "psi": 0.0, "b": 1.0}]},
+         "N_list": [2**14, 2**53 + 1]},
+        "N_list[1]",
+    ),
+    # The physical-memory refusals.
+    _refusal("order-memory", "verify", {**DISCRETE, "N_list": [256, 2**40]}, "N_list[1]", memory=8 << 20),
+    _refusal(
+        "uniform-grid-memory", "spectrum",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "b_inf": 1.0},
+         "grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]},
+        "grids[0].points",
+    ),
+    _refusal(
+        "geometric-grid-memory", "spectrum",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0},
+         "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 4096}]},
+        "grids[0].points", memory=64 << 20,
+    ),
+    _refusal("samples-memory", "symbol", {**SYMBOL, "samples": 2**40}, "samples"),
+    _refusal("fit-window-memory", "spectrum", {**DISCRETE, "N_list": [64], "fit": {"window": [1, 10**12]}}, "fit.window"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, field, memory", REFUSALS)
+@pytest.mark.parametrize("mode", ["single", "sweep"])
+def test_config_refusal_table(tmp_path, capsys, monkeypatch, mode, command, cfg, field, memory):
+    if memory is not None:
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    if mode == "sweep":
+        # A valid scenario first: the refusal must come before it writes.
+        first = {**DISCRETE, "name": "first", "action": "predict"}
+        cfg = {"scenarios": [first, {"action": command, **cfg}]}
+        command, field = "sweep", f"scenarios[1].{field}"
+    code, out = _run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error at '{field}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config schema
 
 
