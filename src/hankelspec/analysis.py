@@ -26,11 +26,13 @@ from .hankel_core import DiscreteTruncation
 from .model import (
     AsymptoticPrediction,
     DiscreteSymbolSpec,
+    FieldError,
     predict_discrete,
 )
 
 __all__ = [
     "SolverParams",
+    "FitParams",
     "FitReport",
     "fit_coefficient",
     "fit_bytes",
@@ -54,6 +56,31 @@ def discrete_spectrum(spec: DiscreteSymbolSpec, N: int, params: SolverParams):
     return solve(DiscreteTruncation(spec, N), params)
 
 
+@dataclass(frozen=True)
+class FitParams:
+    """The fit window [n_min, n_max] and model, checked here for every fit.
+
+    The window needs 1 <= n_min <= n_max.  model is plain or log_corrected,
+    which divides by log n and so needs n_min >= 2.  A refusal is a
+    FieldError naming window or model.
+    """
+
+    window: tuple = (8, 32)
+    model: str = "plain"
+
+    def __post_init__(self):
+        n_lo, n_hi = (int(n) for n in self.window)
+        object.__setattr__(self, "window", (n_lo, n_hi))
+        if not (1 <= n_lo <= n_hi):
+            raise FieldError("window", f"need 1 <= n_min <= n_max, got {[n_lo, n_hi]}")
+        if self.model not in ("plain", "log_corrected"):
+            raise FieldError("model", f"expected plain|log_corrected, got {self.model!r}")
+        if self.model == "log_corrected" and n_lo < 2:
+            raise FieldError(
+                "window", f"log_corrected divides by log n, so needs n_min >= 2, got {[n_lo, n_hi]}"
+            )
+
+
 def _window_values(values, n_lo, n_hi, extend_by_zero, channel):
     if len(values) < n_hi and not extend_by_zero:
         raise ValueError(
@@ -75,20 +102,13 @@ def window_scaled_median(
     extend_by_zero: bool = False,
 ) -> float:
     """Median of n^alpha lambda_n over the window for one sign channel."""
-    n_lo, n_hi = _check_window(window)
+    n_lo, n_hi = FitParams(window).window
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     values = S.lambda_plus if sign == "plus" else S.lambda_minus
     lam = _window_values(values, n_lo, n_hi, extend_by_zero, sign)
     n = np.arange(n_lo, n_hi + 1, dtype=float)
     return float(np.median(n**alpha * lam))
-
-
-def _check_window(window):
-    n_lo, n_hi = int(window[0]), int(window[1])
-    if not (1 <= n_lo <= n_hi):
-        raise ValueError(f"window must satisfy 1 <= n_min <= n_max, got {window}")
-    return n_lo, n_hi
 
 
 @dataclass
@@ -154,14 +174,7 @@ def fit_coefficient(
     reports a (clamped at 0).  drift is the worse over the two channels of
     the relative spread (max - min) / |median| of the scaled values.
     """
-    if model not in ("plain", "log_corrected"):
-        raise ValueError(f"model must be 'plain' or 'log_corrected', got {model!r}")
-    n_lo, n_hi = _check_window(window)
-    if model == "log_corrected" and n_lo < 2:
-        raise ValueError(
-            f"the log_corrected model divides by log n, so its window must start "
-            f"at n >= 2, got {window}"
-        )
+    n_lo, n_hi = FitParams(window, model).window
     n = np.arange(n_lo, n_hi + 1, dtype=float)
     lam_p = _window_values(S.lambda_plus, n_lo, n_hi, extend_by_zero, "positive")
     lam_m = _window_values(S.lambda_minus, n_lo, n_hi, extend_by_zero, "negative")
@@ -183,16 +196,20 @@ def fit_coefficient(
 
 
 def fit_bytes(window) -> int:
-    """Bytes fit_coefficient and FitReport.to_dict allocate for the window, by arithmetic.
+    """Bytes a fit and its fit.json report allocate for the window, by arithmetic.
 
-    296 bytes per window row bound both steps.  While fitting: the per_n
-    row, five floats, 40 bytes, and at most 56 bytes of transient arrays
-    (n, n^alpha, the two channels and their scaled values).  While
-    reporting: the per_n row and the list to_dict makes of it, a list slot
-    and a list of an int and four floats, 8 + 96 + 28 + 4 * 24 bytes.
+    Per window row, summed over the steps: fit_coefficient holds the per_n
+    row, five floats, 40 bytes, and at most 56 bytes of transient arrays.
+    FitReport.to_dict makes a list slot and a list of an int and four floats
+    of it, 8 + 96 + 32 + 4 * 24 bytes.  cli._to_json copies that list, 8
+    bytes, and makes a string of each row, 8 + 49 bytes plus the row's text;
+    joining the rows and bracketing the result hold the text twice more.
+    The text is at most 135 bytes: 8 of indent, 2 brackets, 19 digits of n,
+    four %.17g values of at most 24 characters after their ", ", and ",\n".
     """
-    n_lo, n_hi = _check_window(window)
-    return 296 * (n_hi - n_lo + 1)
+    n_lo, n_hi = FitParams(window).window
+    text = 8 + 2 + 19 + 4 * (2 + 24) + 2
+    return (40 + 56 + (8 + 96 + 32 + 4 * 24) + 8 + (8 + 49) + 3 * text) * (n_hi - n_lo + 1)
 
 
 @dataclass
@@ -212,7 +229,7 @@ def symmetry_ratio(S: SpectrumResult, window) -> SymmetryStats:
     Both channels must cover the window; otherwise this is a domain error
     reporting how many eigenvalues each channel has.
     """
-    n_lo, n_hi = _check_window(window)
+    n_lo, n_hi = FitParams(window).window
     if len(S.lambda_plus) < n_hi or len(S.lambda_minus) < n_hi:
         raise ValueError(
             f"window [{n_lo}, {n_hi}] needs both channels: have "

@@ -1,17 +1,21 @@
 """Batch front end: scenario configs in, report files out.
 
-One JSON scenario per file (sweep configs embed a list of scenarios).  All
-numeric output is printed with 17 significant digits and no timestamps, so
-rerunning an identical config with the same seed reproduces every output
-byte for byte.  Exit codes: 0 success, 2 config/validation failure
-(diagnostics name the offending field), 3 solver non-convergence (outputs
-are still written, flagged).
+One JSON scenario per file (sweep configs embed a list of scenarios).
+parse_scenario reads it into the dataclass Scenario, whose fields are the
+config's top-level fields; one builder, _build, reads every object of the
+config from the fields of its dataclass.  All numeric output is printed
+with 17 significant digits and no timestamps, so rerunning an identical
+config with the same seed reproduces every output byte for byte.  Exit
+codes: 0 success, 2 config/validation failure (diagnostics name the
+offending field), 3 solver non-convergence (outputs are still written,
+flagged).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -38,14 +42,24 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- parsing
 
 
-def _need(cfg: dict, field: str, path: str):
-    if field not in cfg:
-        raise ConfigError(f"{path}{field}", "missing required field")
-    return cfg[field]
+def _at(path: str, name: str) -> str:
+    """Path of field name in the object at path ('' is the config's root)."""
+    return f"{path}.{name}" if path else name
 
 
 # Converters: each turns one JSON value into a field value, or raises a
 # ConfigError at the field's path.
+
+
+def _as_is(value, path: str):
+    """For a field whose dataclass checks the value itself."""
+    return value
+
+
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
 
 
 def _as_float(value, path: str) -> float:
@@ -92,28 +106,21 @@ def _as_poly(value, path: str) -> tuple:
     return tuple(_as_complex(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _floats(*names: str):
-    """Converter of a list of len(names) numbers."""
-
-    def convert(value, path: str) -> tuple:
-        if not isinstance(value, list) or len(value) != len(names):
-            raise ConfigError(path, f"expected [{', '.join(names)}]")
-        return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-    return convert
-
-
-def _objects(cls, **convert):
-    """Converter of a list of objects, each built as cls."""
+def _list(convert, *names: str):
+    """Converter of a list, each entry through convert; of len(names) entries if named."""
 
     def convert_list(value, path: str) -> tuple:
-        if not isinstance(value, list):
-            raise ConfigError(path, "expected a list")
-        return tuple(
-            _build(cls, item, f"{path}[{i}]", **convert) for i, item in enumerate(value)
-        )
+        if not isinstance(value, list) or (names and len(value) != len(names)):
+            expected = f"[{', '.join(names)}]" if names else "a list"
+            raise ConfigError(path, f"expected {expected}")
+        return tuple(convert(v, f"{path}[{i}]") for i, v in enumerate(value))
 
     return convert_list
+
+
+def _object(cls, **convert):
+    """Converter of an object, built as cls."""
+    return lambda value, path: _build(cls, value, path, **convert)
 
 
 def _as_perturbation(value, path: str):
@@ -127,23 +134,26 @@ def _as_perturbation(value, path: str):
 def _build(cls, cfg, path: str, **convert):
     """The dataclass cls, read field by field from the JSON object cfg.
 
-    A field cfg leaves out takes its dataclass default, and is required
-    when it has none.  A present value goes through convert[field] (default
-    _as_float).  A ValueError from cls itself is reported at path, or at
-    the field it names (model.FieldError).
+    Fields are read in the order cls declares them.  A field cfg leaves out
+    takes its dataclass default, and is required when it has none.  A
+    present value goes through convert[field] (default _as_float).  A
+    ValueError from cls itself is reported at path, or at the field it
+    names (model.FieldError).
     """
     if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
+        raise ConfigError(path or "<root>", "expected an object")
     kwargs = {}
-    for f in dataclasses.fields(cls):
+    # unwrap sees through a functools.wraps wrapper of cls, such as the
+    # timing span benchmarks/spans.py puts around Scenario.
+    for f in dataclasses.fields(inspect.unwrap(cls)):
         if f.name in cfg:
-            kwargs[f.name] = convert.get(f.name, _as_float)(cfg[f.name], f"{path}.{f.name}")
+            kwargs[f.name] = convert.get(f.name, _as_float)(cfg[f.name], _at(path, f.name))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{path}.{f.name}", "missing required field")
+            raise ConfigError(_at(path, f.name), "missing required field")
     try:
         return cls(**kwargs)
     except model.FieldError as exc:
-        raise ConfigError(f"{path}.{exc.field}", exc.reason) from exc
+        raise ConfigError(_at(path, exc.field), exc.reason) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -155,8 +165,7 @@ _GRID_T_MIN = 1e-12
 def parse_grid(cfg, path: str) -> quadrature.GridSpec:
     if isinstance(cfg, dict):
         cfg = {"t_min": _GRID_T_MIN, **cfg}
-    # GridSpec checks the kind itself.
-    grid = _build(quadrature.GridSpec, cfg, path, kind=lambda v, p: v, points=_as_int)
+    grid = _build(quadrature.GridSpec, cfg, path, kind=_as_is, points=_as_int)
     if grid.kind == "geometric" and grid.points > DENSE_LIMIT:
         # Geometric grids are built as dense matrices; refuse before anything
         # is allocated.
@@ -168,225 +177,189 @@ def parse_grid(cfg, path: str) -> quadrature.GridSpec:
     return grid
 
 
-def parse_solver(cfg, path: str, seed=None) -> analysis.SolverParams:
-    """Solver knobs of cfg (None for the defaults); seed, when given, overrides cfg's."""
-    cfg = {} if cfg is None else cfg
-    if seed is not None and isinstance(cfg, dict):
-        cfg = {**cfg, "seed": seed}
-    return _build(
-        analysis.SolverParams, cfg, path,
-        k=_as_int, max_iter=_as_int, seed=_as_seed, basis_cap=_as_int,
-    )
-
-
-def _refuse_oversize(need: int, what: str, path: str) -> None:
+def _refuse_oversize(need: int, what: str, field: str) -> None:
     """Refuse a job that needs more bytes than physical memory holds."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # unknown size: refuse nothing
     if need > have:
-        raise ConfigError(
-            path, f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        raise model.FieldError(
+            field, f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
         )
 
 
-def parse_fit(cfg, path: str):
-    if cfg is None:
-        return (8, 32), "plain"
-    if not isinstance(cfg, dict):
-        raise ConfigError(path, "expected an object")
-    window = cfg.get("window", [8, 32])
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in window)
-    ):
-        raise ConfigError(f"{path}.window", "expected [n_min, n_max] integers")
-    if not (1 <= window[0] <= window[1]):
-        raise ConfigError(
-            f"{path}.window", f"need 1 <= n_min <= n_max, got {window}"
-        )
-    mdl = cfg.get("model", "plain")
-    if mdl not in ("plain", "log_corrected"):
-        raise ConfigError(f"{path}.model", f"expected plain|log_corrected, got {mdl!r}")
-    if mdl == "log_corrected" and window[0] < 2:
-        raise ConfigError(
-            f"{path}.window", f"log_corrected divides by log n, so needs n_min >= 2, got {window}"
-        )
-    return (window[0], window[1]), mdl
-
-
-# kind -> (spec class, converters of its fields that are not plain numbers,
-# allowed actions, list field that spectrum and verify need).  Actions
-# outside the tuple exit 2 at `action`.
-_KINDS = {
-    "discrete": (
+# kind -> converter of its spec.
+_SPECS = {
+    "discrete": _object(
         model.DiscreteSymbolSpec,
-        dict(
-            oscillations=_objects(model.Oscillation),
-            perturbation=_as_perturbation,
-        ),
-        ("predict", "spectrum", "verify"),
-        "N_list",
+        oscillations=_list(_object(model.Oscillation)),
+        perturbation=_as_perturbation,
     ),
-    "continuous": (
+    "continuous": _object(
         model.ContinuousKernelSpec,
-        dict(
-            oscillations=_objects(model.KernelOscillation),
-            local_singularities=_objects(model.LocalSingularity, m=_as_int),
-            cutoffs=_floats("c1", "c2", "C1", "C2"),
-        ),
-        ("predict", "spectrum", "verify"),
-        "grids",
+        oscillations=_list(_object(model.KernelOscillation)),
+        local_singularities=_list(_object(model.LocalSingularity, m=_as_int)),
+        cutoffs=_list(_as_float, "c1", "c2", "C1", "C2"),
     ),
-    "symbol": (
+    "symbol": _object(
         symbols.AsLogSpec,
         # Every field but alpha and cutoffs is a polynomial's coefficient list.
-        {
+        **{
             **{f.name: _as_poly for f in dataclasses.fields(symbols.AsLogSpec)},
             "alpha": _as_float,
-            "cutoffs": _floats("c1", "c2"),
+            "cutoffs": _list(_as_float, "c1", "c2"),
         },
-        ("predict", "symbol"),
-        None,
     ),
 }
 
 
+def _as_kind(value, path: str) -> str:
+    if not isinstance(value, str) or value not in _SPECS:
+        raise ConfigError(path, f"expected {'|'.join(_SPECS)}, got {value!r}")
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
 class Scenario:
-    """Parsed and validated scenario config; seed overrides the solver seed."""
+    """One scenario: the top-level fields of its config, with their defaults.
 
-    def __init__(self, cfg: dict, path: str = "", seed=None):
-        if not isinstance(cfg, dict):
-            raise ConfigError(path.rstrip(".") or "<root>", "expected an object")
-        self.name = cfg.get("name", "scenario")
-        if not isinstance(self.name, str) or not self.name:
-            raise ConfigError(f"{path}name", "expected a nonempty string")
-        self.kind = _need(cfg, "kind", path)
-        if not isinstance(self.kind, str) or self.kind not in _KINDS:
-            raise ConfigError(
-                f"{path}kind", f"expected {'|'.join(_KINDS)}, got {self.kind!r}"
-            )
-        spec_cls, convert, allowed, runs_on = _KINDS[self.kind]
-        self.action = cfg.get("action", "spectrum")
+    parse_scenario reads it from JSON.  kind is discrete, continuous or
+    symbol, and spec is that kind's spec dataclass.  outputs defaults to
+    name.  spectrum and verify run on N_list (discrete orders) or grids
+    (continuous); samples, j_window and dump_samples set up the symbol
+    action.  __post_init__ holds the rules between fields, each refusal a
+    model.FieldError naming its field.
+    """
+
+    kind: str
+    spec: object
+    name: str = "scenario"
+    action: str = "spectrum"
+    solver: analysis.SolverParams = analysis.SolverParams()
+    fit: analysis.FitParams = analysis.FitParams()
+    outputs: str | None = None
+    N_list: tuple | None = None
+    grids: tuple | None = None
+    samples: int = 2**20
+    j_window: tuple = (512, 4096)
+    dump_samples: int = 4096
+
+    def __post_init__(self):
+        if not self.name:
+            raise model.FieldError("name", "expected a nonempty string")
+        allowed = (
+            ("predict", "symbol") if self.kind == "symbol" else ("predict", "spectrum", "verify")
+        )
         if self.action not in allowed:
-            raise ConfigError(
-                f"{path}action",
-                f"{self.kind} scenarios take {'|'.join(allowed)}, got {self.action!r}",
+            raise model.FieldError(
+                "action", f"{self.kind} scenarios take {'|'.join(allowed)}, got {self.action!r}"
             )
-        self.spec = _build(spec_cls, _need(cfg, "spec", path), f"{path}spec", **convert)
-        self.solver = parse_solver(cfg.get("solver"), f"{path}solver", seed)
-        self.window, self.model = parse_fit(cfg.get("fit"), f"{path}fit")
-        self.outputs = cfg.get("outputs", self.name)
-        if not isinstance(self.outputs, str):
-            raise ConfigError(f"{path}outputs", "expected a directory path string")
+        if self.outputs is None:
+            object.__setattr__(self, "outputs", self.name)
         if Path(self.outputs).is_absolute() or ".." in Path(self.outputs).parts:
-            # Reports go under --out only; `outputs` defaults to `name`.
-            raise ConfigError(
-                f"{path}outputs",
-                f"expected a relative path without '..', got {self.outputs!r}",
+            # Reports go under --out only.
+            raise model.FieldError(
+                "outputs", f"expected a relative path without '..', got {self.outputs!r}"
             )
-
-        self.N_list = None
-        if "N_list" in cfg:
-            raw = cfg["N_list"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"{path}N_list", "expected a nonempty list")
-            self.N_list = [_as_int(v, f"{path}N_list[{i}]") for i, v in enumerate(raw)]
-            for i, N in enumerate(self.N_list):
-                if N < 2:
-                    raise ConfigError(f"{path}N_list[{i}]", f"order must be >= 2, got {N}")
-        self.grids = None
-        if "grids" in cfg:
-            raw = cfg["grids"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"{path}grids", "expected a nonempty list")
-            self.grids = [parse_grid(g, f"{path}grids[{i}]") for i, g in enumerate(raw)]
-        self.samples = cfg.get("samples", 2**20)
-        if self.kind == "symbol":
-            self.samples = _as_int(self.samples, f"{path}samples")
-            if self.samples < 2 or self.samples & (self.samples - 1):
-                raise ConfigError(
-                    f"{path}samples", f"expected a power of two, got {self.samples}"
-                )
-        jw = cfg.get("j_window", [512, 4096])
-        if not isinstance(jw, list) or len(jw) != 2:
-            raise ConfigError(f"{path}j_window", "expected [j_min, j_max]")
-        self.j_window = (
-            _as_int(jw[0], f"{path}j_window[0]"),
-            _as_int(jw[1], f"{path}j_window[1]"),
-        )
-        if self.action == "symbol" and not (
-            2 <= self.j_window[0] <= self.j_window[1] <= self.samples // 2
-        ):
-            # Coefficient j is read from a DFT of `samples` points; indices
-            # past samples/2 alias negative frequencies.
-            raise ConfigError(
-                f"{path}j_window",
-                f"need 2 <= j_min <= j_max <= samples/2 = {self.samples // 2}, "
-                f"got {list(self.j_window)}",
-            )
+        if self.N_list == ():
+            raise model.FieldError("N_list", "expected a nonempty list")
+        if self.grids == ():
+            raise model.FieldError("grids", "expected a nonempty list")
+        for i, N in enumerate(self.N_list or ()):
+            if N < 2:
+                raise model.FieldError(f"N_list[{i}]", f"order must be >= 2, got {N}")
+        if self.samples < 2 or self.samples & (self.samples - 1):
+            raise model.FieldError("samples", f"expected a power of two, got {self.samples}")
         if self.action == "symbol":
+            j_min, j_max = self.j_window
+            if not (2 <= j_min <= j_max <= self.samples // 2):
+                # Coefficient j is read from a DFT of `samples` points;
+                # indices past samples/2 alias negative frequencies.
+                raise model.FieldError(
+                    "j_window",
+                    f"need 2 <= j_min <= j_max <= samples/2 = {self.samples // 2}, "
+                    f"got {list(self.j_window)}",
+                )
             _refuse_oversize(
-                symbols.sample_bytes(self.samples), f"sampling {self.samples} points",
-                f"{path}samples",
+                symbols.sample_bytes(self.samples), f"sampling {self.samples} points", "samples"
             )
-        self.dump_samples = _as_int(
-            cfg.get("dump_samples", 4096), f"{path}dump_samples"
+        if self.action in ("spectrum", "verify"):
+            self._check_runs()
+
+    def _check_runs(self) -> None:
+        """The rules of spectrum and verify for their runs: N_list or grids."""
+        discrete = self.kind == "discrete"
+        field, runs = ("N_list", self.N_list) if discrete else ("grids", self.grids)
+        if runs is None:
+            raise model.FieldError(field, f"required for {self.kind} runs")
+        if self.action == "spectrum" and len(runs) != 1:
+            raise model.FieldError(
+                field, f"spectrum runs take exactly one entry, got {len(runs)}"
+            )
+        for i, run in enumerate(runs):
+            # The solve_route kind: a discrete spec, a uniform grid given by
+            # its entries, or a geometric grid built as a dense matrix
+            # (solved by the range finder, or densely when it falls back).
+            if discrete:
+                at, order, route = f"N_list[{i}]", run, "symbol"
+                if self.spec.oscillations and run > PHASE_ORDER_LIMIT:
+                    raise model.FieldError(
+                        at,
+                        f"an oscillation's phases phi * n are reduced exactly "
+                        f"only up to order {PHASE_ORDER_LIMIT}, got {run}",
+                    )
+            else:
+                at, order = f"grids[{i}].points", run.points
+                route = "entries" if run.kind == "uniform" else "matrix"
+            need = solve_bytes(order, route, self.solver.k, self.solver.basis_cap, self.spec)
+            _refuse_oversize(need, f"an order-{order} solve", at)
+        if self.action == "verify" and not discrete and len(runs) < 2:
+            raise model.FieldError("grids", f"verify compares at least 2 grids, got {len(runs)}")
+        if self.action == "verify" and not discrete and self.fit.model != "plain":
+            # A continuous verify compares eigenvalue tables and fits no
+            # model, so a log_corrected request would be silently ignored.
+            raise model.FieldError(
+                "fit.model",
+                f"continuous verify fits no model, so only plain is accepted, "
+                f"got {self.fit.model!r}",
+            )
+        if self.action == "verify" and discrete and any(b <= a for a, b in zip(runs, runs[1:])):
+            raise model.FieldError(
+                "N_list", f"verify needs strictly increasing orders, got {list(runs)}"
+            )
+        # spectrum fits once, discrete verify once per order; continuous
+        # verify only compares eigenvalue tables.
+        fits = len(runs) if self.action == "spectrum" or discrete else 0
+        _refuse_oversize(
+            fits * analysis.fit_bytes(self.fit.window),
+            f"fitting the window {list(self.fit.window)}", "fit.window",
         )
 
-        if self.action in ("spectrum", "verify"):
-            runs = getattr(self, runs_on)
-            if runs is None:
-                raise ConfigError(f"{path}{runs_on}", f"required for {self.kind} runs")
-            if self.action == "spectrum" and len(runs) != 1:
-                raise ConfigError(
-                    f"{path}{runs_on}",
-                    f"spectrum runs take exactly one entry, got {len(runs)}",
-                )
-            for i, run in enumerate(runs):
-                # The solve_route kind: a discrete spec, a uniform grid given
-                # by its entries, or a geometric grid built as a dense matrix
-                # (solved by the range finder, or densely when it falls back).
-                if runs_on == "N_list":
-                    field, order, kind = f"{path}N_list[{i}]", run, "symbol"
-                    if self.spec.oscillations and run > PHASE_ORDER_LIMIT:
-                        raise ConfigError(
-                            field,
-                            f"an oscillation's phases phi * n are reduced exactly "
-                            f"only up to order {PHASE_ORDER_LIMIT}, got {run}",
-                        )
-                else:
-                    field, order = f"{path}grids[{i}].points", run.points
-                    kind = "entries" if run.kind == "uniform" else "matrix"
-                need = solve_bytes(order, kind, self.solver.k, self.solver.basis_cap, self.spec)
-                _refuse_oversize(need, f"an order-{order} solve", field)
-            if self.action == "verify" and runs_on == "grids" and len(runs) < 2:
-                raise ConfigError(
-                    f"{path}grids", f"verify compares at least 2 grids, got {len(runs)}"
-                )
-            if self.action == "verify" and runs_on == "grids" and self.model != "plain":
-                # A continuous verify compares eigenvalue tables and fits no
-                # model, so a log_corrected request would be silently ignored.
-                raise ConfigError(
-                    f"{path}fit.model",
-                    f"continuous verify fits no model, so only plain is accepted, "
-                    f"got {self.model!r}",
-                )
-            if self.action == "verify" and runs_on == "N_list" and any(
-                b <= a for a, b in zip(runs, runs[1:])
-            ):
-                raise ConfigError(
-                    f"{path}N_list", f"verify needs strictly increasing orders, got {runs}"
-                )
-            # spectrum fits once, discrete verify once per order; continuous
-            # verify only compares eigenvalue tables.
-            fits = len(runs) if self.action == "spectrum" or runs_on == "N_list" else 0
-            _refuse_oversize(
-                fits * analysis.fit_bytes(self.window), f"fitting the window {list(self.window)}",
-                f"{path}fit.window",
-            )
+
+def parse_scenario(cfg, path: str = "", seed=None) -> Scenario:
+    """The Scenario of the JSON object cfg, its fields named under path.
+
+    kind picks the converter of spec.  It is Scenario's first field, so a
+    missing or unknown kind is refused before spec is read.  A null solver
+    or fit block takes the defaults.  seed, when given, overrides the
+    solver seed.
+    """
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if isinstance(cfg, dict):
+        cfg = {**cfg, **{key: {} for key in ("solver", "fit") if cfg.get(key) is None}}
+        if seed is not None and isinstance(cfg["solver"], dict):
+            cfg["solver"] = {**cfg["solver"], "seed": seed}
+    return _build(
+        Scenario, cfg, path, kind=_as_kind, name=_as_str, action=_as_is, outputs=_as_str,
+        spec=_SPECS[kind] if isinstance(kind, str) and kind in _SPECS else _as_is,
+        solver=_object(
+            analysis.SolverParams, k=_as_int, max_iter=_as_int, seed=_as_seed, basis_cap=_as_int
+        ),
+        fit=_object(analysis.FitParams, window=_list(_as_int, "n_min", "n_max"), model=_as_is),
+        N_list=_list(_as_int), grids=_list(parse_grid), samples=_as_int,
+        j_window=_list(_as_int, "j_min", "j_max"), dump_samples=_as_int,
+    )
 
 
 def _check_distinct_outputs(scenarios) -> None:
@@ -554,7 +527,7 @@ def _run_spectrum(scenario, out: Path) -> int:
         params = {"solver": dataclasses.asdict(scenario.solver)}
     alpha = scenario.spec.alpha
     fit = analysis.fit_coefficient(
-        S, alpha, scenario.window, scenario.model, extend_by_zero=True
+        S, alpha, scenario.fit.window, scenario.fit.model, extend_by_zero=True
     )
     _write(out / "spectrum.csv", _spectrum_csv(S, alpha))
     _write(out / "fit.json", _fit_json(fit, **params))
@@ -567,7 +540,7 @@ def _run_spectrum(scenario, out: Path) -> int:
         _details_line(S),
         f"eigenvalues: {len(S.lambda_plus)} positive, "
         f"{len(S.lambda_minus)} negative, {S.n_dropped} in the zero band",
-        f"window: [{scenario.window[0]}, {scenario.window[1]}] model={scenario.model}",
+        f"window: [{scenario.fit.window[0]}, {scenario.fit.window[1]}] model={scenario.fit.model}",
         f"a_hat_plus: {_f(fit.a_hat_plus)} (predicted {_f(pred.a_plus)})",
         f"a_hat_minus: {_f(fit.a_hat_minus)} (predicted {_f(pred.a_minus)})",
         f"drift: {_f(fit.drift)}",
@@ -588,12 +561,12 @@ def _run_verify(scenario, out: Path) -> int:
         pred = model.predict_discrete(scenario.spec)
         study = analysis.truncation_study(
             scenario.spec, scenario.N_list, scenario.solver,
-            scenario.window, scenario.model,
+            scenario.fit.window, scenario.fit.model,
         )
         _write(out / "spectrum.csv", _spectrum_csv(study.spectra[-1], alpha))
         doc = {
             "producer": _producer(
-                "analysis", window=list(scenario.window), model=scenario.model
+                "analysis", window=list(scenario.fit.window), model=scenario.fit.model
             ),
             "N_list": study.N_list,
             "deviations": study.deviations,
@@ -613,7 +586,7 @@ def _run_verify(scenario, out: Path) -> int:
         return 0
     pred = model.predict_continuous(scenario.spec)
     report = quadrature.convergence_report(
-        scenario.spec, scenario.grids, scenario.window, scenario.solver
+        scenario.spec, scenario.grids, scenario.fit.window, scenario.solver
     )
     doc = {
         "producer": _producer(
@@ -771,7 +744,7 @@ def main(argv=None) -> int:
             if not isinstance(raw, list) or not raw:
                 raise ConfigError("scenarios", "sweep config needs a scenario list")
             scenarios = [
-                Scenario(item, f"scenarios[{i}].", args.seed)
+                parse_scenario(item, f"scenarios[{i}]", args.seed)
                 for i, item in enumerate(raw)
             ]
             _check_distinct_outputs(scenarios)
@@ -782,7 +755,7 @@ def main(argv=None) -> int:
                     "action", f"config action {cfg['action']!r} does not match "
                     f"the {args.command!r} subcommand"
                 )
-            scenarios = [Scenario(cfg, "", args.seed)]
+            scenarios = [parse_scenario(cfg, seed=args.seed)]
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

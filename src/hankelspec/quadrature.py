@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import FitParams
 from .eigensolve import SolverParams, solve
 from .hankel_core import DENSE_LIMIT, HankelTruncation, ResourceLimitError
 from .model import ContinuousKernelSpec, UnsupportedCombinationError, require_finite
@@ -261,9 +262,7 @@ def convergence_report(
     grids = list(grids)
     if len(grids) < 2:
         raise ValueError(f"need at least 2 grids to compare, got {len(grids)}")
-    n_lo, n_hi = int(window[0]), int(window[1])
-    if not (1 <= n_lo <= n_hi):
-        raise ValueError(f"window must satisfy 1 <= n_min <= n_max, got {window}")
+    n_lo, n_hi = FitParams(window).window
 
     labels, tp, tm, converged = [], [], [], []
     for g in grids:

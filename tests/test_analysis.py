@@ -1,15 +1,17 @@
 """Fit, symmetry, localization, and truncation-study pipeline tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hankelspec import analysis
+from hankelspec import analysis, cli
 from hankelspec.analysis import (
     SolverParams,
     compare_localization,
     discrete_spectrum,
+    fit_bytes,
     fit_coefficient,
     symmetry_ratio,
     truncation_study,
@@ -124,6 +126,21 @@ def test_window_values_match_the_per_n_loop(n_lo, n_hi, container):
     values = container(0.5 / np.arange(1.0, 11.0))
     got = analysis._window_values(values, n_lo, n_hi, True, "positive")
     assert np.array_equal(got, _window_values_loop(values, n_lo, n_hi))
+
+
+def test_fit_bytes_bounds_the_fit_and_its_report():
+    # 10^5 window rows of distinct nonzero eigenvalues: every row's text is
+    # as long as %.17g makes it.
+    rows = 10**5
+    n = np.arange(1, rows + 1)
+    S = _result(1.0 / (n + math.pi), 1.0 / (n + math.e), order=rows)
+    tracemalloc.start()
+    try:
+        cli._fit_json(fit_coefficient(S, 1.0, (1, rows), extend_by_zero=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fit_bytes((1, rows))
 
 
 def test_fit_json_rows_keep_integer_n():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hankelspec
-from hankelspec.cli import Scenario, main
+from hankelspec.cli import main, parse_scenario
 
 
 def _write_config(path, cfg):
@@ -294,13 +294,6 @@ def test_continuous_spectrum_counts_its_grids(tmp_path, capsys):
     assert "order=64 " in (out / "x" / "spectrum.csv").read_text().splitlines()[0]
 
 
-def test_discrete_run_needs_orders(tmp_path, capsys):
-    cfg = {"name": "x", "kind": "discrete", "spec": {"alpha": 1.0, "b_plus1": 1.0}}
-    code, _ = _run(tmp_path, "spectrum", cfg)
-    assert code == 2
-    assert "'N_list'" in capsys.readouterr().err
-
-
 def test_nonconvergence_exit_code(tmp_path, capsys):
     # A uniform grid above the dense-solve limit takes the iterative route;
     # with two iterations it cannot converge and must flag the run, not hide it.
@@ -407,33 +400,6 @@ def test_verify_continuous_nonconvergence_exit_code(tmp_path, capsys):
         assert (out / "starved" / name).exists()
     assert "not converged:" in (out / "starved" / "summary.txt").read_text()
     assert "starved: not converged" in capsys.readouterr().out
-
-
-def test_geometric_grid_over_dense_limit_rejected(tmp_path, capsys):
-    cfg = {
-        "name": "big",
-        "kind": "continuous",
-        "spec": {"alpha": 1.0, "b_zero": 1.0},
-        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 9000}],
-    }
-    code, out = _run(tmp_path, "spectrum", cfg)
-    assert code == 2
-    assert "'grids[0].points'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_symbol_kind_rejects_verify(tmp_path, capsys):
-    cfg = {"name": "s", "kind": "symbol", "spec": {"alpha": 2.0}, "samples": 4096}
-    code, _ = _run(tmp_path, "verify", cfg)
-    assert code == 2
-    assert "'action'" in capsys.readouterr().err
-
-
-def test_symbol_action_rejects_discrete_kind(tmp_path, capsys):
-    cfg = {"name": "d", "kind": "discrete", "spec": {"alpha": 2.0, "b_plus1": 1.0}}
-    code, _ = _run(tmp_path, "symbol", cfg)
-    assert code == 2
-    assert "'action'" in capsys.readouterr().err
 
 
 def test_infinite_drift_is_written_as_null(tmp_path):
@@ -725,6 +691,7 @@ REFUSALS = [
     # The fit block.
     _refusal("fit-object", "predict", {**DISCRETE, "fit": 3}, "fit"),
     _refusal("fit-window-shape", "predict", {**DISCRETE, "fit": {"window": "x"}}, "fit.window"),
+    _refusal("fit-window-entry", "predict", {**DISCRETE, "fit": {"window": [1.5, 4]}}, "fit.window[0]"),
     _refusal("fit-window-order", "predict", {**DISCRETE, "fit": {"window": [5, 3]}}, "fit.window"),
     _refusal("fit-window-zero", "predict", {**DISCRETE, "fit": {"window": [0, 3]}}, "fit.window"),
     _refusal("fit-model", "predict", {**DISCRETE, "fit": {"model": "quadratic"}}, "fit.model"),
@@ -745,6 +712,9 @@ REFUSALS = [
     _refusal("grids-empty", "predict", {**DISCRETE, "grids": []}, "grids"),
     _refusal("samples-type", "predict", {**SYMBOL, "samples": "x"}, "samples"),
     _refusal("samples-power-of-two", "predict", {**SYMBOL, "samples": 1000}, "samples"),
+    # Every kind checks samples, though only the symbol action reads it.
+    _refusal("samples-type-discrete", "predict", {**DISCRETE, "samples": "x"}, "samples"),
+    _refusal("samples-power-of-two-continuous", "predict", {"kind": "continuous", "spec": TRIANGLE, "samples": 1000}, "samples"),
     _refusal("j-window-shape", "predict", {**DISCRETE, "j_window": [1]}, "j_window"),
     _refusal("j-window-entry", "predict", {**DISCRETE, "j_window": [1.5, 8]}, "j_window[0]"),
     _refusal("j-window-beyond-samples", "symbol", {**SYMBOL, "samples": 4096, "j_window": [8, 9000]}, "j_window"),
@@ -818,7 +788,7 @@ def test_config_refusal_table(tmp_path, capsys, monkeypatch, mode, command, cfg,
     ],
 )
 def test_omitted_fields_take_the_dataclass_defaults(kind, spec_cls):
-    scenario = Scenario({"kind": kind, "action": "predict", "spec": {"alpha": 1.5}})
+    scenario = parse_scenario({"kind": kind, "action": "predict", "spec": {"alpha": 1.5}})
     assert scenario.spec == spec_cls(alpha=1.5)
     assert scenario.solver == hankelspec.analysis.SolverParams()
 
@@ -886,6 +856,13 @@ FULL_GRIDS = [
     {"kind": "uniform", "t_min": 1e-9, "t_max": 2.0, "points": 64},
     {"kind": "geometric", "t_min": 1e-6, "t_max": 3.0, "points": 128},
 ]
+# Every top-level field but kind and spec.
+FULL_TOP = {
+    "name": "full", "action": "predict", "solver": FULL_SOLVER,
+    "fit": {"window": [4, 16], "model": "log_corrected"}, "outputs": "full-out",
+    "N_list": [64, 128], "grids": FULL_GRIDS, "samples": 4096, "j_window": [8, 64],
+    "dump_samples": 16,
+}
 
 
 def _json_fields(obj, cfg: dict) -> set:
@@ -905,20 +882,20 @@ def _json_fields(obj, cfg: dict) -> set:
 def test_config_setting_every_field_parses_to_the_dataclasses():
     covered = set()
     for cfg, expected in FULL_SCENARIOS:
-        scenario = Scenario({**cfg, "action": "predict", "solver": FULL_SOLVER, "grids": FULL_GRIDS})
+        scenario = parse_scenario({**cfg, **FULL_TOP})
         assert scenario.spec == expected
-        covered |= _json_fields(scenario.spec, cfg["spec"])
+        covered |= _json_fields(scenario, {**cfg, **FULL_TOP})
     assert scenario.solver == hankelspec.analysis.SolverParams(**FULL_SOLVER)
-    assert scenario.grids == [hankelspec.quadrature.GridSpec(**g) for g in FULL_GRIDS]
-    covered |= _json_fields(scenario.solver, FULL_SOLVER)
-    for grid, cfg in zip(scenario.grids, FULL_GRIDS):
-        covered |= _json_fields(grid, cfg)
+    assert scenario.fit == hankelspec.analysis.FitParams((4, 16), "log_corrected")
+    assert scenario.grids == tuple(hankelspec.quadrature.GridSpec(**g) for g in FULL_GRIDS)
+    assert (scenario.N_list, scenario.j_window) == ((64, 128), (8, 64))
     classes = [
+        hankelspec.cli.Scenario,
         hankelspec.model.DiscreteSymbolSpec, hankelspec.model.Oscillation,
         hankelspec.model.Perturbation, hankelspec.model.ContinuousKernelSpec,
         hankelspec.model.KernelOscillation, hankelspec.model.LocalSingularity,
         hankelspec.symbols.AsLogSpec, hankelspec.analysis.SolverParams,
-        hankelspec.quadrature.GridSpec,
+        hankelspec.analysis.FitParams, hankelspec.quadrature.GridSpec,
     ]
     assert covered == {(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)}
 
@@ -1014,8 +991,8 @@ def test_non_object_sweep_entry_names_scenario(tmp_path, capsys, extra):
 
 def test_seed_override_replaces_only_the_seed():
     cfg = {**DISCRETE_PREDICT, "solver": {"seed": 4, "k": 8}}
-    assert Scenario(cfg, "scenarios[0].").solver.seed == 4
-    overridden = Scenario(cfg, "scenarios[0].", 9).solver
+    assert parse_scenario(cfg, "scenarios[0]").solver.seed == 4
+    overridden = parse_scenario(cfg, "scenarios[0]", 9).solver
     assert (overridden.seed, overridden.k) == (9, 8)
     assert cfg["solver"] == {"seed": 4, "k": 8}
 
@@ -1151,19 +1128,6 @@ def test_symbol_rejects_bad_sample_count(tmp_path, capsys):
     code, _ = _run(tmp_path, "symbol", cfg)
     assert code == 2
     assert "power of two" in capsys.readouterr().err
-
-
-def test_symbol_rejects_j_window_beyond_samples(tmp_path, capsys):
-    cfg = {
-        "name": "s",
-        "kind": "symbol",
-        "spec": {"alpha": 2.0},
-        "samples": 4096,
-        "j_window": [8, 9000],
-    }
-    code, _ = _run(tmp_path, "symbol", cfg)
-    assert code == 2
-    assert "'j_window'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- determinism

@@ -2,7 +2,9 @@
 
 Only `predict` runs here.  It parses and validates the whole scenario and
 writes two small files, but it never starts a solver, so arbitrary sizes in
-the config stay cheap.
+the config stay cheap.  The parser test also starts from valid `spectrum`,
+`verify` and `symbol` scenarios, whose rules between fields only those
+actions check; it parses them and runs nothing.
 """
 
 import copy
@@ -56,6 +58,34 @@ VALID = [
         "samples": 4096, "j_window": [8, 64], "dump_samples": 16,
     },
 ]
+# One valid scenario of each other action, for the parser test alone.
+RUNS = [
+    {
+        "name": "ds", "kind": "discrete", "action": "spectrum",
+        "spec": {"alpha": 1.0, "b_plus1": 1.0, "oscillations": [{"phi": 1.0, "psi": 0.0, "b": 0.5}]},
+        "N_list": [256], "fit": {"window": [2, 8], "model": "log_corrected"},
+    },
+    {
+        "name": "dv", "kind": "discrete", "action": "verify",
+        "spec": {"alpha": 1.0, "b_minus1": 1.0}, "N_list": [64, 128, 256],
+        "fit": {"window": [2, 8], "model": "plain"},
+    },
+    {
+        "name": "cv", "kind": "continuous", "action": "verify",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [
+            {"kind": "uniform", "t_max": 1.0, "points": 64},
+            {"kind": "uniform", "t_max": 1.0, "points": 128},
+        ],
+        "solver": {"k": 8, "tol": 1e-8, "max_iter": 100, "seed": 0, "basis_cap": 50},
+        "fit": {"window": [1, 4], "model": "plain"},
+    },
+    {
+        "name": "sy", "kind": "symbol", "action": "symbol",
+        "spec": {"alpha": 2.0, "v0_plus": [1.0], "v0_minus": [1.0], "cutoffs": [0.25, 0.5]},
+        "samples": 4096, "j_window": [8, 64], "dump_samples": 16,
+    },
+]
 WORDS = ["discrete", "continuous", "symbol", "predict", "spectrum", "verify",
          "uniform", "geometric", "plain", "log_corrected", "", ".", "..", "a/b"]
 
@@ -88,9 +118,9 @@ def _slots(node) -> list:
 
 
 @st.composite
-def near_valid(draw):
-    """A valid scenario with one to three values replaced by arbitrary JSON or deleted."""
-    cfg = copy.deepcopy(draw(st.sampled_from(VALID)))
+def near_valid(draw, seeds=VALID):
+    """One of the valid seeds with one to three values replaced by arbitrary JSON or deleted."""
+    cfg = copy.deepcopy(draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(1, 3))):
         slots = _slots(cfg)
         if not slots:
@@ -135,10 +165,15 @@ def test_predict_on_near_valid_scenarios_exits_0_or_2(cfg):
     assert _predict_exit_code(cfg) in (0, 2)
 
 
+def test_valid_run_scenarios_parse():
+    for cfg in RUNS:
+        assert cli.parse_scenario(cfg).action == cfg["action"]
+
+
 @FUZZ
-@given(cfg=ANY_JSON | near_valid())
+@given(cfg=ANY_JSON | near_valid(VALID + RUNS))
 def test_scenario_parser_returns_or_raises_config_error(cfg):
     try:
-        cli.Scenario(cfg, "scenarios[0].")
+        cli.parse_scenario(cfg, "scenarios[0]")
     except cli.ConfigError as exc:
         assert exc.field.startswith("scenarios[0]")
