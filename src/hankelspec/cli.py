@@ -106,12 +106,23 @@ def _as_poly(value, path: str) -> tuple:
     return tuple(_as_complex(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _list(convert, *names: str):
-    """Converter of a list, each entry through convert; of len(names) entries if named."""
+def _as_order(value, path: str) -> int:
+    order = _as_int(value, path)
+    if order < 2:
+        raise ConfigError(path, f"order must be >= 2, got {order}")
+    return order
+
+
+def _list(convert, *names: str, nonempty: bool = False):
+    """Converter of a list, each entry through convert: len(names) entries if named."""
+    expected = f"[{', '.join(names)}]" if names else "a nonempty list" if nonempty else "a list"
 
     def convert_list(value, path: str) -> tuple:
-        if not isinstance(value, list) or (names and len(value) != len(names)):
-            expected = f"[{', '.join(names)}]" if names else "a list"
+        if (
+            not isinstance(value, list)
+            or (names and len(value) != len(names))
+            or (nonempty and not value)
+        ):
             raise ConfigError(path, f"expected {expected}")
         return tuple(convert(v, f"{path}[{i}]") for i, v in enumerate(value))
 
@@ -228,8 +239,8 @@ class Scenario:
     symbol, and spec is that kind's spec dataclass.  outputs defaults to
     name.  spectrum and verify run on N_list (discrete orders) or grids
     (continuous); samples, j_window and dump_samples set up the symbol
-    action.  __post_init__ holds the rules between fields, each refusal a
-    model.FieldError naming its field.
+    action.  __post_init__ checks the values and the rules between fields,
+    each refusal a model.FieldError naming its field.
     """
 
     kind: str
@@ -262,13 +273,6 @@ class Scenario:
             raise model.FieldError(
                 "outputs", f"expected a relative path without '..', got {self.outputs!r}"
             )
-        if self.N_list == ():
-            raise model.FieldError("N_list", "expected a nonempty list")
-        if self.grids == ():
-            raise model.FieldError("grids", "expected a nonempty list")
-        for i, N in enumerate(self.N_list or ()):
-            if N < 2:
-                raise model.FieldError(f"N_list[{i}]", f"order must be >= 2, got {N}")
         if self.samples < 2 or self.samples & (self.samples - 1):
             raise model.FieldError("samples", f"expected a power of two, got {self.samples}")
         if self.action == "symbol":
@@ -357,8 +361,8 @@ def parse_scenario(cfg, path: str = "", seed=None) -> Scenario:
             analysis.SolverParams, k=_as_int, max_iter=_as_int, seed=_as_seed, basis_cap=_as_int
         ),
         fit=_object(analysis.FitParams, window=_list(_as_int, "n_min", "n_max"), model=_as_is),
-        N_list=_list(_as_int), grids=_list(parse_grid), samples=_as_int,
-        j_window=_list(_as_int, "j_min", "j_max"), dump_samples=_as_int,
+        N_list=_list(_as_order, nonempty=True), grids=_list(parse_grid, nonempty=True),
+        samples=_as_int, j_window=_list(_as_int, "j_min", "j_max"), dump_samples=_as_int,
     )
 
 
