@@ -3,12 +3,12 @@
 One JSON scenario per file (sweep configs embed a list of scenarios).
 parse_scenario reads it into the dataclass Scenario, whose fields are the
 config's top-level fields; one builder, _build, reads every object of the
-config from the fields of its dataclass.  All numeric output is printed
-with 17 significant digits and no timestamps, so rerunning an identical
-config with the same seed reproduces every output byte for byte.  Exit
-codes: 0 success, 2 config/validation failure (diagnostics name the
-offending field), 3 solver non-convergence (outputs are still written,
-flagged).
+config from the fields of its dataclass, and refuses a key that names none.
+All numeric output is printed with 17 significant digits and no
+timestamps, so rerunning an identical config with the same seed
+reproduces every output byte for byte.  Exit codes: 0 success, 2
+config/validation failure (diagnostics name the offending field), 3
+solver non-convergence (outputs are still written, flagged).
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ import argparse
 import dataclasses
 import inspect
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, model, quadrature, symbols
-from .eigensolve import solve
+from .eigensolve import solve, solve_bytes
 from .expsum import PHASE_ORDER_LIMIT
-from .hankel_core import DENSE_LIMIT, solve_bytes
+from .hankel_core import ResourceLimitError, require_memory
 
 __all__ = ["main", "run_scenario", "ConfigError"]
 
@@ -145,18 +144,23 @@ def _as_perturbation(value, path: str):
 def _build(cls, cfg, path: str, **convert):
     """The dataclass cls, read field by field from the JSON object cfg.
 
-    Fields are read in the order cls declares them.  A field cfg leaves out
-    takes its dataclass default, and is required when it has none.  A
-    present value goes through convert[field] (default _as_float).  A
-    ValueError from cls itself is reported at path, or at the field it
-    names (model.FieldError).
+    A key of cfg that names no field of cls is refused.  Fields are read in
+    the order cls declares them.  A field cfg leaves out takes its
+    dataclass default, and is required when it has none.  A present value
+    goes through convert[field] (default _as_float).  A ValueError from cls
+    itself is reported at path, or at the field it names (model.FieldError).
     """
     if not isinstance(cfg, dict):
         raise ConfigError(path or "<root>", "expected an object")
-    kwargs = {}
     # unwrap sees through a functools.wraps wrapper of cls, such as the
     # timing span benchmarks/spans.py puts around Scenario.
-    for f in dataclasses.fields(inspect.unwrap(cls)):
+    fields = dataclasses.fields(inspect.unwrap(cls))
+    names = {f.name for f in fields}
+    for key in cfg:
+        if key not in names:
+            raise ConfigError(_at(path, key), "unknown field")
+    kwargs = {}
+    for f in fields:
         if f.name in cfg:
             kwargs[f.name] = convert.get(f.name, _as_float)(cfg[f.name], _at(path, f.name))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -176,28 +180,15 @@ _GRID_T_MIN = 1e-12
 def parse_grid(cfg, path: str) -> quadrature.GridSpec:
     if isinstance(cfg, dict):
         cfg = {"t_min": _GRID_T_MIN, **cfg}
-    grid = _build(quadrature.GridSpec, cfg, path, kind=_as_is, points=_as_int)
-    if grid.kind == "geometric" and grid.points > DENSE_LIMIT:
-        # Geometric grids are built as dense matrices; refuse before anything
-        # is allocated.
-        raise ConfigError(
-            f"{path}.points",
-            f"geometric grids are built densely, so at most {DENSE_LIMIT} "
-            f"points; got {grid.points}",
-        )
-    return grid
+    return _build(quadrature.GridSpec, cfg, path, kind=_as_is, points=_as_int)
 
 
 def _refuse_oversize(need: int, what: str, field: str) -> None:
-    """Refuse a job that needs more bytes than physical memory holds."""
+    """hankel_core.require_memory, its refusal reported at field."""
     try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return  # unknown size: refuse nothing
-    if need > have:
-        raise model.FieldError(
-            field, f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
-        )
+        require_memory(need, what)
+    except ResourceLimitError as exc:
+        raise model.FieldError(field, str(exc)) from exc
 
 
 # kind -> converter of its spec.

@@ -3,7 +3,7 @@
 Four routes to the spectrum:
 
   * dense_spectrum: full symmetric eigendecomposition, the reference route,
-    usable up to the dense materialization limit;
+    for any matrix that fits in physical memory twice over;
   * the randomized range finder: for a dense matrix of low numerical rank
     (a geometric Nystrom grid), an orthonormal basis grown from Gaussian
     test blocks until it captures the matrix to within the zero band, then
@@ -17,12 +17,14 @@ Four routes to the spectrum:
     for truncations given by their entries (uniform grids) at orders around
     2^18 where dense storage is impossible.
 
-solve() picks between them with one rule for every caller,
-hankel_core.solve_route: discrete symbols go to expsum at every order,
-dense matrices to the range finder (dense below order 256), and
-truncations given by their entries go dense up to DENSE_SOLVE_LIMIT and to
-Lanczos with the knobs of SolverParams above it.  Only Lanczos reads those
-knobs.
+solve() picks between them with one rule for every caller, solve_route:
+discrete symbols go to expsum at every order, dense matrices to the range
+finder (dense below order 256), and truncations given by their entries go
+dense up to DENSE_SOLVE_LIMIT and to Lanczos with the knobs of
+SolverParams above it.  Only Lanczos reads those knobs.  solve_bytes
+counts what each route allocates; the CLI refuses a run whose count
+exceeds physical memory (hankel_core.require_memory), and the dense route
+refuses a matrix it cannot hold the same way.
 
 All report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
@@ -41,27 +43,34 @@ import numpy as np
 
 from . import expsum
 from .hankel_core import (
-    DENSE_LIMIT,
-    RANGE_BLOCK,
     DiscreteTruncation,
     HankelTruncation,
-    ResourceLimitError,
     dense_matrix,
-    lanczos_cap,
     matvec,
-    range_cap,
-    solve_route,
+    require_memory,
 )
 
 __all__ = [
     "SolverParams",
     "SpectrumResult",
+    "DENSE_SOLVE_LIMIT",
+    "RANGE_BLOCK",
+    "solve_route",
+    "lanczos_cap",
+    "range_cap",
+    "solve_bytes",
     "solve",
     "dense_spectrum",
     "lanczos_extremes",
     "counting",
     "merged_singular_values",
 ]
+
+# The largest truncation given by its entries (a uniform grid) that solve
+# takes to dense eigvalsh; above it, Lanczos through the fast matvec.
+DENSE_SOLVE_LIMIT = 2048
+# Columns of each Gaussian test block the range finder draws.
+RANGE_BLOCK = 64
 
 ZERO_BAND_REL = 1e-13
 ASYMMETRY_REL = 1e-12
@@ -82,6 +91,76 @@ _RANGE_BOUND = 10.0 * math.sqrt(2.0 / math.pi)
 # Blocks a residual may go without a tenfold drop before the range finder
 # gives up on low rank and falls back to dense.
 _RANGE_STALL = 2
+
+
+def solve_route(order: int, kind: str) -> str:
+    """The route solve takes for an order-N operator of this kind.
+
+    kind is "matrix" for a dense matrix (a geometric Nystrom grid),
+    "entries" for a truncation given by its entries (a HankelTruncation,
+    such as a uniform grid) and "symbol" for the truncation of a discrete
+    spec (a DiscreteTruncation).  The route is "expsum" for a symbol; for a
+    matrix "range" (the randomized range finder) when range_cap leaves room
+    for one test block and "dense" below that, that is below order 256; for
+    entries "dense" up to DENSE_SOLVE_LIMIT and "lanczos" above it.  Uniform
+    grids carry triangle kernels, which are not low rank, so their dense
+    orders skip the range finder.
+    """
+    if kind == "symbol":
+        return "expsum"
+    if kind == "matrix":
+        return "range" if range_cap(order) >= RANGE_BLOCK else "dense"
+    return "dense" if order <= DENSE_SOLVE_LIMIT else "lanczos"
+
+
+def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
+    """Basis vectors lanczos_extremes keeps before a thick restart.
+
+    basis_cap, raised to the 2k + 2 that k eigenvalues per end need, and
+    never above the order.
+    """
+    return min(order, max(basis_cap, 2 * k + 2))
+
+
+def range_cap(order: int) -> int:
+    """Basis columns the range finder may hold before it falls back to dense.
+
+    A quarter of the order: a basis much wider than that costs more than
+    the dense eigvalsh it would replace.
+    """
+    return order // 4
+
+
+def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int:
+    """Bytes solve allocates for an order-N operator, by arithmetic.
+
+    On the dense route (see solve_route): the matrix and the copy eigvalsh
+    factors, 8 N^2 bytes each.  On the range route: the matrix, and the
+    larger of that copy, made only on fallback once the rest is freed, and
+    what the range finder holds before it: the basis and its product with
+    the matrix, range_cap(N) rows of N floats each, the Rayleigh quotient
+    and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows (the
+    test block, its product, a projection and a QR copy).  On the expsum
+    route: expsum.solve_bytes of the spec, which grows with log N only.  On
+    the Lanczos route: the 2N - 1 entries and their FFT image, one matvec
+    workspace, and the cap + 1 basis rows of N floats that lanczos_extremes
+    allocates at once.
+    """
+    route = solve_route(order, kind)
+    if route == "dense":
+        return 2 * 8 * order * order
+    if route == "range":
+        cap = range_cap(order)
+        finder = 8 * (2 * order * cap + 2 * cap * cap + 4 * RANGE_BLOCK * order)
+        return 8 * order * order + max(8 * order * order, finder)
+    if route == "expsum":
+        return expsum.solve_bytes(spec, order)
+    # The circulant length of the fast matvec: the power of two at or above 2N.
+    P = 1 << (2 * order - 1).bit_length()
+    spectrum = 16 * (P // 2 + 1)
+    entries = 8 * (2 * order - 1) + spectrum
+    workspace = 8 * P + spectrum + 8 * P
+    return entries + workspace + 8 * (lanczos_cap(order, k, basis_cap) + 1) * order
 
 
 @dataclass(frozen=True)
@@ -135,13 +214,16 @@ def dense_spectrum(A) -> SpectrumResult:
 
 
 def _symmetric_matrix(A) -> np.ndarray:
-    """A as a float array, refused unless square, within DENSE_LIMIT and symmetric."""
+    """A as a float array, refused unless square, symmetric and within physical memory.
+
+    The memory check counts A and the copy eigvalsh factors, and comes
+    before any other work on A.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if n > DENSE_LIMIT:
-        raise ResourceLimitError(f"order {n} exceeds the dense limit {DENSE_LIMIT}")
+    require_memory(2 * 8 * n * n, f"a dense solve of order {n}")
     amax = max(float(A.max()), -float(A.min())) if n else 0.0
     if amax > 0.0:
         asym = _max_asymmetry(A)
@@ -184,7 +266,7 @@ def _range_spectrum(A) -> SpectrumResult:
     details records the blocks drawn, the basis rank and fell_back.
 
     Memory: the basis Q, the products A Q and Q^T A Q, allocated once at
-    range_cap(order) columns (hankel_core.solve_bytes counts them), and a
+    range_cap(order) columns (solve_bytes counts them), and a
     few blocks of RANGE_BLOCK rows; all are released before a fallback.
     """
     n, b, cap = A.shape[0], RANGE_BLOCK, range_cap(A.shape[0])

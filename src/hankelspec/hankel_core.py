@@ -20,18 +20,21 @@ time: concurrent products on the same truncation each use their own.
 
 A DiscreteTruncation only describes the truncation of a discrete spec;
 expsum factorizes it at every order (build_discrete builds its entries as
-the tests' dense reference).  solve_route names the route eigensolve.solve
-takes for each kind of operator, and solve_bytes what that route allocates.
+the tests' dense reference).
+
+require_memory is the one size rule: every dense materialization here, in
+eigensolve and in quadrature, and every run the CLI accepts, is refused
+before it allocates when it needs more bytes than physical memory holds.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import expsum
 from .model import DiscreteSymbolSpec
 from .sequences import eval_discrete_many
 
@@ -39,106 +42,32 @@ __all__ = [
     "HankelTruncation",
     "DiscreteTruncation",
     "ResourceLimitError",
-    "DENSE_LIMIT",
-    "DENSE_SOLVE_LIMIT",
-    "RANGE_BLOCK",
-    "solve_route",
-    "lanczos_cap",
-    "range_cap",
-    "solve_bytes",
+    "require_memory",
     "build_discrete",
     "matvec",
     "matvec_direct",
     "dense_matrix",
 ]
 
-# The size policy, in matrix order.  A truncation given by its entries is
-# solved densely up to DENSE_SOLVE_LIMIT and by Lanczos through the fast
-# matvec above it; a discrete symbol's truncation always goes to the
-# exponential-sum factorization (expsum); a dense matrix (a geometric
-# Nystrom grid) goes to the randomized range finder, which gives up for
-# dense eigvalsh once its basis would pass range_cap(order) columns (the
-# rule is solve_route).  No dense matrix above DENSE_LIMIT is ever built:
-# dense_matrix, the dense routes, the geometric Nystrom build and the CLI's
-# geometric grids refuse such an order before allocating, and the CLI
-# refuses a run whose solve_bytes exceed physical memory.
-DENSE_SOLVE_LIMIT = 2048
-DENSE_LIMIT = 8192
-# Columns of each Gaussian test block the range finder draws.
-RANGE_BLOCK = 64
-
-
-def solve_route(order: int, kind: str) -> str:
-    """The route eigensolve.solve takes for an order-N operator of this kind.
-
-    kind is "matrix" for a dense matrix (a geometric Nystrom grid),
-    "entries" for a truncation given by its entries (a HankelTruncation,
-    such as a uniform grid) and "symbol" for the truncation of a discrete
-    spec (a DiscreteTruncation).  The route is "expsum" for a symbol; for a
-    matrix "range" (the randomized range finder) when range_cap leaves room
-    for one test block and "dense" below that, that is below order 256; for
-    entries "dense" up to DENSE_SOLVE_LIMIT and "lanczos" above it.  Uniform
-    grids carry triangle kernels, which are not low rank, so their dense
-    orders skip the range finder.
-    """
-    if kind == "symbol":
-        return "expsum"
-    if kind == "matrix":
-        return "range" if range_cap(order) >= RANGE_BLOCK else "dense"
-    return "dense" if order <= DENSE_SOLVE_LIMIT else "lanczos"
-
-
-def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
-    """Basis vectors eigensolve.lanczos_extremes keeps before a thick restart.
-
-    basis_cap, raised to the 2k + 2 that k eigenvalues per end need, and
-    never above the order.
-    """
-    return min(order, max(basis_cap, 2 * k + 2))
-
-
-def range_cap(order: int) -> int:
-    """Basis columns the range finder may hold before it falls back to dense.
-
-    A quarter of the order: a basis much wider than that costs more than
-    the dense eigvalsh it would replace.
-    """
-    return order // 4
-
-
-def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int:
-    """Bytes eigensolve.solve allocates for an order-N operator, by arithmetic.
-
-    On the dense route (see solve_route): the matrix and the copy eigvalsh
-    factors, 8 N^2 bytes each.  On the range route: the matrix, and the
-    larger of that copy, made only on fallback once the rest is freed, and
-    what the range finder holds before it: the basis and its product with
-    the matrix, range_cap(N) rows of N floats each, the Rayleigh quotient
-    and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows (the
-    test block, its product, a projection and a QR copy).  On the expsum
-    route: expsum.solve_bytes of the spec, which grows with log N only.  On
-    the Lanczos route: the 2N - 1 entries and their FFT image, one matvec
-    workspace, and the cap + 1 basis rows of N floats that lanczos_extremes
-    allocates at once.
-    """
-    route = solve_route(order, kind)
-    if route == "dense":
-        return 2 * 8 * order * order
-    if route == "range":
-        cap = range_cap(order)
-        finder = 8 * (2 * order * cap + 2 * cap * cap + 4 * RANGE_BLOCK * order)
-        return 8 * order * order + max(8 * order * order, finder)
-    if route == "expsum":
-        return expsum.solve_bytes(spec, order)
-    P = _next_pow2(2 * order)
-    spectrum = 16 * (P // 2 + 1)
-    entries = 8 * (2 * order - 1) + spectrum
-    workspace = 8 * P + spectrum + 8 * P
-    return entries + workspace + 8 * (lanczos_cap(order, k, basis_cap) + 1) * order
-
 
 class ResourceLimitError(RuntimeError):
-    """Requested dense materialization exceeds the configured limit."""
+    """A job needs more bytes than the machine's physical memory holds."""
+
+
+def require_memory(need: int, what: str) -> None:
+    """Refuse, before it allocates, a job that needs more bytes than physical memory.
+
+    what names the job in the message.  Where the memory size is unknown,
+    nothing is refused.
+    """
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ResourceLimitError(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        )
 
 
 def _next_pow2(n: int) -> int:
@@ -249,11 +178,8 @@ def matvec_direct(H: HankelTruncation, u) -> np.ndarray:
 
 
 def dense_matrix(H: HankelTruncation) -> np.ndarray:
-    """Materialize the full symmetric matrix; refused above DENSE_LIMIT."""
-    if H.order > DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"order {H.order} exceeds the dense materialization limit {DENSE_LIMIT}"
-        )
+    """Materialize the full symmetric matrix; refused beyond physical memory."""
+    require_memory(8 * H.order * H.order, f"an order-{H.order} dense matrix")
     # Row j of the window view is entries[j : j + N], so A[j, k] = h(j + k).
     rows = sliding_window_view(H.entries, H.order)
     return rows.copy()

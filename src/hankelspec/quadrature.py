@@ -9,7 +9,8 @@ dense symmetric matrix with the node weights split symmetrically.  Its
 singular values decay rapidly, so eigensolve.solve takes it to the
 randomized range finder, which holds a basis of a few hundred columns in
 place of the M^3 dense eigendecomposition; building the matrix still costs
-M^2 kernel values, bounded by DENSE_LIMIT.
+M^2 kernel values and 8 M^2 bytes, refused beforehand when physical memory
+cannot hold them (hankel_core.require_memory).
 
 The domain truncation helper bounds the neglected tail of an oscillating
 kernel by integration by parts (one oscillation period costs 2 q(T) / rho),
@@ -26,7 +27,7 @@ import numpy as np
 
 from .analysis import FitParams
 from .eigensolve import SolverParams, solve
-from .hankel_core import DENSE_LIMIT, HankelTruncation, ResourceLimitError
+from .hankel_core import HankelTruncation, require_memory
 from .model import ContinuousKernelSpec, UnsupportedCombinationError, require_finite
 from .sequences import eval_kernel_many
 
@@ -128,14 +129,10 @@ def build_graded(spec, grid: GridSpec) -> np.ndarray:
     """
     if grid.kind != "geometric":
         raise ValueError(f"build_graded needs a geometric grid, got kind={grid.kind!r}")
-    if grid.points > DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"geometric grid with {grid.points} points exceeds the dense "
-            f"limit {DENSE_LIMIT}"
-        )
+    M = grid.points
+    require_memory(8 * M * M, f"a {M}-point geometric grid")
     t, w = geometric_nodes(grid)
     sw = np.sqrt(w)
-    M = len(t)
     K = np.empty((M, M))
     # Evaluate the upper triangle one row block at a time and mirror it, so
     # the kernel's temporaries scale with the block, not with M^2.  Node sums

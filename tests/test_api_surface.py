@@ -93,3 +93,21 @@ def test_allowlist_entries_are_public_and_still_unused():
         stem, name = key.split(".")
         assert key in public, f"allowlisted {key} is not public any more"
         assert _uses(name, stem) == 0, f"{key} is used now; drop it from the allowlist"
+
+
+def test_physical_memory_is_read_in_one_function():
+    # One size rule: every refusal for want of memory goes through it.
+    readers = {(stem, owner) for ident, stem, owner in READS if ident == "sysconf"}
+    assert readers == {("hankel_core", "require_memory")}
+
+
+def test_hankel_core_does_not_import_the_solvers():
+    # The solve plan lives in eigensolve; hankel_core is below both solvers.
+    imported = set()
+    for node in ast.walk(TREES["hankel_core"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"expsum", "eigensolve"}

@@ -420,58 +420,6 @@ def test_infinite_drift_is_written_as_null(tmp_path):
     assert "drift: null\n" in (out / "b1" / "summary.txt").read_text()
 
 
-@pytest.mark.parametrize(
-    "runs, field, memory",
-    [
-        # By solve_bytes the expsum solve of order 2^40 needs 13.6 MiB, the
-        # one of order 256 6.3 MiB: 8 MiB refuses only the first.
-        ({"N_list": [256, 2**40]}, "N_list[1]", 8 << 20),
-        ({"grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]}, "grids[0].points", None),
-    ],
-    ids=["order", "uniform-grid"],
-)
-def test_run_beyond_physical_memory_rejected(tmp_path, capsys, monkeypatch, runs, field, memory):
-    if memory is not None:
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
-        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    kind = "discrete" if "N_list" in runs else "continuous"
-    spec = {"alpha": 1.0, "b_plus1": 1.0} if kind == "discrete" else {"alpha": 1.0, "b_inf": 1.0}
-    cfg = {"name": "huge", "kind": kind, "spec": spec, **runs}
-    code, out = _run(tmp_path, "verify", cfg)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"config error at '{field}'" in err
-    assert "bytes of physical memory" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, cfg, field",
-    [
-        # The samples, their DFT and the dumped angles: 2^40 points are far
-        # beyond any physical memory.
-        ("symbol", {"kind": "symbol", "spec": {"alpha": 2.0}, "samples": 2**40}, "samples"),
-        # A per_n row for each of 10^12 window indices.
-        (
-            "spectrum",
-            {"kind": "discrete", "spec": {"alpha": 1.0, "b_plus1": 1.0}, "N_list": [64],
-             "fit": {"window": [1, 10**12]}},
-            "fit.window",
-        ),
-    ],
-    ids=["samples", "fit-window"],
-)
-def test_sampling_and_fitting_beyond_physical_memory_rejected(
-    tmp_path, capsys, command, cfg, field
-):
-    code, out = _run(tmp_path, command, {"name": "huge", **cfg})
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"config error at '{field}'" in err
-    assert "bytes of physical memory" in err
-    assert not out.exists()
-
-
 def test_log_corrected_window_from_one_rejected(tmp_path, capsys):
     # 1 / log 1 is infinite, so the least-squares design would hold inf.
     cfg = {
@@ -615,25 +563,6 @@ def test_summary_details_line_per_route(tmp_path):
     assert "details: none\n" in (out / "tri" / "summary.txt").read_text()
 
 
-def test_geometric_grid_beyond_physical_memory_rejected(tmp_path, capsys, monkeypatch):
-    # A 4096-point geometric grid is solved densely: 2 * 8 * 4096^2 bytes,
-    # 256 MiB, against 64 MiB of physical memory.
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    cfg = {
-        "name": "geometric",
-        "kind": "continuous",
-        "spec": {"alpha": 1.0, "b_zero": 1.0},
-        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 4096}],
-    }
-    code, out = _run(tmp_path, "spectrum", cfg)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error at 'grids[0].points'" in err
-    assert "bytes of physical memory" in err
-    assert not out.exists()
-
-
 # ----------------------------------------------------------- refusal table
 
 B1 = {"alpha": 1.0, "b_plus1": 1.0}
@@ -643,15 +572,25 @@ SYMBOL = {"kind": "symbol", "spec": {"alpha": 2.0}}
 TWO_GRIDS = [{"kind": "uniform", "t_max": 1.0, "points": n} for n in (128, 256)]
 
 
-def _refusal(id, command, cfg, field, memory=None):
-    return pytest.param(command, cfg, field, memory, id=id)
+def _refusal(id, command, cfg, field, memory=None, message=None):
+    return pytest.param(command, cfg, field, memory, message, id=id)
+
+
+def _memory_refusal(id, command, cfg, field, memory=None):
+    return _refusal(id, command, cfg, field, memory, "bytes of physical memory")
+
+
+def _unknown_field(id, command, cfg, field):
+    return _refusal(id, command, cfg, field, message="unknown field")
 
 
 # One config for each way the config parser refuses a scenario: the command
-# it runs under, the scenario, the field the refusal names and, for the
-# memory refusals, the physical memory the machine reports.  The sweep-only
-# refusals (shared outputs, a non-object entry, the scenario list itself)
-# and the action-mismatch check have their own tests.
+# it runs under, the scenario, the field the refusal names, for the memory
+# refusals the physical memory the machine reports (None: its own), and the
+# words the message must hold, where the field alone does not tell the
+# refusal apart.  The sweep-only refusals (shared outputs, a non-object
+# entry, the scenario list itself) and the action-mismatch check have their
+# own tests.
 REFUSALS = [
     # The value converters.
     _refusal("number-type", "predict", {**DISCRETE, "spec": {"alpha": "one"}}, "spec.alpha"),
@@ -682,11 +621,13 @@ REFUSALS = [
     _refusal("solver-object", "predict", {**DISCRETE, "solver": [1]}, "solver"),
     _refusal("grid-object", "predict", {**DISCRETE, "grids": [1]}, "grids[0]"),
     _refusal("grid-kind", "predict", {**DISCRETE, "grids": [{"kind": "x", "t_max": 1.0, "points": 64}]}, "grids[0]"),
-    _refusal(
-        "geometric-dense-limit", "spectrum",
-        {"kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0},
-         "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 9000}]},
-        "grids[0].points",
+    _unknown_field("unknown-scenario-field", "spectrum", {**DISCRETE, "N_list": [64], "solvr": {"k": 8}}, "solvr"),
+    _unknown_field("unknown-spec-field", "spectrum", {**DISCRETE, "spec": {**B1, "b_plus": 5}, "N_list": [64]}, "spec.b_plus"),
+    _unknown_field("unknown-fit-field", "spectrum", {**DISCRETE, "N_list": [64], "fit": {"windw": [2, 9]}}, "fit.windw"),
+    _unknown_field(
+        "unknown-grid-field", "spectrum",
+        {"kind": "continuous", "spec": TRIANGLE, "grids": [{"kind": "uniform", "t_max": 1.0, "points": 64, "pts": 128}]},
+        "grids[0].pts",
     ),
     # The fit block.
     _refusal("fit-object", "predict", {**DISCRETE, "fit": 3}, "fit"),
@@ -738,28 +679,40 @@ REFUSALS = [
          "N_list": [2**14, 2**53 + 1]},
         "N_list[1]",
     ),
-    # The physical-memory refusals.
-    _refusal("order-memory", "verify", {**DISCRETE, "N_list": [256, 2**40]}, "N_list[1]", memory=8 << 20),
-    _refusal(
+    # The physical-memory refusals.  By solve_bytes the expsum solve of
+    # order 2^40 needs 13.6 MiB, the one of order 256 6.3 MiB: 8 MiB refuses
+    # only the first.  A 4096-point geometric grid needs 2 * 8 * 4096^2
+    # bytes, 256 MiB; one of 10^6 points 16 TB, and 2^40 uniform points,
+    # 2^40 samples or 10^12 window rows are beyond any machine too.
+    _memory_refusal("order-memory", "verify", {**DISCRETE, "N_list": [256, 2**40]}, "N_list[1]", memory=8 << 20),
+    _memory_refusal(
         "uniform-grid-memory", "spectrum",
         {"kind": "continuous", "spec": {"alpha": 1.0, "b_inf": 1.0},
          "grids": [{"kind": "uniform", "t_max": 1.0, "points": 2**40}]},
         "grids[0].points",
     ),
-    _refusal(
+    _memory_refusal(
         "geometric-grid-memory", "spectrum",
         {"kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0},
          "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 4096}]},
         "grids[0].points", memory=64 << 20,
     ),
-    _refusal("samples-memory", "symbol", {**SYMBOL, "samples": 2**40}, "samples"),
-    _refusal("fit-window-memory", "spectrum", {**DISCRETE, "N_list": [64], "fit": {"window": [1, 10**12]}}, "fit.window"),
+    _memory_refusal(
+        "geometric-grid-beyond-any-memory", "spectrum",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0},
+         "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 10**6}]},
+        "grids[0].points",
+    ),
+    _memory_refusal("samples-memory", "symbol", {**SYMBOL, "samples": 2**40}, "samples"),
+    _memory_refusal("fit-window-memory", "spectrum", {**DISCRETE, "N_list": [64], "fit": {"window": [1, 10**12]}}, "fit.window"),
 ]
 
 
-@pytest.mark.parametrize("command, cfg, field, memory", REFUSALS)
+@pytest.mark.parametrize("command, cfg, field, memory, message", REFUSALS)
 @pytest.mark.parametrize("mode", ["single", "sweep"])
-def test_config_refusal_table(tmp_path, capsys, monkeypatch, mode, command, cfg, field, memory):
+def test_config_refusal_table(
+    tmp_path, capsys, monkeypatch, mode, command, cfg, field, memory, message
+):
     if memory is not None:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -772,8 +725,22 @@ def test_config_refusal_table(tmp_path, capsys, monkeypatch, mode, command, cfg,
     err = capsys.readouterr().err
     assert code == 2, err
     assert f"config error at '{field}'" in err
+    if message is not None:
+        assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_geometric_grid_above_8192_points_parses(monkeypatch):
+    # A geometric grid is limited only by the memory its solve needs: 9000
+    # points take 1.3 GB, against 4 GiB.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (4 << 30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = {
+        "kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0}, "action": "spectrum",
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 9000}],
+    }
+    assert parse_scenario(cfg).grids[0].points == 9000
 
 
 # ------------------------------------------------------------ config schema

@@ -11,6 +11,8 @@ import pytest
 
 from hankelspec import eigensolve
 from hankelspec.eigensolve import (
+    DENSE_SOLVE_LIMIT,
+    RANGE_BLOCK,
     SolverParams,
     SpectrumResult,
     counting,
@@ -18,18 +20,15 @@ from hankelspec.eigensolve import (
     lanczos_extremes,
     merged_singular_values,
     solve,
+    solve_bytes,
+    solve_route,
 )
 from hankelspec.hankel_core import (
-    DENSE_LIMIT,
-    DENSE_SOLVE_LIMIT,
-    RANGE_BLOCK,
     HankelTruncation,
     ResourceLimitError,
     build_discrete,
     dense_matrix,
     matvec,
-    solve_bytes,
-    solve_route,
 )
 from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
 from hankelspec.quadrature import GridSpec, build_graded
@@ -101,8 +100,8 @@ def test_dense_spectrum_zero_matrix():
 def test_dense_spectrum_refuses_above_dense_limit():
     # A broadcast view has the shape without the memory; the check comes
     # before any work.
-    A = np.broadcast_to(0.0, (DENSE_LIMIT + 1, DENSE_LIMIT + 1))
-    with pytest.raises(ResourceLimitError, match="dense limit"):
+    A = np.broadcast_to(0.0, (2**20, 2**20))
+    with pytest.raises(ResourceLimitError, match="bytes of physical memory"):
         dense_spectrum(A)
 
 
@@ -340,7 +339,7 @@ def _full_rank(M):
 def test_range_route_covers_dense_matrices_from_order_256():
     assert solve_route(4 * RANGE_BLOCK - 1, "matrix") == "dense"
     assert solve_route(4 * RANGE_BLOCK, "matrix") == "range"
-    assert solve_route(DENSE_LIMIT, "matrix") == "range"
+    assert solve_route(2**20, "matrix") == "range"
     # Uniform grids carry triangle kernels, which are not low rank.
     assert solve_route(DENSE_SOLVE_LIMIT, "entries") == "dense"
 

@@ -144,8 +144,9 @@ def test_graded_requires_geometric_grid():
 
 
 def test_graded_resource_limit():
-    g = GridSpec("geometric", 1e-8, 1.0, 16384)
-    with pytest.raises(ResourceLimitError):
+    # 8 TiB for the matrix: refused before the nodes are computed.
+    g = GridSpec("geometric", 1e-8, 1.0, 2**20)
+    with pytest.raises(ResourceLimitError, match="bytes of physical memory"):
         build_graded(RANK_ONE, g)
 
 
