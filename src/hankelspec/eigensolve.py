@@ -142,9 +142,16 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
     and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows (the
     test block, its product, a projection and a QR copy).  On the expsum
     route: expsum.solve_bytes of the spec, which grows with log N only.  On
-    the Lanczos route: the 2N - 1 entries and their FFT image, one matvec
-    workspace, and the cap + 1 basis rows of N floats that lanczos_extremes
-    allocates at once.
+    the Lanczos route, with P the circulant length of the fast matvec: the
+    2N - 1 entries, their packed transform image alpha and beta (P/2
+    complex numbers each), one matvec workspace (the padded input of P
+    floats and its spectrum of P/2 complex numbers), and what
+    lanczos_extremes holds: the cap + 1 basis rows of N floats it allocates
+    at once, four N-vectors (the start vector, the product the apply
+    returns and two Gram-Schmidt transients), the block of at most
+    cap * _RESTART_COLUMNS floats a thick restart rotates at a time, and
+    four (cap + 1)^2 arrays (the projected matrix T, the copy eigh factors,
+    its eigenvectors and its workspace).
     """
     route = solve_route(order, kind)
     if route == "dense":
@@ -157,10 +164,13 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
         return expsum.solve_bytes(spec, order)
     # The circulant length of the fast matvec: the power of two at or above 2N.
     P = 1 << (2 * order - 1).bit_length()
-    spectrum = 16 * (P // 2 + 1)
-    entries = 8 * (2 * order - 1) + spectrum
-    workspace = 8 * P + spectrum + 8 * P
-    return entries + workspace + 8 * (lanczos_cap(order, k, basis_cap) + 1) * order
+    half_spectrum = 16 * (P // 2)
+    entries = 8 * (2 * order - 1) + 2 * half_spectrum
+    workspace = 8 * P + half_spectrum
+    cap = lanczos_cap(order, k, basis_cap)
+    basis = (cap + 1) * order
+    transients = 4 * order + cap * min(order, _RESTART_COLUMNS) + 4 * (cap + 1) ** 2
+    return entries + workspace + 8 * (basis + transients)
 
 
 @dataclass(frozen=True)
@@ -385,7 +395,11 @@ def lanczos_extremes(
     details["reorth_repeats"]) runs only when that pass shrinks the vector
     below 1/sqrt(2) of its norm after the local step, which in practice
     happens after restarts and breakdowns.  When the basis reaches
-    basis_cap vectors it is thick-restarted around the wanted ends.  A Ritz
+    basis_cap vectors it is thick-restarted around the wanted ends, in the
+    manner of Wu and Simon's TRLan (SIMAX 2000): the restart keeps up to
+    k + 32 Ritz vectors per end, but leaves room for _CHECK_EVERY steps
+    before the next restart unless the k wanted per end need it, so that
+    every rotation of the basis buys at least one convergence check.  A Ritz
     pair (theta, y) counts as converged when its residual
     ||A y - theta y|| = |beta * s_last| is at most
     tol * max(|theta|, ||A||_est), counted contiguously inward from each
@@ -417,7 +431,7 @@ def lanczos_extremes(
     rng = np.random.default_rng(seed)
     k_eff = min(k, n)
     cap = lanczos_cap(n, k_eff, basis_cap)
-    keep_per_end = min(k_eff + 32, (cap - 2) // 2 if cap >= 6 else cap // 2)
+    keep_per_end = max(min(k_eff, (cap - 2) // 2), min(k_eff + 32, (cap - _CHECK_EVERY) // 2))
 
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)

@@ -6,17 +6,36 @@ embedding the Hankel product into a circular convolution:
 
     (A u)[j] = sum_k h(j+k) u[k] = (h * reverse(u))[j + N - 1],
 
-carried out with fast Fourier transforms of length P, the next power of two
-at or above 2N.  The linear convolution of h (length 2N-1) with reverse(u)
-(length N) has support 0..3N-3, so circular wrap-around of size P >= 2N can
-only contaminate output indices below N-1, never the window [N-1, 2N-2] that
-is read.  Cost O(N log N) per product.
+carried out with fast Fourier transforms of circulant length P, the next
+power of two at or above 2N.  The linear convolution of h (length 2N-1) with
+reverse(u) (length N) has support 0..3N-3, so circular wrap-around of size
+P >= 2N can only contaminate output indices below N-1, never the window
+[N-1, 2N-2] that is read.  Cost O(N log N) per product.
 
-Each product needs three length-P work arrays: the zero-padded reversed
-input, its spectrum, and the circular convolution.  HankelTruncation.
-workspace() allocates them; matvec reuses a workspace passed to it, and
-allocates a fresh one otherwise.  A workspace belongs to one caller at a
-time: concurrent products on the same truncation each use their own.
+The real length-P convolution runs as one complex transform of length P/2
+each way (the packing of Cooley, Lewis and Welch, J. Sound Vib. 1970).  The
+padded input x is read as the P/2 complex numbers z[n] = x[2n] + i x[2n+1].
+With F the length-P DFT of the entries, F0 = F[:P/2], F1 = F[P/2:] and
+w_k = exp(-2 pi i k / P), the spectrum Z of z maps to the spectrum of the
+packed output by
+
+    Z'[k] = alpha[k] Z[k] + beta[k] conj(Z[-k mod P/2]),
+    alpha = c a F0 + d b F1,   beta = c b F0 + d a F1,
+
+where a = (1 - i w_k)/2 and b = (1 + i w_k)/2 unpack Z into the spectrum of
+x, and c = (1 + i/w_k)/2 and d = (1 - i/w_k)/2 pack the product back.  With
+t_k = 2 pi k / P the products reduce to c a = (1 - sin t_k)/2,
+d b = (1 + sin t_k)/2 and c b = -d a = i cos(t_k)/2.  The inverse transform
+of Z', read as P floats, is the circular convolution.  HankelTruncation
+folds the unpacking and packing into alpha and beta once.
+
+Each product needs two work arrays: the zero-padded reversed input (P
+floats, also the scratch of the conjugate reversal and the target of the
+inverse transform) and its spectrum (P/2 complex numbers).
+HankelTruncation.workspace() allocates them; matvec reuses a workspace
+passed to it, and allocates a fresh one otherwise.  A workspace belongs to
+one caller at a time: concurrent products on the same truncation each use
+their own.
 
 A DiscreteTruncation only describes the truncation of a discrete spec;
 expsum factorizes it at every order (build_discrete builds its entries as
@@ -81,17 +100,18 @@ def _next_pow2(n: int) -> int:
 class HankelTruncation:
     """Order-N Hankel truncation, immutable after construction.
 
-    The fast-transform image of the entries is precomputed once here and
-    only read afterwards.  The instance holds no matvec scratch: each
-    caller owns the workspace() it passes to matvec, so products on the
-    same instance are safe to run concurrently as long as no workspace is
-    shared between threads.
+    The packed transform image of the entries (alpha and beta in the
+    module docstring) is precomputed once here and only read afterwards.
+    The instance holds no matvec scratch: each caller owns the workspace()
+    it passes to matvec, so products on the same instance are safe to run
+    concurrently as long as no workspace is shared between threads.
     """
 
     order: int
     entries: np.ndarray
     _embed: int = field(init=False, repr=False)
-    _fft_entries: np.ndarray = field(init=False, repr=False)
+    _alpha: np.ndarray = field(init=False, repr=False)
+    _beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -106,16 +126,33 @@ class HankelTruncation:
         object.__setattr__(self, "entries", entries)
         embed = _next_pow2(2 * self.order)
         object.__setattr__(self, "_embed", embed)
-        object.__setattr__(self, "_fft_entries", np.fft.rfft(entries, n=embed))
+        half = embed // 2
+        # F[half + k] = conj(F[half - k]) for real entries, so the half
+        # spectrum of rfft gives both F0 and F1.  alpha = (F0 + F1)/2 -
+        # sin(t) (F0 - F1)/2 and beta = i cos(t) (F0 - F1)/2 are formed in
+        # place, so the build holds few transients of length P/2.
+        F = np.fft.rfft(entries, n=embed)
+        beta = np.conj(F[half:0:-1])
+        alpha = F[:half] + beta
+        np.subtract(F[:half], beta, out=beta)
+        del F
+        alpha *= 0.5
+        beta *= 0.5
+        t = 2.0 * np.pi / embed * np.arange(half)
+        alpha -= np.sin(t) * beta
+        beta *= np.cos(t, out=t)
+        beta *= 1j
+        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_beta", beta)
 
     def workspace(self):
-        """Fresh matvec scratch: (padded input, spectrum, convolution).
+        """Fresh matvec scratch: (padded input, P floats; spectrum, P/2 complex).
 
-        The padded input must stay zero beyond the first N entries; matvec
-        writes only those.
+        matvec overwrites both in full on every call, so a workspace carries
+        nothing from one product to the next.
         """
         P = self._embed
-        return np.zeros(P), np.empty(P // 2 + 1, dtype=complex), np.empty(P)
+        return np.empty(P), np.empty(P // 2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -143,25 +180,32 @@ def build_discrete(spec: DiscreteSymbolSpec, N: int) -> HankelTruncation:
 
 
 def matvec(H: HankelTruncation, u, out=None, workspace=None) -> np.ndarray:
-    """Fast product A u through the circulant embedding.
+    """Fast product A u through the packed circulant embedding.
 
     The product is written to `out` when given (a float array of length N;
     it may be u itself) and returned.  `workspace` is a tuple from
-    H.workspace(); passing the same one to repeated calls saves three
-    length-P allocations per call.
+    H.workspace(); passing the same one to repeated calls saves two
+    allocations per call.
     """
     u = np.asarray(u, dtype=float)
     N = H.order
     if u.shape != (N,):
         raise ValueError(f"expected vector of length {N}, got shape {u.shape}")
-    pad, fu, conv = H.workspace() if workspace is None else workspace
+    pad, spec = H.workspace() if workspace is None else workspace
     if out is None:
         out = np.empty(N)
     pad[:N] = u[::-1]
-    np.fft.rfft(pad, out=fu)
-    fu *= H._fft_entries
-    np.fft.irfft(fu, n=H._embed, out=conv)
-    out[:] = conv[N - 1 : 2 * N - 1]
+    pad[N:] = 0.0
+    packed = pad.view(complex)
+    np.fft.fft(packed, out=spec)
+    # The input is consumed, so its buffer takes conj(Z[-k mod P/2]).
+    np.conjugate(spec[:1], out=packed[:1])
+    np.conjugate(spec[:0:-1], out=packed[1:])
+    packed *= H._beta
+    spec *= H._alpha
+    spec += packed
+    np.fft.ifft(spec, out=packed)
+    out[:] = pad[N - 1 : 2 * N - 1]
     return out
 
 

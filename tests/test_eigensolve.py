@@ -241,8 +241,8 @@ def test_lanczos_thick_restart_memory_is_basis_plus_vectors():
     # A 1/j spectrum at both ends is not low rank, so a small cap forces
     # thick restarts.  The restart rotates the basis in place: the traced
     # peak stays below V plus a few n-vectors, where a rotated copy of the
-    # basis would add another (cap - 2) n-vectors.
-    n, cap = 2**14, 24
+    # basis would add another 12 n-vectors (the 6 Ritz vectors kept per end).
+    n, cap = 2**14, 20
     j = np.arange(1, n // 2 + 1)
     d = np.concatenate([1.0 / j, -1.0 / j])
     # Warm up numpy.linalg outside the trace: its first calls allocate once.
@@ -298,6 +298,49 @@ def test_lanczos_thick_restarts_reproduce_closed_form_eigenvalues(monkeypatch):
     assert np.max(np.abs(plus - exact[0::2][: len(plus)])) <= bound
     assert np.max(np.abs(minus - exact[1::2][: len(minus)])) <= bound
     assert S.details["reorth_repeats"] <= S.details["restarts"] + breakdowns[0]
+
+
+def _restart_rows(H, k, cap):
+    """Solve H by Lanczos; return the result and the basis row each restart resumes at.
+
+    Every apply receives a row of the basis, so its address gives the row
+    index, and a restart is where that index falls.
+    """
+    addresses = []
+
+    def apply(v):
+        addresses.append(v.ctypes.data)
+        return matvec(H, v)
+
+    S = lanczos_extremes(apply, H.order, k=k, tol=1e-10, seed=0, basis_cap=cap)
+    rows = (np.array(addresses) - addresses[0]) // (8 * H.order)
+    return S, rows[np.flatnonzero(np.diff(rows) < 0) + 1]
+
+
+def test_lanczos_restart_leaves_room_for_a_convergence_check():
+    M, k = 3000, 8
+    H = _triangle_truncation(M)
+    # With room in the cap, a restart keeps at most cap - _CHECK_EVERY
+    # vectors, so every rotation of the basis is followed by at least one
+    # convergence check.
+    cap = 32
+    S, resumed = _restart_rows(H, k, cap)
+    assert len(resumed) == S.details["restarts"] >= 2
+    assert np.all(cap - resumed >= eigensolve._CHECK_EVERY)
+    assert S.converged
+    j = np.arange(2 * M)
+    exact = 1.0 / (2.0 * M * np.sin((2 * j + 1) * math.pi / (2 * (2 * M + 1))))
+    bound = 1e-12 * exact[0]
+    assert np.max(np.abs(S.lambda_plus - exact[0::2][: len(S.lambda_plus)])) <= bound
+    assert np.max(np.abs(S.lambda_minus - exact[1::2][: len(S.lambda_minus)])) <= bound
+    # At the minimum cap 2k + 2 the k wanted values per end are kept, and
+    # no more: at k = 1 a restart that kept all 4 vectors would overrun
+    # the basis.
+    for k in (1, 8):
+        S, resumed = _restart_rows(H, k, 2 * k + 2)
+        assert len(resumed) == S.details["restarts"] >= 1
+        assert np.all(resumed >= 2 * k)
+        assert S.converged
 
 
 def test_lanczos_repeats_reorthogonalization_only_after_breakdowns(monkeypatch):
@@ -402,6 +445,23 @@ def test_range_route_peak_is_within_solve_bytes(matrix):
         tracemalloc.stop()
     assert S.details["fell_back"] is (matrix is _full_rank)
     assert A.nbytes + peak <= solve_bytes(M, "matrix", 64, 600)
+
+
+def test_lanczos_route_peak_is_within_solve_bytes():
+    M, params = 2**14, SolverParams(k=8, basis_cap=40)
+    H = _triangle_truncation(M)
+    solve(_triangle_truncation(DENSE_SOLVE_LIMIT + 1), params)  # first-use allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S = solve(H, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert S.solver_id == "lanczos_full_reorth_thick_restart"
+    assert S.details["restarts"] >= 1
+    held = H.entries.nbytes + H._alpha.nbytes + H._beta.nbytes
+    assert held + peak <= solve_bytes(M, "entries", 8, 40)
 
 
 # ------------------------------------------------------------------- counting

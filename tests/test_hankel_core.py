@@ -88,6 +88,20 @@ def test_fast_matvec_matches_direct(N):
     assert np.max(np.abs(fast - direct)) / scale < 1e-12
 
 
+# Every order up to 70 (P/2 = 1 at N = 1, odd N) and both sides of each power of two.
+EDGE_ORDERS = sorted(
+    set(range(1, 71)) | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("N", EDGE_ORDERS)
+def test_packed_matvec_matches_direct_at_edge_orders(N):
+    H = _random_truncation(N, N)
+    u = np.random.default_rng(N + 1).standard_normal(N)
+    row_sum = np.max(np.abs(dense_matrix(H)).sum(axis=1))
+    assert np.max(np.abs(matvec(H, u) - matvec_direct(H, u))) <= 1e-13 * row_sum
+
+
 def test_matvec_symmetry():
     H = _random_truncation(257, 7)
     rng = np.random.default_rng(8)
