@@ -620,6 +620,7 @@ def _run_symbol(scenario, out: Path) -> int:
         ratio = coeffs[j].real * decay / b_eff
     else:
         ratio = np.abs(coeffs[j]) * decay / b_eff
+    ratio_median = analysis._median(ratio)
     stride = max(1, scenario.samples // max(scenario.dump_samples, 1))
     rows = [
         f"# hankelspec {__version__} symbol samples={scenario.samples} stride={stride}",
@@ -637,7 +638,7 @@ def _run_symbol(scenario, out: Path) -> int:
         "alpha": spec.alpha,
         "b": b,
         "symmetric": spec.symmetric,
-        "ratio_median": float(np.median(ratio)),
+        "ratio_median": ratio_median,
         "ratio_min": float(np.min(ratio)),
         "ratio_max": float(np.max(ratio)),
     }
@@ -647,7 +648,7 @@ def _run_symbol(scenario, out: Path) -> int:
         "kind: symbol",
         f"samples: {scenario.samples}",
         f"b: {_f(b.real)} + {_f(b.imag)}i",
-        f"ratio over j in [{j_lo}, {j_hi}]: median {_f(float(np.median(ratio)))}, "
+        f"ratio over j in [{j_lo}, {j_hi}]: median {_f(ratio_median)}, "
         f"min {_f(float(np.min(ratio)))}, max {_f(float(np.max(ratio)))}",
     ]
     _write(out / "summary.txt", "\n".join(lines) + "\n")

@@ -6,9 +6,10 @@ Four routes to the spectrum:
     for any matrix that fits in physical memory twice over;
   * the randomized range finder: for a dense matrix of low numerical rank
     (a geometric Nystrom grid), an orthonormal basis grown from Gaussian
-    test blocks until it captures the matrix to within the zero band, then
-    the eigenvalues of the matrix compressed to that basis; it falls back
-    to dense_spectrum when the matrix is not low rank;
+    test blocks, each orthonormalized by shifted Cholesky QR (BLAS-3, with
+    Householder QR as the fallback), until it captures the matrix to within
+    the zero band, then the eigenvalues of the matrix compressed to that
+    basis; it falls back to dense_spectrum when the matrix is not low rank;
   * expsum.eigenvalues: the exponential-sum factorization of a discrete
     symbol's truncation, whose cost grows with log N only, so it reaches
     orders far beyond any stored vector;
@@ -24,7 +25,9 @@ dense up to DENSE_SOLVE_LIMIT and to Lanczos with the knobs of
 SolverParams above it.  Only Lanczos reads those knobs.  solve_bytes
 counts what each route allocates; the CLI refuses a run whose count
 exceeds physical memory (hankel_core.require_memory), and the dense route
-refuses a matrix it cannot hold the same way.
+refuses a matrix it cannot hold the same way.  Every dense matrix given
+to solve passes one input check first: it must be symmetric to
+ASYMMETRY_REL, scanned in _SYMMETRY_TILE tiles.
 
 All report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
@@ -76,7 +79,8 @@ ZERO_BAND_REL = 1e-13
 ASYMMETRY_REL = 1e-12
 # Tile edge of the dense symmetry check and column width of the in-place
 # thick restart; both bound a transient to a small fixed number of bytes.
-_SYMMETRY_TILE = 256
+# The symmetry tile is small enough that its transposed reads stay in cache.
+_SYMMETRY_TILE = 64
 _RESTART_COLUMNS = 2048
 # Lanczos steps between Ritz convergence checks.
 _CHECK_EVERY = 8
@@ -91,6 +95,9 @@ _RANGE_BOUND = 10.0 * math.sqrt(2.0 / math.pi)
 # Blocks a residual may go without a tenfold drop before the range finder
 # gives up on low rank and falls back to dense.
 _RANGE_STALL = 2
+# The Cholesky QR of a range finder block is accepted when its rows are
+# orthonormal to this tolerance; Householder QR replaces it otherwise.
+_ORTHONORMAL_TOL = 1e-13
 
 
 def solve_route(order: int, kind: str) -> str:
@@ -139,8 +146,10 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
     larger of that copy, made only on fallback once the rest is freed, and
     what the range finder holds before it: the basis and its product with
     the matrix, range_cap(N) rows of N floats each, the Rayleigh quotient
-    and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows (the
-    test block, its product, a projection and a QR copy).  On the expsum
+    and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows, more
+    than any step holds at once: the test block and its product, or the
+    product and the two iterates of a Cholesky QR step, or the product and
+    the copy and factor of the Householder fallback.  On the expsum
     route: expsum.solve_bytes of the spec, which grows with log N only.  On
     the Lanczos route, with P the circulant length of the fast matvec: the
     2N - 1 entries, their packed transform image alpha and beta (P/2
@@ -263,11 +272,12 @@ def _range_spectrum(A) -> SpectrumResult:
     seed and projects Y = A W twice against the orthonormal basis Q held so
     far.  The block stops the search when 10 sqrt(2/pi) times its largest
     column norm is at most ZERO_BAND_REL times ||A||_est, the largest Ritz
-    value |theta| of Q^T A Q, a lower bound of ||A||; otherwise its
-    orthonormalized columns join Q (orthogonalized against Q once more after
-    the QR, which would otherwise amplify what rounding left along Q when Y
-    is ill-conditioned).  The result holds the eigenvalues of Q^T A Q, and
-    the order - rank values outside the basis count as zero-band values.
+    value |theta| of Q^T A Q, a lower bound of ||A||; otherwise its columns,
+    orthonormalized by _orthonormal_rows, projected against Q once more and
+    orthonormalized again, join Q.  The second round is needed because
+    orthonormalizing an ill-conditioned Y amplifies what rounding left of
+    it along Q.  The result holds the eigenvalues of Q^T A Q, and the
+    order - rank values outside the basis count as zero-band values.
 
     The route falls back to the dense route, bitwise, when the basis would
     pass range_cap(order) columns, or when the residual goes _RANGE_STALL
@@ -305,9 +315,10 @@ def _range_spectrum(A) -> SpectrumResult:
             S.details.update(blocks=blocks, basis_rank=r, fell_back=True)
             return S
         new = slice(r, r + b)
-        Qt[new] = np.linalg.qr(Y.T)[0].T
+        Qt[new] = _orthonormal_rows(Y)
+        del Y
         _project_out(Qt[new], Qt[:r])
-        Qt[new] = np.linalg.qr(Qt[new].T)[0].T
+        Qt[new] = _orthonormal_rows(Qt[new])
         np.matmul(Qt[new], A, out=AQt[new])
         r += b
         # Grow the Rayleigh quotient T = Q^T A Q by its new columns and
@@ -325,6 +336,37 @@ def _range_spectrum(A) -> SpectrumResult:
     # The n - r eigenvalues outside the basis lie in the zero band.
     S.n_dropped = n - len(S.lambda_plus) - len(S.lambda_minus)
     return S
+
+
+def _orthonormal_rows(Y) -> np.ndarray:
+    """Orthonormal rows spanning the rows of the b x n block Y, b <= n.
+
+    Shifted CholQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and Yanagisawa,
+    SISC 2020): one Cholesky step of the Gram matrix X X^T shifted by
+    11 (n b + b (b + 1)) u ||Y||_F^2, u the unit roundoff, which factors
+    however ill-conditioned Y is, then two plain steps, each replacing X by
+    inv(L) X.  All of it is BLAS-3.  The result is accepted when
+    max |X X^T - I| <= _ORTHONORMAL_TOL; otherwise, or when a step does not
+    factor (a block rank deficient to rounding), the rows come from
+    Householder QR, which is orthonormal whatever Y is.
+    """
+    b, n = Y.shape
+    diag = np.diag_indices(b)
+    G = Y @ Y.T
+    G[diag] += 11.0 * (n * b + b * (b + 1)) * 0.5 * np.finfo(float).eps * float(np.trace(G))
+    X = Y
+    try:
+        for _ in range(3):
+            X = np.linalg.inv(np.linalg.cholesky(G)) @ X
+            G = X @ X.T
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        G[diag] -= 1.0
+        if float(np.max(np.abs(G))) <= _ORTHONORMAL_TOL:
+            return X
+    del X  # freed before the fallback's own copies
+    return np.linalg.qr(Y.T)[0].T
 
 
 def _project_out(Y, Qt) -> None:

@@ -25,31 +25,28 @@ __all__ = [
 ]
 
 
-def _bump(x: np.ndarray) -> np.ndarray:
-    # exp(-1/x) continued by 0 for x <= 0; all derivatives vanish at 0.
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
 def smooth_step(x):
     """C-infinity step: exactly 0 for x <= 0, exactly 1 for x >= 1, monotone between.
 
-    s(x) = e(x) / (e(x) + e(1-x)) with e(x) = exp(-1/x) for x > 0, else 0.
+    s(x) = e(x) / (e(x) + e(1-x)) with e(x) = exp(-1/x) for x > 0, else 0;
+    all derivatives of e vanish at 0.  The bumps are evaluated on the open
+    band 0 < x < 1 only (and at NaN, which stays NaN).
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    ex = _bump(x)
-    e1x = _bump(1.0 - x)
     out = np.empty_like(x)
     lo = x <= 0.0
     hi = x >= 1.0
     mid = ~(lo | hi)
     out[lo] = 0.0
     out[hi] = 1.0
-    out[mid] = ex[mid] / (ex[mid] + e1x[mid])
+    xm = x[mid]
+    # exp(-1/y) underflows to 0 for y near 0, where -1/y may overflow to -inf.
+    with np.errstate(over="ignore"):
+        ex = np.exp(-1.0 / xm)
+        e1x = np.exp(-1.0 / (1.0 - xm))
+    out[mid] = ex / (ex + e1x)
     return float(out[0]) if scalar else out
 
 

@@ -198,9 +198,12 @@ def sample_bytes(samples: int) -> int:
 
     Per sample: the index and angle grids, the complex result, the complex
     values of the nonzero samples, |theta| and the cutoff's argument
-    (8 + 8 + 16 + 16 + 8 + 8 bytes), and inside smooth_step five float
-    arrays and three masks (5 * 8 + 3 bytes).  The DFT that follows holds
-    less: three complex arrays.
+    (8 + 8 + 16 + 16 + 8 + 8 bytes), and inside smooth_step its result and
+    three masks (8 + 3 bytes) and at most five float arrays over its band
+    c1 < |theta| < c2, which holds less than a third of the samples since
+    c2 < 1 (5 * 8 / 3 bytes).  That is under 89 bytes; the count keeps a
+    margin above it.  The DFT that follows holds less: three complex
+    arrays.
     """
     return 107 * samples
 

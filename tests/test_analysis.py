@@ -101,6 +101,28 @@ def test_window_scaled_median():
         window_scaled_median(S, 2.0, (4, 16), "both")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 25, 1000, 1001])
+def test_median_is_bitwise_np_median(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.standard_normal(n),
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        np.round(rng.standard_normal(n), 1),  # ties
+        rng.choice([-0.0, 0.0, 1.0], n),  # ties of signed zeros
+        np.full(n, 1.0 + 2.0**-52),
+    ]
+    for values in cases:
+        with np.errstate(over="ignore"):
+            got, want = analysis._median(values), np.median(values)
+        assert np.float64(got).tobytes() == want.tobytes()
+    # The mean of two middle values whose sum overflows.
+    with np.errstate(over="ignore"):
+        assert analysis._median([1.5e308, 1.6e308]) == np.median([1.5e308, 1.6e308])
+    with_nan = rng.standard_normal(n)
+    with_nan[n // 2] = np.nan
+    assert math.isnan(analysis._median(with_nan)) and math.isnan(np.median(with_nan))
+
+
 def test_window_scaled_median_extends_by_zero():
     S = _result([1.0], [])
     assert window_scaled_median(S, 1.0, (1, 5), "plus", extend_by_zero=True) == 0.0

@@ -1143,6 +1143,35 @@ def test_module_entrypoint_propagates_exit_code(tmp_path):
     assert "cannot read" in proc.stderr
 
 
+NO_MASKED_ARRAYS_SCRIPT = """
+import sys
+from hankelspec import cli
+code = cli.main(["spectrum", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_spectrum_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, 20-40 ms of every run;
+    # the fit and the reports take their medians without it.
+    cfg = {
+        "name": "gq",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "b_zero": 1.0},
+        "grids": [{"kind": "geometric", "t_min": 1e-10, "t_max": 1.0, "points": 512}],
+        "fit": {"window": [1, 4]},
+    }
+    cfg_path = _write_config(tmp_path / "config.json", cfg)
+    src = str(Path(hankelspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS_SCRIPT, cfg_path, str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 FFT_FAULTS_SCRIPT = """
 import resource
 import numpy as np

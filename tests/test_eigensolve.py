@@ -431,6 +431,56 @@ def test_range_finder_on_the_zero_matrix_drops_every_value():
     assert S.n_dropped == 256
 
 
+def _counting_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def test_range_finder_falls_back_to_householder_on_a_rank_deficient_block(monkeypatch):
+    # Rank 63 leaves the first 64-column block rank deficient to rounding:
+    # Cholesky QR cannot make it orthonormal, so Householder QR must.
+    M, rank = 1024, 63
+    rng = np.random.default_rng(63)
+    U = np.linalg.qr(rng.standard_normal((M, rank)))[0]
+    d = rng.choice([-1.0, 1.0], rank) * np.logspace(0, -6, rank)
+    A = (U * d) @ U.T
+    A = 0.5 * (A + A.T)
+    calls = _counting_qr(monkeypatch)
+    S = solve(A, SolverParams())
+    assert calls, "the Householder branch did not run"
+    assert S.solver_id == "randomized_range_finder" and not S.details["fell_back"]
+    D = dense_spectrum(A)
+    assert len(S.lambda_plus) == len(D.lambda_plus)
+    assert len(S.lambda_minus) == len(D.lambda_minus)
+    assert S.n_dropped == D.n_dropped
+    norm = D.details["norm_est"]
+    assert np.max(np.abs(S.lambda_plus - D.lambda_plus)) <= 1e-12 * norm
+    assert np.max(np.abs(S.lambda_minus - D.lambda_minus)) <= 1e-12 * norm
+
+
+def test_range_finder_orthonormalizes_the_b_zero_grid_by_cholesky_qr(monkeypatch):
+    A = _b_zero_grid(1024)
+    calls = _counting_qr(monkeypatch)
+    S = solve(A, SolverParams())
+    assert S.solver_id == "randomized_range_finder" and not S.details["fell_back"]
+    assert calls == []
+
+
+def test_orthonormal_rows_spans_a_well_conditioned_block():
+    Y = np.random.default_rng(5).standard_normal((RANGE_BLOCK, 1024))
+    X = eigensolve._orthonormal_rows(Y)
+    assert np.max(np.abs(X @ X.T - np.eye(RANGE_BLOCK))) <= 1e-13
+    # Y lies in the span of the rows of X.
+    assert np.max(np.abs(Y - (Y @ X.T) @ X)) <= 1e-12 * np.max(np.abs(Y))
+
+
 @pytest.mark.parametrize("matrix", [_b_zero_grid, _full_rank], ids=["b_zero", "full-rank"])
 def test_range_route_peak_is_within_solve_bytes(matrix):
     M = 1024

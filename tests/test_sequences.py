@@ -96,6 +96,63 @@ def test_smooth_step_plateaus_exact():
     assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+def _step_reference(x):
+    # The closed form e(x) / (e(x) + e(1 - x)), e(y) = exp(-1/y) for y > 0 and
+    # 0 otherwise, with both bumps evaluated at every point, off the band too.
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ex = np.where(x > 0.0, np.exp(-1.0 / x), 0.0)
+        e1x = np.where(1.0 - x > 0.0, np.exp(-1.0 / (1.0 - x)), 0.0)
+        band = ex / (ex + e1x)
+    return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, band))
+
+
+def test_smooth_step_is_bitwise_its_closed_form():
+    rng = np.random.default_rng(0)
+    edges = [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0, 2.0, np.inf]
+    x = np.concatenate([rng.uniform(-0.5, 1.5, 4096), edges])
+    s = smooth_step(x)
+    assert s.tobytes() == _step_reference(x).tobytes()
+    assert np.all(s[x <= 0.0] == 0.0) and np.all(s[x >= 1.0] == 1.0)
+    # The band's ends underflow to the plateau values exactly.
+    assert smooth_step(5e-324) == 0.0
+    assert smooth_step(1.0 - 2.0**-53) == 1.0
+    # A scalar gives the value it has inside an array.
+    for i in range(0, len(x), 97):
+        assert smooth_step(float(x[i])) == s[i]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ContinuousKernelSpec(alpha=1.0, b_zero=1.0),
+        ContinuousKernelSpec(alpha=1.0, b_inf=1.0),
+    ],
+    ids=["b_zero", "b_inf"],
+)
+def test_kernel_cutoffs_are_bitwise_the_closed_form(spec):
+    # chi0 on (c1, c2) and chi_inf on (C1, C2) reach the kernel through
+    # eval_kernel_many; every point, plateaus included, matches the closed
+    # form to the bit.
+    c1, c2, C1, C2 = spec.cutoffs
+    t = np.concatenate([np.linspace(0.01, 3.0, 2999), [c1, c2, C1, C2]])
+    h = eval_kernel_many(spec, t)
+    want = np.zeros_like(t)
+    if spec.b_zero:
+        m = t < c2
+        chi = _step_reference((c2 - t[m]) / (c2 - c1))
+        want[m] += spec.b_zero * (chi / (t[m] * np.log(1.0 / t[m]) ** spec.alpha))
+        assert np.all(h[t <= c1] == 1.0 / (t[t <= c1] * np.log(1.0 / t[t <= c1])))
+        assert np.all(h[t >= c2] == 0.0)
+    else:
+        m = t > C1
+        chi = _step_reference((t[m] - C1) / (C2 - C1))
+        want[m] += np.full(m.sum(), spec.b_inf) * (chi / (t[m] * np.log(t[m]) ** spec.alpha))
+        assert np.all(h[t <= C1] == 0.0)
+        assert np.all(h[t >= C2] == 1.0 / (t[t >= C2] * np.log(t[t >= C2])))
+    assert h.tobytes() == want.tobytes()
+
+
 def test_cutoff_pair_plateaus():
     cut = CutoffPair(0.25, 0.5, 1.5, 2.0)
     assert cut.chi0(0.1) == 1.0
