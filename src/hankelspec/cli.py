@@ -293,9 +293,9 @@ class Scenario:
                 field, f"spectrum runs take exactly one entry, got {len(runs)}"
             )
         for i, run in enumerate(runs):
-            # The solve_route kind: a discrete spec, a uniform grid given by
-            # its entries, or a geometric grid built as a dense matrix
-            # (solved by the range finder, or densely when it falls back).
+            # The operator kind of solve_bytes: a discrete spec, a uniform grid
+            # given by its entries (Lanczos, asked for the whole fit window),
+            # or a geometric grid built as a dense matrix (the range finder).
             if discrete:
                 at, order, route = f"N_list[{i}]", run, "symbol"
                 if self.spec.oscillations and run > PHASE_ORDER_LIMIT:
@@ -307,7 +307,8 @@ class Scenario:
             else:
                 at, order = f"grids[{i}].points", run.points
                 route = "entries" if run.kind == "uniform" else "matrix"
-            need = solve_bytes(order, route, self.solver.k, self.solver.basis_cap, self.spec)
+            k = max(self.solver.k, self.fit.window[1])
+            need = solve_bytes(order, route, k, self.solver.basis_cap, self.spec)
             _refuse_oversize(need, f"an order-{order} solve", at)
         if self.action == "verify" and not discrete and len(runs) < 2:
             raise model.FieldError("grids", f"verify compares at least 2 grids, got {len(runs)}")
@@ -516,7 +517,9 @@ def _run_spectrum(scenario, out: Path) -> int:
         params = {}  # no discrete route reads the solver knobs
     else:
         grid = scenario.grids[0]
-        S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver)
+        # Lanczos is asked for solver.k values per end, and the whole window.
+        H = quadrature.build_from_grid(scenario.spec, grid)
+        S = solve(H, scenario.solver, k=max(scenario.solver.k, scenario.fit.window[1]))
         pred = model.predict_continuous(scenario.spec)
         label = f"grid {grid.kind} M={grid.points}"
         params = {"solver": dataclasses.asdict(scenario.solver)}

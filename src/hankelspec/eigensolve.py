@@ -15,19 +15,18 @@ Four routes to the spectrum:
     orders far beyond any stored vector;
   * lanczos_extremes: matrix-free Lanczos with full reorthogonalization and
     thick restarts, returning converged eigenvalues at both spectral ends,
-    for truncations given by their entries (uniform grids) at orders around
-    2^18 where dense storage is impossible.
+    for truncations given by their entries (uniform grids) at every order.
 
-solve() picks between them with one rule for every caller, solve_route:
-discrete symbols go to expsum at every order, dense matrices to the range
-finder (dense below order 256), and truncations given by their entries go
-dense up to DENSE_SOLVE_LIMIT and to Lanczos with the knobs of
-SolverParams above it.  Only Lanczos reads those knobs.  solve_bytes
-counts what each route allocates; the CLI refuses a run whose count
-exceeds physical memory (hankel_core.require_memory), and the dense route
-refuses a matrix it cannot hold the same way.  Every dense matrix given
-to solve passes one input check first: it must be symmetric to
-ASYMMETRY_REL, scanned in _SYMMETRY_TILE tiles.
+solve() dispatches once on the operator's type: a discrete symbol goes to
+expsum at every order, a dense matrix to the range finder (which solves
+densely below order 256), and a truncation given by its entries (a
+uniform grid) to Lanczos with the knobs of SolverParams.  Only Lanczos
+reads those knobs.  solve_bytes counts what each route allocates; the CLI
+refuses a run whose count exceeds physical memory
+(hankel_core.require_memory), and the dense route refuses a matrix it
+cannot hold the same way.  Every dense matrix given to solve passes one
+input check first: it must be symmetric to ASYMMETRY_REL, scanned in
+_SYMMETRY_TILE tiles.
 
 All report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
@@ -48,7 +47,6 @@ from . import expsum
 from .hankel_core import (
     DiscreteTruncation,
     HankelTruncation,
-    dense_matrix,
     matvec,
     require_memory,
 )
@@ -56,9 +54,7 @@ from .hankel_core import (
 __all__ = [
     "SolverParams",
     "SpectrumResult",
-    "DENSE_SOLVE_LIMIT",
     "RANGE_BLOCK",
-    "solve_route",
     "lanczos_cap",
     "range_cap",
     "solve_bytes",
@@ -69,13 +65,12 @@ __all__ = [
     "merged_singular_values",
 ]
 
-# The largest truncation given by its entries (a uniform grid) that solve
-# takes to dense eigvalsh; above it, Lanczos through the fast matvec.
-DENSE_SOLVE_LIMIT = 2048
 # Columns of each Gaussian test block the range finder draws.
 RANGE_BLOCK = 64
 
 ZERO_BAND_REL = 1e-13
+# A Lanczos residual within _BREAKDOWN_REL * ||A||_est is a breakdown.
+_BREAKDOWN_REL = 1e-14
 ASYMMETRY_REL = 1e-12
 # Tile edge of the dense symmetry check and column width of the in-place
 # thick restart; both bound a transient to a small fixed number of bytes.
@@ -100,26 +95,6 @@ _RANGE_STALL = 2
 _ORTHONORMAL_TOL = 1e-13
 
 
-def solve_route(order: int, kind: str) -> str:
-    """The route solve takes for an order-N operator of this kind.
-
-    kind is "matrix" for a dense matrix (a geometric Nystrom grid),
-    "entries" for a truncation given by its entries (a HankelTruncation,
-    such as a uniform grid) and "symbol" for the truncation of a discrete
-    spec (a DiscreteTruncation).  The route is "expsum" for a symbol; for a
-    matrix "range" (the randomized range finder) when range_cap leaves room
-    for one test block and "dense" below that, that is below order 256; for
-    entries "dense" up to DENSE_SOLVE_LIMIT and "lanczos" above it.  Uniform
-    grids carry triangle kernels, which are not low rank, so their dense
-    orders skip the range finder.
-    """
-    if kind == "symbol":
-        return "expsum"
-    if kind == "matrix":
-        return "range" if range_cap(order) >= RANGE_BLOCK else "dense"
-    return "dense" if order <= DENSE_SOLVE_LIMIT else "lanczos"
-
-
 def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
     """Basis vectors lanczos_extremes keeps before a thick restart.
 
@@ -141,35 +116,32 @@ def range_cap(order: int) -> int:
 def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int:
     """Bytes solve allocates for an order-N operator, by arithmetic.
 
-    On the dense route (see solve_route): the matrix and the copy eigvalsh
-    factors, 8 N^2 bytes each.  On the range route: the matrix, and the
-    larger of that copy, made only on fallback once the rest is freed, and
-    what the range finder holds before it: the basis and its product with
-    the matrix, range_cap(N) rows of N floats each, the Rayleigh quotient
-    and the copy eigvalsh factors, and four blocks of RANGE_BLOCK rows, more
-    than any step holds at once: the test block and its product, or the
-    product and the two iterates of a Cholesky QR step, or the product and
-    the copy and factor of the Householder fallback.  On the expsum
-    route: expsum.solve_bytes of the spec, which grows with log N only.  On
-    the Lanczos route, with P the circulant length of the fast matvec: the
-    2N - 1 entries, their packed transform image alpha and beta (P/2
-    complex numbers each), one matvec workspace (the padded input of P
-    floats and its spectrum of P/2 complex numbers), and what
-    lanczos_extremes holds: the cap + 1 basis rows of N floats it allocates
-    at once, four N-vectors (the start vector, the product the apply
-    returns and two Gram-Schmidt transients), the block of at most
-    cap * _RESTART_COLUMNS floats a thick restart rotates at a time, and
-    four (cap + 1)^2 arrays (the projected matrix T, the copy eigh factors,
-    its eigenvectors and its workspace).
+    kind is "matrix" (a geometric grid), "entries" (a HankelTruncation) or
+    "symbol" (a DiscreteTruncation).  For a matrix: the matrix, and the
+    larger of the copy eigvalsh factors, made by the dense solve below
+    order 256 or on fallback once the rest is freed, and what the range
+    finder holds before it: the basis and its product with the matrix,
+    range_cap(N) rows of N floats each, the Rayleigh quotient and the copy
+    eigvalsh factors, and four blocks of RANGE_BLOCK rows, more than any
+    step holds at once: the test block and its product, or the product and
+    the two iterates of a Cholesky QR step, or the product and the copy and
+    factor of the Householder fallback.  For a symbol: expsum.solve_bytes
+    of the spec, which grows with log N only.  For entries, solved by
+    Lanczos, with P the circulant length of the fast matvec: the 2N - 1
+    entries, their packed transform image alpha and beta (P/2 complex
+    numbers each), one matvec workspace (the padded input of P floats and
+    its spectrum of P/2 complex numbers), and what lanczos_extremes holds:
+    the cap + 1 basis rows of N floats it allocates at once, four N-vectors
+    (the start vector, the product the apply returns and two Gram-Schmidt
+    transients), the block of at most cap * _RESTART_COLUMNS floats a thick
+    restart rotates at a time, and four (cap + 1)^2 arrays (the projected
+    matrix T, the copy eigh factors, its eigenvectors and its workspace).
     """
-    route = solve_route(order, kind)
-    if route == "dense":
-        return 2 * 8 * order * order
-    if route == "range":
+    if kind == "matrix":
         cap = range_cap(order)
         finder = 8 * (2 * order * cap + 2 * cap * cap + 4 * RANGE_BLOCK * order)
         return 8 * order * order + max(8 * order * order, finder)
-    if route == "expsum":
+    if kind == "symbol":
         return expsum.solve_bytes(spec, order)
     # The circulant length of the fast matvec: the power of two at or above 2N.
     P = 1 << (2 * order - 1).bit_length()
@@ -283,13 +255,17 @@ def _range_spectrum(A) -> SpectrumResult:
     pass range_cap(order) columns, or when the residual goes _RANGE_STALL
     blocks without a tenfold drop below the last one that made it: a
     matrix that is not low rank pays a few blocks, never a full-rank basis.
-    details records the blocks drawn, the basis rank and fell_back.
+    details records the blocks drawn, the basis rank and fell_back.  Below
+    order 256, where range_cap leaves no room for one block, the route is
+    the dense route from the start, and draws nothing.
 
     Memory: the basis Q, the products A Q and Q^T A Q, allocated once at
     range_cap(order) columns (solve_bytes counts them), and a
     few blocks of RANGE_BLOCK rows; all are released before a fallback.
     """
     n, b, cap = A.shape[0], RANGE_BLOCK, range_cap(A.shape[0])
+    if cap < b:
+        return _dense(A)
     rng = np.random.default_rng(_RANGE_SEED)
     # The basis vectors are rows, so every block is a contiguous row slice.
     Qt, AQt, T = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
@@ -328,14 +304,12 @@ def _range_spectrum(A) -> SpectrumResult:
         T[new, new] = 0.5 * (T[new, new] + T[new, new].T)
         theta = np.linalg.eigvalsh(T[:r, :r])
         norm_est = max(-float(theta[0]), float(theta[-1]))
-    S = _result(
-        theta, np.zeros(r), r, r, norm_est,
+    # The n - r eigenvalues outside the basis lie in the zero band.
+    return _result(
+        theta, np.zeros(r), r, r, norm_est, complete=True,
         order=n, solver_id="randomized_range_finder", seed=0, tol=0.0,
         details={"blocks": blocks, "basis_rank": r, "fell_back": False, "norm_est": norm_est},
     )
-    # The n - r eigenvalues outside the basis lie in the zero band.
-    S.n_dropped = n - len(S.lambda_plus) - len(S.lambda_minus)
-    return S
 
 
 def _orthonormal_rows(Y) -> np.ndarray:
@@ -394,25 +368,52 @@ def _converged_prefixes(theta, res, tol, norm_est):
     return len(res) - 1 - int(bad[-1]), int(bad[0])
 
 
-def _result(theta, res, top, bot, norm_est, **fields) -> SpectrumResult:
+def _stop_state(theta, res, tol, norm_est, k):
+    """(top, bot, done, at_band) of ascending Ritz values theta with residuals res.
+
+    top and bot are the converged prefixes.  Band values never count toward
+    k.  An end is at the band when its prefix reaches a band value with
+    every residual up to it within _BREAKDOWN_REL * norm_est, a tenth of
+    the band, so that none of the end's values outside the band is left to
+    find; it is done then, or once its prefix holds k values outside the
+    band on its own side.  done and at_band hold for both ends.
+    """
+    top, bot = _converged_prefixes(theta, res, tol, norm_est)
+    band, resolved = ZERO_BAND_REL * norm_est, _BREAKDOWN_REL * norm_est
+    done, at_band = True, True
+    for vals, r in ((theta[::-1][:top], res[::-1][:top]), (-theta[:bot], res[:bot])):
+        inside = np.flatnonzero(np.abs(vals) <= band)
+        at = inside.size > 0 and bool(np.all(r[: inside[0] + 1] <= resolved))
+        done &= at or int(np.count_nonzero(vals > band)) >= k
+        at_band &= at
+    return top, bot, done, at_band
+
+
+def _result(theta, res, top, bot, norm_est, complete=False, **fields) -> SpectrumResult:
     """The SpectrumResult of ascending eigenvalues theta with residuals res.
 
     The top `top` and the bottom `bot` positions of theta are the converged
     prefixes.  lambda_plus takes the values of the top prefix above the zero
     band |theta| <= ZERO_BAND_REL * norm_est, lambda_minus the magnitudes of
     the values of the bottom prefix below it, and n_dropped counts the band
-    values in the union of the two prefixes, each once.
+    values in the union of the two prefixes, each once.  When complete, every
+    eigenvalue outside the band is in theta, so n_dropped counts the rest
+    of the order.
     """
     band = ZERO_BAND_REL * norm_est
     pos = np.arange(len(theta))
     in_top, in_bot = pos >= len(theta) - top, pos < bot
     plus, minus = in_top & (theta > band), in_bot & (theta < -band)
+    if complete:
+        dropped = fields["order"] - int(np.count_nonzero(plus | minus))
+    else:
+        dropped = int(np.count_nonzero((in_top | in_bot) & (np.abs(theta) <= band)))
     return SpectrumResult(
         lambda_plus=theta[plus][::-1],
         lambda_minus=-theta[minus],
         residuals_plus=res[plus][::-1],
         residuals_minus=res[minus],
-        n_dropped=int(np.count_nonzero((in_top | in_bot) & (np.abs(theta) <= band))),
+        n_dropped=dropped,
         **fields,
     )
 
@@ -446,6 +447,14 @@ def lanczos_extremes(
     ||A y - theta y|| = |beta * s_last| is at most
     tol * max(|theta|, ||A||_est), counted contiguously inward from each
     end.  max_iter bounds the number of operator applications.
+
+    An end is done at k values outside the zero band or where it reaches
+    the band (_stop_state).  Convergence is checked every _CHECK_EVERY
+    steps, at the cap, and at once after a breakdown.  The space is
+    exhausted when the basis spans it, or when the fresh direction drawn
+    after a breakdown breaks down at once with its Rayleigh quotient in the
+    band.  Then, or when both ends stopped at the band, n_dropped counts
+    the rest of the order, as on the dense route.
 
     ||A||_est is the running maximum of ||A v_j|| over the applied basis
     vectors and of the Ritz values |theta|; both are lower bounds of ||A||
@@ -487,7 +496,7 @@ def lanczos_extremes(
     restarts = 0
     reorth_repeats = 0
     beta = 0.0
-    exhausted = False
+    exhausted = fresh = False
 
     while True:
         if applies >= max_iter:
@@ -498,7 +507,7 @@ def lanczos_extremes(
             w = w.copy()  # an apply that returns (a view of) its argument
         applies += 1
         norm_est = max(norm_est, float(np.linalg.norm(w)))
-        breakdown = max(norm_est, 1.0) * 1e-14
+        breakdown = _BREAKDOWN_REL * norm_est
         # Local step: modified Gram-Schmidt against the two newest rows, which
         # carry the large three-term components of A v.  The global pass then
         # removes only what rounding left along the rest of the basis.
@@ -521,17 +530,17 @@ def lanczos_extremes(
         T[:m, cur] = c
         T[cur, :m] = c
 
-        if m == n:
+        broke = beta <= breakdown
+        if m == n or (broke and fresh and abs(c[cur]) <= ZERO_BAND_REL * norm_est):
             exhausted = True
             break
 
         at_cap = m == cap
-        if at_cap or m % _CHECK_EVERY == 0:
+        if at_cap or broke or m % _CHECK_EVERY == 0:
             theta, S = np.linalg.eigh(T[:m, :m])
             norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
             res = beta * np.abs(S[m - 1, :])
-            top, bot = _converged_prefixes(theta, res, tol, norm_est)
-            if top >= k_eff and bot >= k_eff:
+            if _stop_state(theta, res, tol, norm_est, k_eff)[2]:
                 break
             if at_cap:
                 # Thick restart: lock both spectral ends plus a buffer and
@@ -550,17 +559,19 @@ def lanczos_extremes(
                     V[:s, cols] = Sk @ V[:m, cols]
                 T[:, :] = 0.0
                 T[:s, :s] = np.diag(kept_theta)
-                if beta > breakdown:
+                if broke:
+                    V[s] = _fresh_direction(rng, V[:s], n)
+                else:
                     np.divide(w, beta, out=V[s])
                     T[s, :s] = kept_b
                     T[:s, s] = kept_b
-                else:
-                    V[s] = _fresh_direction(rng, V[:s], n)
+                fresh = broke
                 m = s + 1
                 restarts += 1
                 continue
 
-        if beta <= breakdown:
+        fresh = broke
+        if broke:
             # Invariant subspace found early; continue in a fresh direction.
             V[m] = _fresh_direction(rng, V[:m], n)
             T[m, cur] = 0.0
@@ -576,19 +587,17 @@ def lanczos_extremes(
 
     theta, S = np.linalg.eigh(T[:m, :m])
     norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
-    if exhausted:
-        # The basis spans the whole space, so T is exact and residuals vanish.
-        res, top, bot = np.zeros(m), m, m
-    else:
-        res = beta * np.abs(S[m - 1, :])
-        top, bot = _converged_prefixes(theta, res, tol, norm_est)
+    # Exhausted, the basis spans the whole space, or all of it outside the
+    # band, so T is exact and residuals vanish.
+    res = np.zeros(m) if exhausted else beta * np.abs(S[m - 1, :])
+    top, bot, done, at_band = _stop_state(theta, res, tol, norm_est, k_eff)
     return _result(
-        theta, res, top, bot, norm_est,
+        theta, res, top, bot, norm_est, complete=exhausted or at_band,
         order=n,
         solver_id="lanczos_full_reorth_thick_restart",
         seed=seed,
         tol=tol,
-        converged=(top >= k_eff and bot >= k_eff) or exhausted,
+        converged=done or exhausted,
         details={
             "applies": applies,
             "restarts": restarts,
@@ -615,43 +624,29 @@ def _fresh_direction(rng, basis, n):
 
 
 def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
-    """Spectrum of a dense matrix or a truncation, by the route solve_route names.
+    """Spectrum of a dense matrix or a truncation, by the route of its type.
 
     op is a dense matrix, a DiscreteTruncation or a HankelTruncation.  A
     DiscreteTruncation takes the expsum route, which returns every
     eigenvalue above its Gram truncation.  A dense matrix takes the range
     finder, which returns every eigenvalue outside the zero band (dense
-    below order 256 and on fallback).  HankelTruncations up to
-    DENSE_SOLVE_LIMIT take the exhaustive dense route; a larger one takes
-    Lanczos through the fast matvec, asking for k eigenvalues per end
-    (params.k when k is None).
+    below order 256 and on fallback).  A HankelTruncation takes Lanczos
+    through the fast matvec at every order, asking for k eigenvalues per
+    end (params.k when k is None).
     """
     if isinstance(op, DiscreteTruncation):
-        kind = "symbol"
-    elif isinstance(op, HankelTruncation):
-        kind = "entries"
-    else:
-        A = _symmetric_matrix(op)
-        if solve_route(A.shape[0], "matrix") == "range":
-            return _range_spectrum(A)
-        return _dense(A)
-    route = solve_route(op.order, kind)
-    if route == "dense":
-        return dense_spectrum(dense_matrix(op))
-    if route == "expsum":
         theta, details = expsum.eigenvalues(op.spec, op.order)
         n = len(theta)
         norm = float(np.max(np.abs(theta))) if n else 0.0
-        S = _result(
-            theta, np.zeros(n), n, n, norm,
+        # The factorization's N - n implicit eigenvalues lie below its Gram
+        # truncation, in the zero band.
+        return _result(
+            theta, np.zeros(n), n, n, norm, complete=True,
             order=op.order, solver_id="expsum", seed=0, tol=0.0,
             details={**details, "norm_est": norm},
         )
-        # As on the dense route, every eigenvalue not returned is a zero-band
-        # value: the factorization's N - n implicit ones lie below its Gram
-        # truncation.
-        S.n_dropped = op.order - len(S.lambda_plus) - len(S.lambda_minus)
-        return S
+    if not isinstance(op, HankelTruncation):
+        return _range_spectrum(_symmetric_matrix(op))
     # One workspace and output vector per solve, so concurrent solves on the
     # same truncation never share scratch.
     workspace = op.workspace()

@@ -248,8 +248,9 @@ def convergence_report(
     """Tabulate lambda_n^+- across grids and their successive relative changes.
 
     Each grid is solved once through eigensolve.solve with the knobs of
-    params, asking for max(2 n_max, 16) eigenvalues per end on the Lanczos
-    route.
+    params: a uniform grid by Lanczos, which is asked for max(2 n_max, 16)
+    eigenvalues per end at every order, a geometric grid by the range
+    finder.
 
     The change between two grids is the max over the window (clipped to the
     eigenvalues available in both) and over both sign channels of the

@@ -201,11 +201,10 @@ def sample_bytes(samples: int) -> int:
     (8 + 8 + 16 + 16 + 8 + 8 bytes), and inside smooth_step its result and
     three masks (8 + 3 bytes) and at most five float arrays over its band
     c1 < |theta| < c2, which holds less than a third of the samples since
-    c2 < 1 (5 * 8 / 3 bytes).  That is under 89 bytes; the count keeps a
-    margin above it.  The DFT that follows holds less: three complex
-    arrays.
+    c2 < 1 (5 * 8 / 3 bytes).  That is under 89 bytes, the count.  The DFT
+    that follows holds less: three complex arrays.
     """
-    return 107 * samples
+    return 89 * samples
 
 
 def aslog_coefficient(spec: AsLogSpec) -> complex:

@@ -103,8 +103,8 @@ def test_spectrum_run_outputs(tmp_path):
 
 
 def test_spectrum_seed_override_recorded(tmp_path):
-    # Only the Lanczos route of a uniform grid above the dense solve limit
-    # reads the seed; no discrete order does.
+    # Only the Lanczos route of a uniform grid reads the seed; no discrete
+    # order does.
     cfg = {
         "name": "seeded",
         "kind": "continuous",
@@ -117,6 +117,26 @@ def test_spectrum_seed_override_recorded(tmp_path):
     assert code == 0
     fit = json.loads((out / "seeded" / "fit.json").read_text())
     assert fit["producer"]["parameters"]["solver"]["seed"] == 5
+    assert " seed=5 " in (out / "seeded" / "spectrum.csv").read_text().splitlines()[0]
+
+
+def test_spectrum_solves_for_the_whole_fit_window(tmp_path):
+    # solver.k = 4 asks for fewer values per end than the window [1, 12]
+    # fits; the run must solve for all twelve, not fit zeros past the sixth.
+    cfg = {
+        "name": "window",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 4096}],
+        "solver": {"k": 4},
+        "fit": {"window": [1, 12]},
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 0
+    fit = json.loads((out / "window" / "fit.json").read_text())
+    assert [row[0] for row in fit["per_n"]] == list(range(1, 13))
+    assert all(row[1] > 0.0 and row[2] > 0.0 for row in fit["per_n"])
+    assert fit["a_hat_minus"] > 0.1  # predicted 1/(2 pi) = 0.159
 
 
 def test_spectrum_continuous_grid(tmp_path):
@@ -295,8 +315,8 @@ def test_continuous_spectrum_counts_its_grids(tmp_path, capsys):
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):
-    # A uniform grid above the dense-solve limit takes the iterative route;
-    # with two iterations it cannot converge and must flag the run, not hide it.
+    # A uniform grid takes the iterative route; with two iterations it
+    # cannot converge and must flag the run, not hide it.
     cfg = {
         "name": "starved",
         "kind": "continuous",

@@ -11,7 +11,6 @@ import pytest
 
 from hankelspec import eigensolve
 from hankelspec.eigensolve import (
-    DENSE_SOLVE_LIMIT,
     RANGE_BLOCK,
     SolverParams,
     SpectrumResult,
@@ -21,9 +20,9 @@ from hankelspec.eigensolve import (
     merged_singular_values,
     solve,
     solve_bytes,
-    solve_route,
 )
 from hankelspec.hankel_core import (
+    DiscreteTruncation,
     HankelTruncation,
     ResourceLimitError,
     build_discrete,
@@ -31,7 +30,7 @@ from hankelspec.hankel_core import (
     matvec,
 )
 from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
-from hankelspec.quadrature import GridSpec, build_graded
+from hankelspec.quadrature import GridSpec, build_graded, build_uniform
 
 mpmath.mp.dps = 30
 
@@ -150,17 +149,25 @@ def test_lanczos_zero_operator():
 
 
 def test_lanczos_counts_each_zero_band_value_once():
-    # b1 at 2^14 converges 32 positive and 1 negative value inside a 64-vector
-    # basis; the two converged prefixes overlap on the 31 band values between.
+    # b1 at 2^14 has 32 positive and 1 negative value outside the zero band.
+    # Both ends reach the band long before k = 64, so, as on the dense route,
+    # every value not returned is a band value.
     S = solve(build_discrete(DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0), 2**14), SolverParams())
     assert S.solver_id == "lanczos_full_reorth_thick_restart"
-    assert S.n_dropped == 31
-    # The zero operator: every Ritz value is in the band, at k = 2 after the
-    # first convergence check and at k = 16 once the space is exhausted.
-    zero = [lanczos_extremes(lambda v: np.zeros_like(v), 16, k=k, seed=0) for k in (2, 16)]
-    for R in [S, *zero]:
-        held = len(R.lambda_plus) + len(R.lambda_minus) + R.n_dropped
-        assert held <= R.details["basis_final"]
+    assert S.converged
+    assert (len(S.lambda_plus), len(S.lambda_minus)) == (32, 1)
+    assert S.n_dropped == 2**14 - 33
+    # The zero operator is all band at its first apply, whatever k asks.
+    for k in (2, 16):
+        Z = lanczos_extremes(lambda v: np.zeros_like(v), 16, k=k, seed=0)
+        assert Z.converged and Z.details["applies"] == 1
+        assert Z.n_dropped == 16
+    # An end that stops at k leaves the rest of its side unseen, so only the
+    # band values the converged prefixes hold are counted, each once.
+    d = np.concatenate([1.0 / np.arange(1, 101), np.zeros(924)])
+    R = lanczos_extremes(lambda v: d * v, 1024, k=2, seed=0)
+    assert R.converged and len(R.lambda_minus) == 0
+    assert 1 <= R.n_dropped <= R.details["basis_final"] - len(R.lambda_plus)
 
 
 def test_converged_prefixes_match_the_scan_from_each_end():
@@ -344,11 +351,15 @@ def test_lanczos_restart_leaves_room_for_a_convergence_check():
 
 
 def test_lanczos_repeats_reorthogonalization_only_after_breakdowns(monkeypatch):
-    # b1 at N = 2^14 exhausts its Krylov space and draws fresh directions.
+    # Four eigenvalues of multiplicity 256: every Krylov space breaks down
+    # after four steps with k = 8 per end unmet, so fresh directions are drawn
+    # until each end holds eight values.
     breakdowns = _count_breakdowns(monkeypatch)
-    H = build_discrete(DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0), 2**14)
-    S = solve(H, SolverParams())
+    d = np.repeat([2.0, 1.0, -1.0, -2.0], 256)
+    S = lanczos_extremes(lambda v: d * v, d.size, k=8, seed=0)
     assert breakdowns[0] > 0
+    assert S.converged
+    assert np.allclose(S.lambda_plus[:8], [2.0] * 4 + [1.0] * 4, rtol=1e-12)
     assert S.details["reorth_repeats"] <= S.details["restarts"] + breakdowns[0]
 
 
@@ -380,11 +391,16 @@ def _full_rank(M):
 
 
 def test_range_route_covers_dense_matrices_from_order_256():
-    assert solve_route(4 * RANGE_BLOCK - 1, "matrix") == "dense"
-    assert solve_route(4 * RANGE_BLOCK, "matrix") == "range"
-    assert solve_route(2**20, "matrix") == "range"
-    # Uniform grids carry triangle kernels, which are not low rank.
-    assert solve_route(DENSE_SOLVE_LIMIT, "entries") == "dense"
+    # Below 4 RANGE_BLOCK columns the range finder has no room for one block:
+    # it is the dense route from the start, bitwise, and records no blocks.
+    small = _b_zero_grid(4 * RANGE_BLOCK - 1)
+    S, D = solve(small, SolverParams()), dense_spectrum(small)
+    assert S.solver_id == "dense" and S.details == D.details == {"norm_est": D.details["norm_est"]}
+    assert np.array_equal(S.lambda_plus, D.lambda_plus)
+    assert np.array_equal(S.lambda_minus, D.lambda_minus)
+    assert S.n_dropped == D.n_dropped
+    # From order 256 on it draws blocks (and here falls back after them).
+    assert solve(_b_zero_grid(4 * RANGE_BLOCK), SolverParams()).details["blocks"] >= 1
 
 
 def test_range_finder_returns_an_adversarial_tail():
@@ -498,9 +514,18 @@ def test_range_route_peak_is_within_solve_bytes(matrix):
 
 
 def test_lanczos_route_peak_is_within_solve_bytes():
-    M, params = 2**14, SolverParams(k=8, basis_cap=40)
+    _check_lanczos_peak(2**14)
+
+
+@pytest.mark.parametrize("M", [64, 1024])
+def test_lanczos_route_peak_is_within_solve_bytes_at_small_orders(M):
+    _check_lanczos_peak(M)
+
+
+def _check_lanczos_peak(M):
+    params = SolverParams(k=8, basis_cap=40)
     H = _triangle_truncation(M)
-    solve(_triangle_truncation(DENSE_SOLVE_LIMIT + 1), params)  # first-use allocations
+    solve(_triangle_truncation(M), params)  # first-use allocations
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -509,7 +534,7 @@ def test_lanczos_route_peak_is_within_solve_bytes():
     finally:
         tracemalloc.stop()
     assert S.solver_id == "lanczos_full_reorth_thick_restart"
-    assert S.details["restarts"] >= 1
+    assert S.details["restarts"] >= (M > 64)
     held = H.entries.nbytes + H._alpha.nbytes + H._beta.nbytes
     assert held + peak <= solve_bytes(M, "entries", 8, 40)
 
@@ -566,7 +591,7 @@ def test_weyl_counting_inequality_sample():
 def test_concurrent_solves_share_a_truncation():
     # Each solve owns its matvec workspace, so threads solving the same
     # truncation at once return the serial spectrum bit for bit.
-    N = DENSE_SOLVE_LIMIT + 512
+    N = 2560
     H = _hilbert_truncation(N)
     params = SolverParams(k=6, tol=1e-10, seed=3)
     want = solve(H, params)
@@ -585,15 +610,56 @@ def test_concurrent_solves_share_a_truncation():
         assert S.details == want.details
 
 
-def test_solve_routes_by_operator():
-    # Eight applications are enough to see the route and the request.
+def test_solve_dispatches_on_the_operator_type():
+    # One route per operator type, whatever the order.  Eight applications
+    # are enough to see the route and the request.
     params = SolverParams(k=4, max_iter=8)
     A = np.array([[2.0, 0.0], [0.0, -3.0]])
     assert solve(A, params).solver_id == "dense"
-    assert solve(_hilbert_truncation(DENSE_SOLVE_LIMIT), params).solver_id == "dense"
-    big = _hilbert_truncation(DENSE_SOLVE_LIMIT + 1)
+    spec = DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0)
+    assert solve(DiscreteTruncation(spec, 16), params).solver_id == "expsum"
+    assert solve(_hilbert_truncation(16), params).solver_id.startswith("lanczos")
+    big = _hilbert_truncation(4096)
     S = solve(big, params)
     assert S.solver_id.startswith("lanczos")
     assert S.details["applies"] == 8
     assert S.details["requested_per_end"] == 4
     assert solve(big, params, k=6).details["requested_per_end"] == 6
+
+
+def _rank_one(M):
+    # h(t) = e^-t: h(s + t) = e^-s e^-t, so every truncation has rank one.
+    return build_uniform(lambda t: np.exp(-t), 10.0, M)
+
+
+def _b_inf(M):
+    # A tail whose singular values fall below the zero band after a few dozen.
+    return build_uniform(ContinuousKernelSpec(alpha=2.0, b_inf=1.0), 1000.0, M)
+
+
+@pytest.mark.parametrize("M", [16, 256, 1024, 2048])
+@pytest.mark.parametrize("kernel", [_triangle_truncation, _rank_one, _b_inf], ids=["triangle", "rank-one", "b_inf"])
+def test_lanczos_returns_what_dense_returns(kernel, M):
+    # Lanczos stops at k = 64 values per end or where an end reaches the zero
+    # band; it must return dense's values there, and count the same band.
+    H = kernel(M)
+    D = dense_spectrum(dense_matrix(H))
+    norm = D.details["norm_est"]
+    for seed in range(4):
+        S = solve(H, SolverParams(seed=seed))
+        assert S.converged
+        for got, want in ((S.lambda_plus, D.lambda_plus), (S.lambda_minus, D.lambda_minus)):
+            if len(want) <= 64:
+                assert len(got) == len(want), seed
+            else:
+                assert 64 <= len(got) < len(want), seed
+            assert np.max(np.abs(got - want[: len(got)]), initial=0.0) <= 1e-12 * norm
+        assert S.n_dropped == D.n_dropped, seed
+
+
+def test_lanczos_stops_on_a_rank_one_kernel_at_once():
+    for M in (256, 4096):
+        S = solve(_rank_one(M), SolverParams())
+        assert S.details["applies"] <= 10
+        assert len(S.lambda_plus) == 1 and len(S.lambda_minus) == 0
+        assert S.n_dropped == M - 1

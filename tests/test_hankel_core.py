@@ -88,6 +88,17 @@ def test_fast_matvec_matches_direct(N):
     assert np.max(np.abs(fast - direct)) / scale < 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 255, 256, 257, 1000])
+def test_direct_matvec_matches_the_row_loop(N):
+    # matvec_direct takes 256 rows at a time; each row is still the dot
+    # product of the definition, summed in another order.
+    H = _random_truncation(N, N)
+    u = np.random.default_rng(N + 2).standard_normal(N)
+    loop = np.array([np.dot(H.entries[j : j + N], u) for j in range(N)])
+    row_sum = np.max(np.abs(dense_matrix(H)).sum(axis=1))
+    assert np.max(np.abs(matvec_direct(H, u) - loop)) <= 1e-13 * row_sum
+
+
 # Every order up to 70 (P/2 = 1 at N = 1, odd N) and both sides of each power of two.
 EDGE_ORDERS = sorted(
     set(range(1, 71)) | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)}

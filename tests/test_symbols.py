@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hankelspec.symbols import (
     mobius_to_circle,
     mobius_to_line,
     sample_aslog,
+    sample_bytes,
 )
 
 
@@ -193,3 +195,19 @@ def test_mobius_rejects_w_equal_one():
     back = mobius_to_circle(lambda x: 1.0)
     with pytest.raises(ValueError, match="infinity"):
         back(1.0)
+
+
+@pytest.mark.parametrize("cutoffs", [(0.25, 0.5), (0.001, 0.999)])
+@pytest.mark.parametrize("samples", [2**16, 2**18])
+def test_sample_bytes_bounds_the_traced_peak(cutoffs, samples):
+    # The widest cutoff band holds almost a third of the samples, the most
+    # the per-sample count allows for.
+    spec = AsLogSpec(alpha=2.0, v0_plus=[1.0], v0_minus=[1.0], cutoffs=cutoffs)
+    sample_aslog(spec, 64)  # numpy allocates once on first use
+    tracemalloc.start()
+    try:
+        sample_aslog(spec, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sample_bytes(samples)
