@@ -294,8 +294,8 @@ class Scenario:
             )
         for i, run in enumerate(runs):
             # The operator kind of solve_bytes: a discrete spec, a uniform grid
-            # given by its entries (Lanczos, asked for the whole fit window),
-            # or a geometric grid built as a dense matrix (the range finder).
+            # given by its entries (Lanczos), or a geometric grid built as a
+            # dense matrix (the range finder).
             if discrete:
                 at, order, route = f"N_list[{i}]", run, "symbol"
                 if self.spec.oscillations and run > PHASE_ORDER_LIMIT:
@@ -307,7 +307,7 @@ class Scenario:
             else:
                 at, order = f"grids[{i}].points", run.points
                 route = "entries" if run.kind == "uniform" else "matrix"
-            k = max(self.solver.k, self.fit.window[1])
+            k = quadrature.lanczos_request(self.action, self.solver.k, self.fit.window)
             need = solve_bytes(order, route, k, self.solver.basis_cap, self.spec)
             _refuse_oversize(need, f"an order-{order} solve", at)
         if self.action == "verify" and not discrete and len(runs) < 2:
@@ -517,9 +517,8 @@ def _run_spectrum(scenario, out: Path) -> int:
         params = {}  # no discrete route reads the solver knobs
     else:
         grid = scenario.grids[0]
-        # Lanczos is asked for solver.k values per end, and the whole window.
-        H = quadrature.build_from_grid(scenario.spec, grid)
-        S = solve(H, scenario.solver, k=max(scenario.solver.k, scenario.fit.window[1]))
+        k = quadrature.lanczos_request("spectrum", scenario.solver.k, scenario.fit.window)
+        S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver, k=k)
         pred = model.predict_continuous(scenario.spec)
         label = f"grid {grid.kind} M={grid.points}"
         params = {"solver": dataclasses.asdict(scenario.solver)}

@@ -17,16 +17,10 @@ Four routes to the spectrum:
     thick restarts, returning converged eigenvalues at both spectral ends,
     for truncations given by their entries (uniform grids) at every order.
 
-solve() dispatches once on the operator's type: a discrete symbol goes to
-expsum at every order, a dense matrix to the range finder (which solves
-densely below order 256), and a truncation given by its entries (a
-uniform grid) to Lanczos with the knobs of SolverParams.  Only Lanczos
-reads those knobs.  solve_bytes counts what each route allocates; the CLI
-refuses a run whose count exceeds physical memory
-(hankel_core.require_memory), and the dense route refuses a matrix it
-cannot hold the same way.  Every dense matrix given to solve passes one
-input check first: it must be symmetric to ASYMMETRY_REL, scanned in
-_SYMMETRY_TILE tiles.
+solve() dispatches once on the operator's type.  solve_bytes counts what
+each route allocates; the CLI refuses a run whose count exceeds physical
+memory (hankel_core.require_memory), and the dense route refuses a matrix
+it cannot hold the same way, after checking it is symmetric.
 
 All report eigenvalues as two positive, non-increasing lists: lambda_plus
 for the positive end and lambda_minus for the magnitudes of the negative
@@ -77,7 +71,7 @@ ASYMMETRY_REL = 1e-12
 # The symmetry tile is small enough that its transposed reads stay in cache.
 _SYMMETRY_TILE = 64
 _RESTART_COLUMNS = 2048
-# Lanczos steps between Ritz convergence checks.
+# Lanczos steps between Ritz convergence checks while the basis is short.
 _CHECK_EVERY = 8
 # The range finder's test blocks come from this seed, so its results never
 # depend on SolverParams.seed.  It stops once the a posteriori bound of
@@ -98,10 +92,11 @@ _ORTHONORMAL_TOL = 1e-13
 def lanczos_cap(order: int, k: int, basis_cap: int) -> int:
     """Basis vectors lanczos_extremes keeps before a thick restart.
 
-    basis_cap, raised to the 2k + 2 that k eigenvalues per end need, and
-    never above the order.
+    basis_cap, raised to 3k + 2, and never above the order: a thick restart
+    keeps the k values wanted per end and at most 32 more, so the room it
+    leaves for new steps grows with k.
     """
-    return min(order, max(basis_cap, 2 * k + 2))
+    return min(order, max(basis_cap, 3 * k + 2))
 
 
 def range_cap(order: int) -> int:
@@ -371,12 +366,10 @@ def _converged_prefixes(theta, res, tol, norm_est):
 def _stop_state(theta, res, tol, norm_est, k):
     """(top, bot, done, at_band) of ascending Ritz values theta with residuals res.
 
-    top and bot are the converged prefixes.  Band values never count toward
-    k.  An end is at the band when its prefix reaches a band value with
-    every residual up to it within _BREAKDOWN_REL * norm_est, a tenth of
-    the band, so that none of the end's values outside the band is left to
-    find; it is done then, or once its prefix holds k values outside the
-    band on its own side.  done and at_band hold for both ends.
+    top and bot are the converged prefixes.  An end is at the band when its
+    prefix reaches a band value with every residual up to it within
+    _BREAKDOWN_REL * norm_est, a tenth of the band; it is done then, or at
+    k values outside the band on its own side.  Both ends must agree.
     """
     top, bot = _converged_prefixes(theta, res, tol, norm_est)
     band, resolved = ZERO_BAND_REL * norm_est, _BREAKDOWN_REL * norm_est
@@ -442,19 +435,22 @@ def lanczos_extremes(
     manner of Wu and Simon's TRLan (SIMAX 2000): the restart keeps up to
     k + 32 Ritz vectors per end, but leaves room for _CHECK_EVERY steps
     before the next restart unless the k wanted per end need it, so that
-    every rotation of the basis buys at least one convergence check.  A Ritz
+    no rotation of the basis follows the last within fewer steps.  A Ritz
     pair (theta, y) counts as converged when its residual
     ||A y - theta y|| = |beta * s_last| is at most
     tol * max(|theta|, ||A||_est), counted contiguously inward from each
     end.  max_iter bounds the number of operator applications.
 
     An end is done at k values outside the zero band or where it reaches
-    the band (_stop_state).  Convergence is checked every _CHECK_EVERY
-    steps, at the cap, and at once after a breakdown.  The space is
-    exhausted when the basis spans it, or when the fresh direction drawn
-    after a breakdown breaks down at once with its Rayleigh quotient in the
-    band.  Then, or when both ends stopped at the band, n_dropped counts
-    the rest of the order, as on the dense route.
+    the band (_stop_state).  Convergence is checked at the cap and every
+    _CHECK_EVERY steps, or m/16 to m/8 past m = 128 basis vectors, so the
+    checks' O(m^3) eigh costs O(m^2) a step.  A check at a breakdown never
+    ends the solve: the invariant subspace holds one copy of each
+    eigenvalue, so further copies are sought from a fresh direction.  The
+    space is exhausted when the basis spans it, or when that direction
+    breaks down at once with its Rayleigh quotient in the band.  Then, or
+    when both ends stopped at the band, n_dropped counts the rest of the
+    order.  An end stopped at k may still miss copies of a repeated value.
 
     ||A||_est is the running maximum of ||A v_j|| over the applied basis
     vectors and of the Ritz values |theta|; both are lower bounds of ||A||
@@ -482,25 +478,17 @@ def lanczos_extremes(
     rng = np.random.default_rng(seed)
     k_eff = min(k, n)
     cap = lanczos_cap(n, k_eff, basis_cap)
-    keep_per_end = max(min(k_eff, (cap - 2) // 2), min(k_eff + 32, (cap - _CHECK_EVERY) // 2))
-
-    v0 = rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    norm_est = 0.0
+    keep_per_end = max(k_eff, min(k_eff + 32, (cap - _CHECK_EVERY) // 2))
 
     V = np.empty((cap + 1, n))
     T = np.zeros((cap + 1, cap + 1))
-    V[0] = v0
-    m = 1
-    applies = 0
-    restarts = 0
-    reorth_repeats = 0
-    beta = 0.0
+    V[0] = rng.standard_normal(n)
+    V[0] /= np.linalg.norm(V[0])
+    m, applies, restarts, reorth_repeats = 1, 0, 0, 0
+    norm_est = beta = 0.0
     exhausted = fresh = False
 
-    while True:
-        if applies >= max_iter:
-            break
+    while applies < max_iter:
         cur = m - 1
         w = np.asarray(apply(V[cur]), dtype=float)
         if np.may_share_memory(w, V):
@@ -516,17 +504,14 @@ def lanczos_extremes(
             c[i] = V[i] @ w
             w -= c[i] * V[i]
         w_local = float(np.linalg.norm(w))
-        cg = V[:m] @ w
-        w -= V[:m].T @ cg
-        c += cg
-        beta = float(np.linalg.norm(w))
-        if beta < 0.70710678 * w_local:
-            # DGKS repeat: the global pass cancelled too much to trust.
+        for repeat in (False, True):
             cg = V[:m] @ w
             w -= V[:m].T @ cg
             c += cg
             beta = float(np.linalg.norm(w))
-            reorth_repeats += 1
+            if repeat or beta >= 0.70710678 * w_local:
+                break
+            reorth_repeats += 1  # DGKS: the pass cancelled too much to trust
         T[:m, cur] = c
         T[cur, :m] = c
 
@@ -534,13 +519,16 @@ def lanczos_extremes(
         if m == n or (broke and fresh and abs(c[cur]) <= ZERO_BAND_REL * norm_est):
             exhausted = True
             break
+        fresh = broke
 
         at_cap = m == cap
-        if at_cap or broke or m % _CHECK_EVERY == 0:
+        # The gap between checks: a power of two from m/16 to m/8, at least 8.
+        if at_cap or m % max(_CHECK_EVERY, (1 << m.bit_length()) // 16) == 0:
             theta, S = np.linalg.eigh(T[:m, :m])
             norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
             res = beta * np.abs(S[m - 1, :])
-            if _stop_state(theta, res, tol, norm_est, k_eff)[2]:
+            # At a breakdown every residual is tiny, but copies may lie outside.
+            if not broke and _stop_state(theta, res, tol, norm_est, k_eff)[2]:
                 break
             if at_cap:
                 # Thick restart: lock both spectral ends plus a buffer and
@@ -565,24 +553,17 @@ def lanczos_extremes(
                     np.divide(w, beta, out=V[s])
                     T[s, :s] = kept_b
                     T[:s, s] = kept_b
-                fresh = broke
                 m = s + 1
                 restarts += 1
                 continue
 
-        fresh = broke
         if broke:
             # Invariant subspace found early; continue in a fresh direction.
             V[m] = _fresh_direction(rng, V[:m], n)
-            T[m, cur] = 0.0
-            T[cur, m] = 0.0
             beta = 0.0
-            m += 1
-            continue
-
-        np.divide(w, beta, out=V[m])
-        T[m, cur] = beta
-        T[cur, m] = beta
+        else:
+            np.divide(w, beta, out=V[m])
+        T[m, cur] = T[cur, m] = beta
         m += 1
 
     theta, S = np.linalg.eigh(T[:m, :m])

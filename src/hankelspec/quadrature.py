@@ -40,6 +40,7 @@ __all__ = [
     "tail_bound",
     "suggest_domain",
     "ConvergenceReport",
+    "lanczos_request",
     "convergence_report",
 ]
 
@@ -239,6 +240,17 @@ class ConvergenceReport:
     converged: list
 
 
+def lanczos_request(action: str, k: int, window) -> int:
+    """Eigenvalues per end a uniform grid's Lanczos solve asks for, by action.
+
+    spectrum fits the window (n_min, n_max): k, and at least n_max.  verify
+    tabulates it on every grid: 2 n_max, at least 16.
+    """
+    if action == "verify":
+        return max(2 * window[1], 16)
+    return max(k, window[1])
+
+
 def convergence_report(
     spec: ContinuousKernelSpec,
     grids,
@@ -248,9 +260,8 @@ def convergence_report(
     """Tabulate lambda_n^+- across grids and their successive relative changes.
 
     Each grid is solved once through eigensolve.solve with the knobs of
-    params: a uniform grid by Lanczos, which is asked for max(2 n_max, 16)
-    eigenvalues per end at every order, a geometric grid by the range
-    finder.
+    params: a uniform grid by Lanczos (lanczos_request), a geometric grid by
+    the range finder.
 
     The change between two grids is the max over the window (clipped to the
     eigenvalues available in both) and over both sign channels of the
@@ -263,8 +274,9 @@ def convergence_report(
     n_lo, n_hi = FitParams(window).window
 
     labels, tp, tm, converged = [], [], [], []
+    k = lanczos_request("verify", params.k, (n_lo, n_hi))
     for g in grids:
-        S = solve(build_from_grid(spec, g), params, k=max(2 * n_hi, 16))
+        S = solve(build_from_grid(spec, g), params, k=k)
         labels.append(f"{g.kind} M={g.points} [{g.t_min:g},{g.t_max:g}]")
         tp.append(np.asarray(S.lambda_plus[:n_hi]))
         tm.append(np.asarray(S.lambda_minus[:n_hi]))

@@ -196,13 +196,17 @@ def sample_aslog(spec: AsLogSpec, samples: int):
 def sample_bytes(samples: int) -> int:
     """Bytes sample_aslog allocates at its peak, by arithmetic.
 
-    Per sample: the index and angle grids, the complex result, the complex
-    values of the nonzero samples, |theta| and the cutoff's argument
-    (8 + 8 + 16 + 16 + 8 + 8 bytes), and inside smooth_step its result and
-    three masks (8 + 3 bytes) and at most five float arrays over its band
-    c1 < |theta| < c2, which holds less than a third of the samples since
-    c2 < 1 (5 * 8 / 3 bytes).  That is under 89 bytes, the count.  The DFT
-    that follows holds less: three complex arrays.
+    Per sample, throughout: the index and angle grids, the complex result,
+    the complex values of the nonzero samples and |theta| (56 bytes).  On
+    top, the larger of two phases.  smooth_step: its argument, its result
+    and three masks (19), and five float arrays over its band
+    c1 < |theta| < c2, under 1/pi of the samples (40/pi): under 87.8 in all.
+    Each side of theta = 0: the cutoff and four masks (12), and 128 bytes
+    over each live sample of the side, under 1/(2 pi) of all (the angles
+    and their logarithms, the sum, v, u and base, the last three alive from
+    the other side, and a polynomial step's three complex arrays): under
+    88.4.  89 bytes leave 0.6 a sample for fixed objects.  The DFT that
+    follows holds less: three complex arrays.
     """
     return 89 * samples
 

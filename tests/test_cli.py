@@ -139,6 +139,45 @@ def test_spectrum_solves_for_the_whole_fit_window(tmp_path):
     assert fit["a_hat_minus"] > 0.1  # predicted 1/(2 pi) = 0.159
 
 
+@pytest.mark.parametrize(
+    "command, solver, window, want",
+    [("spectrum", {"k": 4}, [1, 12], 12), ("spectrum", {}, [1, 8], 64), ("verify", {}, [1, 40], 80)],
+)
+def test_memory_check_counts_the_values_each_solve_asks_for(
+    tmp_path, monkeypatch, command, solver, window, want
+):
+    # The CLI's memory check and every Lanczos solve of the run must use the
+    # same count per end, or the check undercounts the basis.
+    from hankelspec import cli, quadrature
+
+    counted, asked = [], []
+
+    def solve_bytes(order, kind, k, *rest):
+        counted.append(k)
+        return real_bytes(order, kind, k, *rest)
+
+    def solve(op, params, k=None):
+        asked.append(k)
+        return real_solve(op, params, k=k)
+
+    real_bytes, real_solve = cli.solve_bytes, cli.solve
+    monkeypatch.setattr(cli, "solve_bytes", solve_bytes)
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(quadrature, "solve", solve)
+    grids = [{"kind": "uniform", "t_max": 1.0, "points": M} for M in (128, 256)]
+    cfg = {
+        "name": "count",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": grids[:1] if command == "spectrum" else grids,
+        "solver": solver,
+        "fit": {"window": window},
+    }
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == 0
+    assert counted == asked == [want] * len(cfg["grids"])
+
+
 def test_spectrum_continuous_grid(tmp_path):
     cfg = {
         "name": "gq",

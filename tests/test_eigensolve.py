@@ -157,10 +157,12 @@ def test_lanczos_counts_each_zero_band_value_once():
     assert S.converged
     assert (len(S.lambda_plus), len(S.lambda_minus)) == (32, 1)
     assert S.n_dropped == 2**14 - 33
-    # The zero operator is all band at its first apply, whatever k asks.
+    # The zero operator breaks down at its first apply, and the fresh
+    # direction drawn then breaks down in the band: the space is exhausted
+    # after two applies, whatever k asks.
     for k in (2, 16):
         Z = lanczos_extremes(lambda v: np.zeros_like(v), 16, k=k, seed=0)
-        assert Z.converged and Z.details["applies"] == 1
+        assert Z.converged and Z.details["applies"] == 2
         assert Z.n_dropped == 16
     # An end that stops at k leaves the rest of its side unseen, so only the
     # band values the converged prefixes hold are counted, each once.
@@ -340,27 +342,48 @@ def test_lanczos_restart_leaves_room_for_a_convergence_check():
     bound = 1e-12 * exact[0]
     assert np.max(np.abs(S.lambda_plus - exact[0::2][: len(S.lambda_plus)])) <= bound
     assert np.max(np.abs(S.lambda_minus - exact[1::2][: len(S.lambda_minus)])) <= bound
-    # At the minimum cap 2k + 2 the k wanted values per end are kept, and
-    # no more: at k = 1 a restart that kept all 4 vectors would overrun
-    # the basis.
-    for k in (1, 8):
-        S, resumed = _restart_rows(H, k, 2 * k + 2)
+    # At the minimum cap 3k + 2 a restart keeps the k wanted values per end
+    # and at most 32 more, and leaves room for k + 2 new steps, or for
+    # _CHECK_EVERY and then k - 62 as the buffer grows: the room grows with
+    # k, so a solve for many values per end restarts rarely.
+    for k in (1, 8, 100):
+        S, resumed = _restart_rows(H, k, 0)
+        cap = S.details["basis_cap"]
+        assert cap == 3 * k + 2
         assert len(resumed) == S.details["restarts"] >= 1
         assert np.all(resumed >= 2 * k)
+        assert np.all(cap - resumed >= min(k + 2, max(eigensolve._CHECK_EVERY, k - 62)))
         assert S.converged
 
 
 def test_lanczos_repeats_reorthogonalization_only_after_breakdowns(monkeypatch):
-    # Four eigenvalues of multiplicity 256: every Krylov space breaks down
-    # after four steps with k = 8 per end unmet, so fresh directions are drawn
-    # until each end holds eight values.
+    # Two values of multiplicity two and a null space: the first Krylov
+    # space breaks down after five steps, the one from the fresh direction
+    # after three more, and the second fresh direction, a null vector,
+    # breaks down at once and ends the solve.
     breakdowns = _count_breakdowns(monkeypatch)
-    d = np.repeat([2.0, 1.0, -1.0, -2.0], 256)
+    d = np.concatenate([[3.0, 2.0, 2.0, -1.0, -2.0, -2.0], np.zeros(1018)])
     S = lanczos_extremes(lambda v: d * v, d.size, k=8, seed=0)
-    assert breakdowns[0] > 0
+    assert breakdowns[0] == 2 and S.details["applies"] == 9
     assert S.converged
-    assert np.allclose(S.lambda_plus[:8], [2.0] * 4 + [1.0] * 4, rtol=1e-12)
+    assert np.allclose(S.lambda_plus, [3.0, 2.0, 2.0], rtol=1e-12)
+    assert np.allclose(S.lambda_minus, [2.0, 2.0, 1.0], rtol=1e-12)
     assert S.details["reorth_repeats"] <= S.details["restarts"] + breakdowns[0]
+
+
+@pytest.mark.parametrize("k", [1, 8, 64])
+def test_lanczos_finds_each_copy_of_a_value_before_the_null_space(k):
+    # diag(1, 1, -1, 0, ...): the start vector's Krylov space breaks down
+    # with one copy of 1 and a null vector in it.  Stopping there would miss
+    # the second copy and count it in the band.
+    d = np.concatenate([[1.0, 1.0, -1.0], np.zeros(1021)])
+    D = dense_spectrum(np.diag(d))
+    for seed in range(4):
+        S = lanczos_extremes(lambda v: d * v, d.size, k=k, seed=seed)
+        assert S.converged
+        assert np.allclose(S.lambda_plus, D.lambda_plus, rtol=1e-12), seed
+        assert np.allclose(S.lambda_minus, D.lambda_minus, rtol=1e-12), seed
+        assert S.n_dropped == D.n_dropped == 1021, seed
 
 
 def test_lanczos_identity_apply_leaves_basis_intact():

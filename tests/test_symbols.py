@@ -200,8 +200,8 @@ def test_mobius_rejects_w_equal_one():
 @pytest.mark.parametrize("cutoffs", [(0.25, 0.5), (0.001, 0.999)])
 @pytest.mark.parametrize("samples", [2**16, 2**18])
 def test_sample_bytes_bounds_the_traced_peak(cutoffs, samples):
-    # The widest cutoff band holds almost a third of the samples, the most
-    # the per-sample count allows for.
+    # The widest cutoff band holds almost 1/pi of the samples, the most the
+    # per-sample count allows for.
     spec = AsLogSpec(alpha=2.0, v0_plus=[1.0], v0_minus=[1.0], cutoffs=cutoffs)
     sample_aslog(spec, 64)  # numpy allocates once on first use
     tracemalloc.start()
