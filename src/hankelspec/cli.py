@@ -498,7 +498,7 @@ def _run_predict(scenario, out: Path) -> int:
 # The deterministic counters of each route that summary.txt reports.
 _DETAIL_KEYS = (
     "nodes", "columns", "gram_rank", "head_order",
-    "applies", "restarts", "reorth_repeats", "basis_final",
+    "applies", "restarts", "reorth_passes", "reorth_repeats", "basis_final",
     "blocks", "basis_rank", "fell_back",
 )
 

@@ -614,7 +614,7 @@ def test_summary_details_line_per_route(tmp_path):
     details = [line for line in lines if line.startswith("details: ")]
     assert len(details) == 1
     assert [kv.split("=")[0] for kv in details[0].split()[1:]] == [
-        "applies", "restarts", "reorth_repeats", "basis_final",
+        "applies", "restarts", "reorth_passes", "reorth_repeats", "basis_final",
     ]
     cfg["grids"] = [{"kind": "geometric", "t_min": 1e-10, "t_max": 1.0, "points": 64}]
     code, out = _run(tmp_path / "dense", "spectrum", cfg)

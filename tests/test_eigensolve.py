@@ -153,7 +153,7 @@ def test_lanczos_counts_each_zero_band_value_once():
     # Both ends reach the band long before k = 64, so, as on the dense route,
     # every value not returned is a band value.
     S = solve(build_discrete(DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0), 2**14), SolverParams())
-    assert S.solver_id == "lanczos_full_reorth_thick_restart"
+    assert S.solver_id == "lanczos_partial_reorth_thick_restart"
     assert S.converged
     assert (len(S.lambda_plus), len(S.lambda_minus)) == (32, 1)
     assert S.n_dropped == 2**14 - 33
@@ -290,6 +290,21 @@ def _count_breakdowns(monkeypatch):
     return count
 
 
+def _assert_triangle_values(S, M, count):
+    """At least count values per end, each within 1e-12 ||A|| of the closed form.
+
+    Compared position by position: a duplicated (ghost) value shifts every
+    later one onto the wrong closed-form eigenvalue.
+    """
+    k = np.arange(2 * M)
+    exact = 1.0 / (2.0 * M * np.sin((2 * k + 1) * math.pi / (2 * (2 * M + 1))))
+    plus, minus = S.lambda_plus, S.lambda_minus
+    assert len(plus) >= count and len(minus) >= count
+    bound = 1e-12 * exact[0]
+    assert np.max(np.abs(plus - exact[0::2][: len(plus)])) <= bound
+    assert np.max(np.abs(minus - exact[1::2][: len(minus)])) <= bound
+
+
 def test_lanczos_thick_restarts_reproduce_closed_form_eigenvalues(monkeypatch):
     breakdowns = _count_breakdowns(monkeypatch)
     M = 3000
@@ -297,16 +312,49 @@ def test_lanczos_thick_restarts_reproduce_closed_form_eigenvalues(monkeypatch):
     S = solve(H, SolverParams(k=16, basis_cap=48))
     assert S.details["restarts"] >= 1
     assert S.converged
-    k = np.arange(2 * M)
-    exact = 1.0 / (2.0 * M * np.sin((2 * k + 1) * math.pi / (2 * (2 * M + 1))))
-    plus, minus = S.lambda_plus, S.lambda_minus
-    assert len(plus) >= 16 and len(minus) >= 16
-    # Compared position by position: a duplicated (ghost) value shifts every
-    # later one onto the wrong closed-form eigenvalue.
-    bound = 1e-12 * exact[0]
-    assert np.max(np.abs(plus - exact[0::2][: len(plus)])) <= bound
-    assert np.max(np.abs(minus - exact[1::2][: len(minus)])) <= bound
+    _assert_triangle_values(S, M, 16)
     assert S.details["reorth_repeats"] <= S.details["restarts"] + breakdowns[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lanczos_partial_reorthogonalization_survives_thick_restarts(seed):
+    # The first cycle skips global passes while the basis stays orthogonal to
+    # within sqrt(eps), so the Ritz vectors a restart keeps are only that
+    # orthogonal.  Skipping passes after the restart too lets orthogonality
+    # collapse: the values returned were off by hundreds of ||A||.
+    M = 4096
+    S = solve(_triangle_truncation(M), SolverParams(k=16, basis_cap=48, seed=seed))
+    assert S.details["restarts"] >= 1
+    assert S.converged
+    _assert_triangle_values(S, M, 16)
+
+
+def test_lanczos_skips_global_passes_while_semi_orthogonal():
+    # Without a restart, the omega estimate skips most global passes, and
+    # the Ritz values stay as accurate as under full reorthogonalization.
+    M = 4096
+    for seed in range(2):
+        S = solve(_triangle_truncation(M), SolverParams(k=16, seed=seed))
+        assert S.details["restarts"] == 0
+        assert S.converged
+        assert 2 * S.details["reorth_passes"] < S.details["applies"]
+        _assert_triangle_values(S, M, 16)
+
+
+def test_lanczos_stopped_by_max_iter_uses_the_applied_basis_only():
+    # Five applies of a positive definite operator: the sixth basis vector
+    # was never applied, so it must not enter T, whose Ritz values would then
+    # include one near its zero diagonal entry, outside the spectrum.
+    d = np.linspace(1.0, 2.0, 400)
+    for seed in range(4):
+        S = lanczos_extremes(lambda v: d * v, d.size, k=4, tol=0.2, max_iter=5, seed=seed)
+        assert not S.converged
+        assert S.details["applies"] == S.details["basis_final"] == 5
+        assert len(S.lambda_plus) > 0 and len(S.lambda_minus) == 0
+        assert np.all((1.0 <= S.lambda_plus) & (S.lambda_plus <= 2.0))
+        # Each residual bounds the distance to the spectrum.
+        gap = np.min(np.abs(d[:, None] - S.lambda_plus[None, :]), axis=0)
+        assert np.all(gap <= S.residuals_plus)
 
 
 def _restart_rows(H, k, cap):
@@ -337,11 +385,7 @@ def test_lanczos_restart_leaves_room_for_a_convergence_check():
     assert len(resumed) == S.details["restarts"] >= 2
     assert np.all(cap - resumed >= eigensolve._CHECK_EVERY)
     assert S.converged
-    j = np.arange(2 * M)
-    exact = 1.0 / (2.0 * M * np.sin((2 * j + 1) * math.pi / (2 * (2 * M + 1))))
-    bound = 1e-12 * exact[0]
-    assert np.max(np.abs(S.lambda_plus - exact[0::2][: len(S.lambda_plus)])) <= bound
-    assert np.max(np.abs(S.lambda_minus - exact[1::2][: len(S.lambda_minus)])) <= bound
+    _assert_triangle_values(S, M, 0)
     # At the minimum cap 3k + 2 a restart keeps the k wanted values per end
     # and at most 32 more, and leaves room for k + 2 new steps, or for
     # _CHECK_EVERY and then k - 62 as the buffer grows: the room grows with
@@ -556,7 +600,7 @@ def _check_lanczos_peak(M):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert S.solver_id == "lanczos_full_reorth_thick_restart"
+    assert S.solver_id == "lanczos_partial_reorth_thick_restart"
     assert S.details["restarts"] >= (M > 64)
     held = H.entries.nbytes + H._alpha.nbytes + H._beta.nbytes
     assert held + peak <= solve_bytes(M, "entries", 8, 40)
