@@ -380,6 +380,16 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _scalar(x) -> str:
+    # Python floats and ints, nearly every value of a report, skip the dispatch.
+    t = type(x)
+    if t is float:
+        return _f(x)
+    if t is int:
+        return str(x)
+    return _to_json(x)
+
+
 def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -395,7 +405,7 @@ def _to_json(obj, indent: int = 0) -> str:
             return "[]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
         if flat:
-            return "[" + ", ".join(_to_json(v) for v in seq) + "]"
+            return "[" + ", ".join(map(_scalar, seq)) + "]"
         rows = [f"{pad}  {_to_json(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     if isinstance(obj, bool):
@@ -499,7 +509,7 @@ def _run_predict(scenario, out: Path) -> int:
 _DETAIL_KEYS = (
     "nodes", "columns", "gram_rank", "head_order",
     "applies", "restarts", "reorth_passes", "reorth_repeats", "basis_final",
-    "blocks", "basis_rank", "fell_back",
+    "blocks", "probes", "basis_rank", "fell_back",
 )
 
 

@@ -5,11 +5,13 @@ Four routes to the spectrum:
   * dense_spectrum: full symmetric eigendecomposition, the reference route,
     for any matrix that fits in physical memory twice over;
   * the randomized range finder: for a dense matrix of low numerical rank
-    (a geometric Nystrom grid), an orthonormal basis grown from Gaussian
-    test blocks, each orthonormalized by shifted Cholesky QR (BLAS-3, with
-    Householder QR as the fallback), until it captures the matrix to within
-    the zero band, then the eigenvalues of the matrix compressed to that
-    basis; it falls back to dense_spectrum when the matrix is not low rank;
+    (a geometric Nystrom grid), an orthonormal basis grown as a block
+    Krylov space from one Gaussian block, each block orthonormalized by
+    shifted Cholesky QR (BLAS-3, with Householder QR as the fallback),
+    until a fresh Gaussian block certifies that it captures the matrix to
+    within the zero band, then the eigenvalues of the matrix compressed to
+    that basis; it falls back to dense_spectrum when the matrix is not low
+    rank;
   * expsum.eigenvalues: the exponential-sum factorization of a discrete
     symbol's truncation, whose cost grows with log N only, so it reaches
     orders far beyond any stored vector;
@@ -62,7 +64,7 @@ __all__ = [
     "merged_singular_values",
 ]
 
-# Columns of each Gaussian test block the range finder draws.
+# Columns of each block the range finder examines.
 RANGE_BLOCK = 64
 
 ZERO_BAND_REL = 1e-13
@@ -82,12 +84,13 @@ _SYMMETRY_TILE = 64
 _RESTART_COLUMNS = 2048
 # Lanczos steps between Ritz convergence checks while the basis is short.
 _CHECK_EVERY = 8
-# The range finder's test blocks come from this seed, so its results never
-# depend on SolverParams.seed.  It stops once the a posteriori bound of
+# The range finder's Gaussian blocks come from this seed, so its results
+# never depend on SolverParams.seed.  It stops once the a posteriori bound of
 # Halko, Martinsson and Tropp (SIREV 2011, Lemma 4.1),
 #   ||(I - Q Q^T) A|| <= 10 sqrt(2/pi) max_i ||(I - Q Q^T) A w_i||,
 # which holds with probability at least 1 - 10^-RANGE_BLOCK over a Gaussian
-# block w, puts the part of A outside the basis Q inside the zero band.
+# block w drawn independently of the basis Q, puts the part of A outside Q
+# inside the zero band.
 _RANGE_SEED = 0
 _RANGE_BOUND = 10.0 * math.sqrt(2.0 / math.pi)
 # Blocks a residual may go without a tenfold drop before the range finder
@@ -122,26 +125,26 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
 
     kind is "matrix" (a geometric grid), "entries" (a HankelTruncation) or
     "symbol" (a DiscreteTruncation).  For a matrix: the matrix, and the
-    larger of the copy eigvalsh factors, made by the dense solve below
-    order 256 or on fallback once the rest is freed, and what the range
-    finder holds before it: the basis and its product with the matrix,
-    range_cap(N) rows of N floats each, the Rayleigh quotient and the copy
-    eigvalsh factors, and four blocks of RANGE_BLOCK rows, more than any
-    step holds at once: the test block and its product, or the product and
-    the two iterates of a Cholesky QR step, or the product and the copy and
-    factor of the Householder fallback.  For a symbol: expsum.solve_bytes
-    of the spec, which grows with log N only.  For entries, solved by
-    Lanczos, with P the circulant length of the fast matvec: the 2N - 1
-    entries, their packed transform image alpha and beta (P/2 complex
-    numbers each), one matvec workspace (the padded input of P floats and
-    its spectrum of P/2 complex numbers), and what lanczos_extremes holds:
-    the cap + 1 basis rows of N floats it allocates at once, four N-vectors
-    (the start vector, the product the apply returns and two Gram-Schmidt
-    transients), the block of at most cap * _RESTART_COLUMNS floats a thick
-    restart rotates at a time, four (cap + 1)^2 arrays (the projected
-    matrix T, the copy eigh factors, its eigenvectors and its workspace),
-    and the two omega estimates of partial reorthogonalization, cap + 1
-    floats each.
+    larger of the copy eigvalsh factors, made by the dense solve below order
+    256 or on fallback once the rest is freed, and what the range finder
+    holds before it: the basis and its product with the matrix, range_cap(N)
+    rows of N floats each, the Rayleigh quotient and the copy eigvalsh
+    factors, and four blocks of RANGE_BLOCK rows, more than any step holds
+    at once: a Gaussian block and its product, or that product and the two
+    iterates of a Cholesky QR step, or the product and the copy and factor
+    of the Householder fallback; a Krylov block is held in the basis rows it
+    would join, and adds nothing.  For a symbol: expsum.solve_bytes of the
+    spec, which grows with log N only.  For entries, solved by Lanczos, with
+    P the circulant length of the fast matvec: the 2N - 1 entries, their
+    packed transform image alpha and beta (P/2 complex numbers each), one
+    matvec workspace (the padded input of P floats and its spectrum of P/2
+    complex numbers), and what lanczos_extremes holds: the cap + 1 basis
+    rows of N floats it allocates at once, four N-vectors (the start vector,
+    the product the apply returns and two Gram-Schmidt transients), the
+    block of at most cap * _RESTART_COLUMNS floats a thick restart rotates
+    at a time, four (cap + 1)^2 arrays (the projected matrix T, the copy
+    eigh factors, its eigenvectors and its workspace), and the two omega
+    estimates of partial reorthogonalization, cap + 1 floats each.
     """
     if kind == "matrix":
         cap = range_cap(order)
@@ -223,9 +226,11 @@ def _symmetric_matrix(A) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
     require_memory(2 * 8 * n * n, f"a dense solve of order {n}")
-    amax = max(float(A.max()), -float(A.min())) if n else 0.0
-    if amax > 0.0:
-        asym = _max_asymmetry(A)
+    asym = _max_asymmetry(A)
+    # A nonzero asymmetry implies a nonzero entry, so max |A| is read only
+    # then: an exactly symmetric matrix, the common case, is read once.
+    if asym > 0.0:
+        amax = max(float(A.max()), -float(A.min()))
         if asym > ASYMMETRY_REL * amax:
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
@@ -246,26 +251,51 @@ def _dense(A) -> SpectrumResult:
 
 
 def _range_spectrum(A) -> SpectrumResult:
-    """Spectrum of an accepted symmetric matrix by a randomized range finder.
+    """Spectrum of an accepted symmetric matrix by a randomized block Krylov range finder.
 
-    Each step draws a Gaussian block W of RANGE_BLOCK columns from a fixed
-    seed and projects Y = A W twice against the orthonormal basis Q held so
-    far.  The block stops the search when 10 sqrt(2/pi) times its largest
-    column norm is at most ZERO_BAND_REL times ||A||_est, the largest Ritz
-    value |theta| of Q^T A Q, a lower bound of ||A||; otherwise its columns,
-    orthonormalized by _orthonormal_rows, projected against Q once more and
-    orthonormalized again, join Q.  The second round is needed because
-    orthonormalizing an ill-conditioned Y amplifies what rounding left of
-    it along Q.  The result holds the eigenvalues of Q^T A Q, and the
-    order - rank values outside the basis count as zero-band values.
+    The search starts from Y = A W, W a Gaussian block of RANGE_BLOCK
+    columns drawn from a fixed seed.  Each block Y examined is projected
+    twice against the orthonormal basis Q held so far.  Unless it passes
+    the stop test below, its columns, orthonormalized by shifted Cholesky
+    QR (_cholesky_qr, with Householder QR as the fallback), projected
+    against Q once more and orthonormalized again, join Q.  The second
+    round is needed because orthonormalizing an ill-conditioned Y
+    amplifies what rounding left of it along Q.  The product A Q_new of the
+    rows that joined, which the Rayleigh quotient needs anyway, is the next
+    block of the block Krylov space (Halko, Martinsson and Tropp, SIREV
+    2011, sections 4.3-4.5; Musco and Musco, NeurIPS 2015): it becomes the
+    next Y at no further product with A, written into the rows of Q it
+    would join.
+
+    A block passes when 10 sqrt(2/pi) times its largest column norm is at
+    most ZERO_BAND_REL times ||A||_est, the largest Ritz value |theta| of
+    Q^T A Q, a lower bound of ||A||.  Lemma 4.1's bound holds only for a
+    test block independent of Q, so a Krylov block that passes only calls
+    for a probe, a fresh Gaussian block, and the search stops when a
+    Gaussian block passes; a probe that does not pass joins Q like any
+    other block.  A probe also replaces the Krylov block when that block
+    could not join Q (no room below the cap), or when the block that just
+    joined was rank deficient to rounding (Cholesky QR refused it): after a
+    Gaussian block Q then holds all of A above rounding, and after a
+    Krylov block the space has stopped growing along some directions.  The
+    result holds the eigenvalues of Q^T A Q, and the order - rank values
+    outside the basis count as zero-band values.
 
     The route falls back to the dense route, bitwise, when the basis would
-    pass range_cap(order) columns, or when the residual goes _RANGE_STALL
-    blocks without a tenfold drop below the last one that made it: a
-    matrix that is not low rank pays a few blocks, never a full-rank basis.
-    details records the blocks drawn, the basis rank and fell_back.  Below
-    order 256, where range_cap leaves no room for one block, the route is
-    the dense route from the start, and draws nothing.
+    pass range_cap(order) columns, or when the residual, per unit test
+    vector (a Gaussian column has norm about sqrt(order), a Krylov one
+    norm 1), goes _RANGE_STALL blocks that do not pass without a tenfold
+    drop below the last block that made one.  A block that passes never
+    counts as a stall, since rounding may keep a residual already below
+    the threshold from dropping further, but its drop counts: a probe that
+    fails must drop tenfold below the Krylov block that called for it.  So
+    a matrix that is not low rank pays a few blocks, never a full-rank
+    basis, and one whose rounding floor sits at the stop threshold falls
+    back after two failed probes.
+    details records the blocks examined (the start, the Krylov blocks and
+    the probes), the probes, the basis rank and fell_back.  Below order
+    256, where range_cap leaves no room for one block, the route is the
+    dense route from the start, and draws nothing.
 
     Memory: the basis Q, the products A Q and Q^T A Q, allocated once at
     range_cap(order) columns (solve_bytes counts them), and a
@@ -278,29 +308,46 @@ def _range_spectrum(A) -> SpectrumResult:
     # The basis vectors are rows, so every block is a contiguous row slice.
     Qt, AQt, T = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
     theta = np.empty(0)
-    r = blocks = stall = 0
+    r = blocks = probes = stall = 0
     norm_est, last_drop = 0.0, math.inf
+    # Rows of W^T A are the columns of A W, since A is symmetric.
+    Y, gaussian = rng.standard_normal((b, n)) @ A, True
     while True:
-        # Rows of W^T A are the columns of A W, since A is symmetric.
-        Y = rng.standard_normal((b, n)) @ A
         blocks += 1
         _project_out(Y, Qt[:r])
         _project_out(Y, Qt[:r])
         res = float(np.max(np.linalg.norm(Y, axis=1)))
-        if _RANGE_BOUND * res <= ZERO_BAND_REL * norm_est:
-            break
-        if res <= 0.1 * last_drop:
-            last_drop, stall = res, 0
-        else:
+        # A Gaussian row is A w with E ||w||^2 = n, a Krylov row A q with
+        # ||q|| = 1: the stall rule compares them per unit test vector.
+        scaled = res / math.sqrt(n) if gaussian else res
+        passed = _RANGE_BOUND * res <= ZERO_BAND_REL * norm_est
+        if scaled <= 0.1 * last_drop:
+            last_drop, stall = scaled, 0
+        elif not passed:
             stall += 1
+        if passed and gaussian:
+            break
+        # Neither test fires on a block that passed: stall grows only on
+        # blocks that do not, and a Krylov block lies in rows below the cap.
         if stall >= _RANGE_STALL or r + b > cap:
             del Qt, AQt, T, Y
             S = _dense(A)
-            S.details.update(blocks=blocks, basis_rank=r, fell_back=True)
+            S.details.update(blocks=blocks, probes=probes, basis_rank=r, fell_back=True)
             return S
+        if passed:
+            # Only a block independent of Q may certify the stop.
+            Y, gaussian = rng.standard_normal((b, n)) @ A, True
+            probes += 1
+            continue
         new = slice(r, r + b)
-        Qt[new] = _orthonormal_rows(Y)
-        del Y
+        X = _cholesky_qr(Y)
+        # A block rank deficient to rounding ends the Krylov growth: a
+        # Gaussian one held all of A outside Q, so the next Krylov block
+        # would hold only rounding, and after a Krylov one the space has
+        # stopped growing along the lost directions.
+        deficient = X is None
+        Qt[new] = np.linalg.qr(Y.T)[0].T if deficient else X
+        del X, Y
         _project_out(Qt[new], Qt[:r])
         Qt[new] = _orthonormal_rows(Qt[new])
         np.matmul(Qt[new], A, out=AQt[new])
@@ -312,25 +359,48 @@ def _range_spectrum(A) -> SpectrumResult:
         T[new, new] = 0.5 * (T[new, new] + T[new, new].T)
         theta = np.linalg.eigvalsh(T[:r, :r])
         norm_est = max(-float(theta[0]), float(theta[-1]))
+        if r + b <= cap and not deficient:
+            # The next block of the Krylov space, free: A times the new rows,
+            # written where it would join Q.
+            Y, gaussian = Qt[r : r + b], False
+            Y[...] = AQt[new]
+        else:
+            # A Krylov block could not join Q, or would hold only rounding.
+            Y, gaussian = rng.standard_normal((b, n)) @ A, True
+            probes += 1
     # The n - r eigenvalues outside the basis lie in the zero band.
     return _result(
         theta, np.zeros(r), r, r, norm_est, complete=True,
         order=n, solver_id="randomized_range_finder", seed=0, tol=0.0,
-        details={"blocks": blocks, "basis_rank": r, "fell_back": False, "norm_est": norm_est},
+        details={
+            "blocks": blocks, "probes": probes, "basis_rank": r, "fell_back": False,
+            "norm_est": norm_est,
+        },
     )
 
 
 def _orthonormal_rows(Y) -> np.ndarray:
     """Orthonormal rows spanning the rows of the b x n block Y, b <= n.
 
+    _cholesky_qr's rows, or, where it fails, those of Householder QR, which
+    is orthonormal whatever Y is.
+    """
+    X = _cholesky_qr(Y)
+    return np.linalg.qr(Y.T)[0].T if X is None else X
+
+
+def _cholesky_qr(Y):
+    """Orthonormal rows spanning the rows of Y by Cholesky QR, or None.
+
     Shifted CholQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and Yanagisawa,
     SISC 2020): one Cholesky step of the Gram matrix X X^T shifted by
     11 (n b + b (b + 1)) u ||Y||_F^2, u the unit roundoff, which factors
     however ill-conditioned Y is, then two plain steps, each replacing X by
     inv(L) X.  All of it is BLAS-3.  The result is accepted when
-    max |X X^T - I| <= _ORTHONORMAL_TOL; otherwise, or when a step does not
-    factor (a block rank deficient to rounding), the rows come from
-    Householder QR, which is orthonormal whatever Y is.
+    max |X X^T - I| <= _ORTHONORMAL_TOL.  It is None otherwise, or when a
+    step does not factor: the shifted steps reach that tolerance up to a
+    condition number near 1/u, so None marks a block rank deficient to
+    rounding.
     """
     b, n = Y.shape
     diag = np.diag_indices(b)
@@ -342,13 +412,9 @@ def _orthonormal_rows(Y) -> np.ndarray:
             X = np.linalg.inv(np.linalg.cholesky(G)) @ X
             G = X @ X.T
     except np.linalg.LinAlgError:
-        pass
-    else:
-        G[diag] -= 1.0
-        if float(np.max(np.abs(G))) <= _ORTHONORMAL_TOL:
-            return X
-    del X  # freed before the fallback's own copies
-    return np.linalg.qr(Y.T)[0].T
+        return None
+    G[diag] -= 1.0
+    return X if float(np.max(np.abs(G))) <= _ORTHONORMAL_TOL else None
 
 
 def _project_out(Y, Qt) -> None:

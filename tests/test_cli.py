@@ -606,17 +606,23 @@ def test_summary_details_line_per_route(tmp_path):
         "grids": [{"kind": "uniform", "t_max": 1.0, "points": 4096}],
         "solver": {"k": 4},
     }
-    for route in ("lanczos", "dense"):
+    for route in ("lanczos", "range", "dense"):
         (tmp_path / route).mkdir()
-    code, out = _run(tmp_path / "lanczos", "spectrum", cfg)
-    assert code == 0
-    lines = (out / "tri" / "summary.txt").read_text().splitlines()
-    details = [line for line in lines if line.startswith("details: ")]
-    assert len(details) == 1
-    assert [kv.split("=")[0] for kv in details[0].split()[1:]] == [
+
+    def keys(route):
+        code, out = _run(tmp_path / route, "spectrum", cfg)
+        assert code == 0
+        lines = (out / "tri" / "summary.txt").read_text().splitlines()
+        details = [line for line in lines if line.startswith("details: ")]
+        assert len(details) == 1
+        return [kv.split("=")[0] for kv in details[0].split()[1:]]
+
+    assert keys("lanczos") == [
         "applies", "restarts", "reorth_passes", "reorth_repeats", "basis_final",
     ]
-    cfg["grids"] = [{"kind": "geometric", "t_min": 1e-10, "t_max": 1.0, "points": 64}]
+    cfg["grids"] = [{"kind": "geometric", "t_min": 1e-10, "t_max": 1.0, "points": 256}]
+    assert keys("range") == ["blocks", "probes", "basis_rank", "fell_back"]
+    cfg["grids"][0]["points"] = 64
     code, out = _run(tmp_path / "dense", "spectrum", cfg)
     assert code == 0
     assert "details: none\n" in (out / "tri" / "summary.txt").read_text()
@@ -1180,6 +1186,68 @@ def test_rerun_is_byte_identical(tmp_path):
     assert files
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def _reference_to_json(obj, indent=0):
+    """The report serializer with one recursive dispatch per value, as reference."""
+    import math
+
+    import numpy as np
+
+    def f(x):
+        return "null" if not math.isfinite(x) else format(float(x), ".17g")
+
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [f'{pad}  "{k}": {_reference_to_json(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple)) for v in seq):
+            return "[" + ", ".join(_reference_to_json(v) for v in seq) + "]"
+        rows = [f"{pad}  {_reference_to_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f(float(obj))
+    if isinstance(obj, complex):
+        return f"[{f(obj.real)}, {f(obj.imag)}]"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def test_report_serializer_matches_the_reference_byte_for_byte():
+    import numpy as np
+
+    from hankelspec import cli
+
+    nan, inf = float("nan"), float("inf")
+    rows = np.random.default_rng(0).standard_normal((50, 4)).tolist()
+    for i, row in enumerate(rows):
+        row[0] = i + 2
+    doc = {
+        "per_n": rows,
+        "flat": [1, -0.0, 0.1, 1e300, 5e-324, 10**20, True, False, None, nan, inf, -inf],
+        "numpy": [np.float64(0.1), np.float32(0.1), np.int64(-7), np.float64(nan)],
+        "complex": [complex(1.5, -nan), 2j],
+        "mixed": [1.0, [2.0, (3, None)], {"k": False}, "s"],
+        "nested": {"empty_dict": {}, "empty_list": [], "tuple": (0.5, 2), "deep": [[[1.0]]]},
+        "scalars": {"b": True, "n": None, "i": 3, "x": nan, "s": 'q"uo\\te', "c": 1 + 2j},
+        "rows_of_complex": [[1j, 2.0], [np.int32(4), np.float16(0.5)]],
+    }
+    assert cli._to_json(doc) == _reference_to_json(doc)
+    for value in doc.values():
+        assert cli._to_json(value, 1) == _reference_to_json(value, 1)
 
 
 # --------------------------------------------------------------- entrypoint

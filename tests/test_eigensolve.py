@@ -481,9 +481,38 @@ def test_range_finder_returns_an_adversarial_tail():
     A = (U * d) @ U.T
     A = 0.5 * (A + A.T)
     S = solve(A, SolverParams())
+    # The Krylov space of the top 64 is invariant: only a Gaussian probe
+    # can find the tail.
+    assert S.details["probes"] >= 1
     assert len(S.lambda_plus) == 364 and len(S.lambda_minus) == 0
     assert np.max(np.abs(S.lambda_plus - d)) <= 1e-12
     assert S.n_dropped == M - 364
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatrix.products += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _CountedMatrix) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_range_finder_reuses_each_product_as_the_next_block(monkeypatch):
+    # Each block that joins the basis costs one product with A, which is
+    # also the next block of the Krylov space; Gaussian blocks cost one more
+    # each, only to start and to certify the stop.  Drawing every block
+    # from Gaussians took 7 products on this grid.
+    A = _b_zero_grid(1024).view(_CountedMatrix)
+    monkeypatch.setattr(_CountedMatrix, "products", 0)
+    S = eigensolve._range_spectrum(A)
+    assert not S.details["fell_back"] and S.details["basis_rank"] == 192
+    gaussian = 1 + S.details["probes"]
+    assert _CountedMatrix.products == gaussian + S.details["basis_rank"] // RANGE_BLOCK
+    assert _CountedMatrix.products < 7
 
 
 def test_range_finder_falls_back_bitwise_on_a_full_rank_matrix():
