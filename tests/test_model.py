@@ -1,6 +1,7 @@
 """Closed-form coefficient tests against independent high-precision oracles."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -317,3 +318,210 @@ def test_singular_coefficient_identity(alpha, b1, bm1, oscs):
     )
     p = 1.0 / alpha
     assert pred.a_singular == (pred.a_plus**p + pred.a_minus**p) ** alpha
+
+
+# ------------------------------------------------- reference closed form
+#
+# The share arithmetic of the spec checks and of predict_discrete and
+# predict_continuous as first written, kept as the reference: every
+# prediction must be bitwise equal to it, and every refusal must have its
+# type, field and message.  A spec here is a plain namespace of fields that
+# pass the constructors' other checks.
+
+
+def _ref_kappa_p(alpha: float) -> float:
+    """kappa(alpha)^(1/alpha), or FieldError at alpha where it overflows."""
+    try:
+        kap_p = kappa(alpha) ** (1.0 / alpha)
+    except OverflowError:
+        kap_p = math.inf
+    if not math.isfinite(kap_p):
+        raise model.FieldError("alpha", f"kappa(alpha)^(1/alpha) overflows at alpha = {alpha!r}")
+    return kap_p
+
+
+def _ref_require_finite_shares(alpha: float, shares) -> None:
+    total = 0.0
+    for field, weight, base in shares:
+        try:
+            total += weight * base ** (1.0 / alpha)
+            finite = math.isfinite(total) and math.isfinite(total**alpha)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise model.FieldError(
+                field,
+                f"its share of the predicted coefficients' p-th powers "
+                f"(p = 1/alpha = {1.0 / alpha!r}) overflows",
+            )
+
+
+def _ref_check_discrete(spec) -> None:
+    kap_p = _ref_kappa_p(spec.alpha)
+    _ref_require_finite_shares(
+        spec.alpha,
+        [("b_minus1", kap_p, abs(spec.b_minus1)), ("b_plus1", kap_p, abs(spec.b_plus1))]
+        + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(spec.oscillations)],
+    )
+
+
+def _ref_check_continuous(spec) -> None:
+    kap_p = _ref_kappa_p(spec.alpha)
+    _ref_require_finite_shares(
+        spec.alpha,
+        [
+            (
+                f"local_singularities[{i}]",
+                sing.t0 / (2.0 * math.pi),
+                math.factorial(sing.m) * abs(sing.coeff) if sing.m <= 170 else math.inf,
+            )
+            for i, sing in enumerate(spec.local_singularities)
+            if spec.alpha == sing.m + 1
+        ]
+        + [("b_zero", kap_p, abs(spec.b_zero)), ("b_inf", kap_p, abs(spec.b_inf))]
+        + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(spec.oscillations)],
+    )
+
+
+def _ref_signed_terms(kap_p: float, p: float, *pairs) -> list:
+    return [
+        (label, kap_p * (b if b > 0.0 else 0.0) ** p, kap_p * (-b if b < 0.0 else 0.0) ** p)
+        for label, b in pairs
+        if b != 0.0
+    ]
+
+
+def _ref_combine(alpha: float, plus_terms, minus_terms):
+    p = 1.0 / alpha
+    total_plus = math.fsum(plus_terms)
+    total_minus = math.fsum(minus_terms)
+    a_plus = total_plus**alpha if total_plus > 0.0 else 0.0
+    a_minus = total_minus**alpha if total_minus > 0.0 else 0.0
+    a_singular = 0.0
+    if total_plus + total_minus > 0.0:
+        a_singular = (a_plus**p + a_minus**p) ** alpha
+    return a_plus, a_minus, a_singular
+
+
+def _ref_predict_discrete(spec):
+    alpha = spec.alpha
+    p = 1.0 / alpha
+    kap_p = kappa(alpha) ** p
+    terms = _ref_signed_terms(
+        kap_p, p, ("point mu=-1", spec.b_minus1), ("point mu=+1", spec.b_plus1)
+    )
+    for osc in spec.oscillations:
+        share = kap_p * abs(osc.b) ** p
+        terms.append((f"oscillation phi={osc.phi:.12g}", share, share))
+    a_plus, a_minus, a_singular = _ref_combine(
+        alpha, [t[1] for t in terms], [t[2] for t in terms]
+    )
+    return model.AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
+
+
+def _ref_predict_continuous(spec):
+    alpha = spec.alpha
+    p = 1.0 / alpha
+    kap_p = kappa(alpha) ** p
+    for sing in spec.local_singularities:
+        if alpha != sing.m + 1:
+            raise UnsupportedCombinationError(
+                f"a local singularity of order m={sing.m} is only covered at "
+                f"alpha = m + 1 = {sing.m + 1}, got alpha = {alpha}"
+            )
+    terms = []
+    for sing in spec.local_singularities:
+        share = (
+            sing.t0 / (2.0 * math.pi) * (math.factorial(sing.m) * abs(sing.coeff)) ** p
+        )
+        terms.append((f"local singularity t0={sing.t0:.12g}", share, share))
+    terms += _ref_signed_terms(
+        kap_p, p, ("t->0 singularity", spec.b_zero), ("slow tail", spec.b_inf)
+    )
+    for osc in spec.oscillations:
+        share = kap_p * abs(osc.b) ** p
+        terms.append((f"oscillation rho={osc.rho:.12g}", share, share))
+    a_plus, a_minus, a_singular = _ref_combine(
+        alpha, [t[1] for t in terms], [t[2] for t in terms]
+    )
+    return model.AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
+
+
+def _outcome(build, predict):
+    """A prediction's fields and terms as float hex strings, or the refusal's type, field and message."""
+    try:
+        pred = predict(build())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), getattr(exc, "field", None), str(exc)
+    fields = [float(x).hex() for x in (pred.alpha, pred.a_plus, pred.a_minus, pred.a_singular)]
+    return fields, [(label, tp.hex(), tm.hex()) for label, tp, tm in pred.terms]
+
+
+# 0 and magnitudes from 1e-300 to 1e301 of either sign.
+AMPLITUDES = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from((-1.0, 1.0)), st.floats(1.0, 9.99), st.integers(-300, 300),
+    ),
+)
+# kappa(alpha)^(1/alpha) overflows below about alpha = 0.0016; the integers
+# reach alpha = m + 1 for every local singularity order up to 200.
+REFERENCE_ALPHAS = st.one_of(
+    st.floats(5e-4, 3e-3), st.floats(5e-4, 10.0), st.integers(1, 201).map(float)
+)
+
+
+@st.composite
+def _discrete_fields(draw):
+    phis = draw(st.lists(st.floats(0.01, 3.13), max_size=3, unique=True))
+    return {
+        "alpha": draw(REFERENCE_ALPHAS),
+        "b_plus1": draw(AMPLITUDES),
+        "b_minus1": draw(AMPLITUDES),
+        "oscillations": tuple(Oscillation(phi, 0.0, draw(AMPLITUDES)) for phi in phis),
+    }
+
+
+@st.composite
+def _continuous_fields(draw):
+    alpha = draw(REFERENCE_ALPHAS)
+    orders = st.integers(0, 200)
+    if alpha == int(alpha):
+        orders = st.one_of(st.just(int(alpha) - 1), orders)
+    t0s = draw(st.lists(st.floats(1e-3, 1e3), max_size=2, unique=True))
+    rhos = draw(st.lists(st.floats(0.1, 100.0), max_size=2, unique=True))
+    return {
+        "alpha": alpha,
+        "b_zero": 0.0 if t0s else draw(AMPLITUDES),
+        "b_inf": draw(AMPLITUDES),
+        "oscillations": tuple(model.KernelOscillation(rho, 0.0, draw(AMPLITUDES)) for rho in rhos),
+        "local_singularities": tuple(
+            LocalSingularity(t0, draw(orders), draw(AMPLITUDES)) for t0 in t0s
+        ),
+    }
+
+
+def _reference_spec(check, fields):
+    def build():
+        spec = SimpleNamespace(**fields)
+        check(spec)
+        return spec
+
+    return build
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_discrete_fields())
+def test_predict_discrete_matches_the_reference(fields):
+    assert _outcome(lambda: DiscreteSymbolSpec(**fields), predict_discrete) == _outcome(
+        _reference_spec(_ref_check_discrete, fields), _ref_predict_discrete
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_continuous_fields())
+def test_predict_continuous_matches_the_reference(fields):
+    assert _outcome(lambda: ContinuousKernelSpec(**fields), predict_continuous) == _outcome(
+        _reference_spec(_ref_check_continuous, fields), _ref_predict_continuous
+    )
