@@ -4,6 +4,9 @@ One JSON scenario per file (sweep configs embed a list of scenarios).
 parse_scenario reads it into the dataclass Scenario, whose fields are the
 config's top-level fields; one builder, _build, reads every object of the
 config from the fields of its dataclass, and refuses a key that names none.
+Each action (_run_predict, _run_spectrum, ...) returns its report files
+(name -> text), its summary lines and its exit code, and run_scenario
+writes them; _prediction makes every prediction a report shows.
 All numeric output is printed with 17 significant digits and no
 timestamps, so rerunning an identical config with the same seed
 reproduces every output byte for byte.  Exit codes: 0 success, 2
@@ -469,12 +472,15 @@ def _prediction_json(pred) -> str:
     return _to_json(doc) + "\n"
 
 
-def _run_predict(scenario, out: Path) -> int:
+def _prediction(scenario) -> model.AsymptoticPrediction:
+    """The closed-form prediction of a discrete or continuous scenario."""
     if scenario.kind == "discrete":
-        pred = model.predict_discrete(scenario.spec)
-    elif scenario.kind == "continuous":
-        pred = model.predict_continuous(scenario.spec)
-    else:
+        return model.predict_discrete(scenario.spec)
+    return model.predict_continuous(scenario.spec)
+
+
+def _run_predict(scenario):
+    if scenario.kind == "symbol":
         b = symbols.aslog_coefficient(scenario.spec)
         doc = {
             "producer": _producer("symbols"),
@@ -482,17 +488,14 @@ def _run_predict(scenario, out: Path) -> int:
             "b": b,
             "symmetric": scenario.spec.symmetric,
         }
-        _write(out / "prediction.json", _to_json(doc) + "\n")
-        _write(
-            out / "summary.txt",
-            f"scenario: {scenario.name}\nkind: symbol\n"
-            f"b: {_f(b.real)} + {_f(b.imag)}i\n"
-            f"symmetric: {scenario.spec.symmetric}\n",
-        )
-        return 0
-    _write(out / "prediction.json", _prediction_json(pred))
+        lines = [
+            "kind: symbol",
+            f"b: {_f(b.real)} + {_f(b.imag)}i",
+            f"symmetric: {scenario.spec.symmetric}",
+        ]
+        return {"prediction.json": _to_json(doc) + "\n"}, lines, 0
+    pred = _prediction(scenario)
     lines = [
-        f"scenario: {scenario.name}",
         f"kind: {scenario.kind}",
         f"alpha: {_f(pred.alpha)}",
         f"a_plus: {_f(pred.a_plus)}",
@@ -501,8 +504,7 @@ def _run_predict(scenario, out: Path) -> int:
     ]
     for label, share_plus, share_minus in pred.terms:
         lines.append(f"term {label}: {_f(share_plus)} / {_f(share_minus)}")
-    _write(out / "summary.txt", "\n".join(lines) + "\n")
-    return 0
+    return {"prediction.json": _prediction_json(pred)}, lines, 0
 
 
 # The deterministic counters of each route that summary.txt reports.
@@ -518,29 +520,29 @@ def _details_line(S) -> str:
     return "details: " + (" ".join(shown) if shown else "none")
 
 
-def _run_spectrum(scenario, out: Path) -> int:
+def _run_spectrum(scenario):
     if scenario.kind == "discrete":
         N = scenario.N_list[0]
         S = analysis.discrete_spectrum(scenario.spec, N, scenario.solver)
-        pred = model.predict_discrete(scenario.spec)
         label = f"N={N}"
         params = {}  # no discrete route reads the solver knobs
     else:
         grid = scenario.grids[0]
         k = quadrature.lanczos_request("spectrum", scenario.solver.k, scenario.fit.window)
         S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver, k=k)
-        pred = model.predict_continuous(scenario.spec)
         label = f"grid {grid.kind} M={grid.points}"
         params = {"solver": dataclasses.asdict(scenario.solver)}
+    pred = _prediction(scenario)
     alpha = scenario.spec.alpha
     fit = analysis.fit_coefficient(
         S, alpha, scenario.fit.window, scenario.fit.model, extend_by_zero=True
     )
-    _write(out / "spectrum.csv", _spectrum_csv(S, alpha))
-    _write(out / "fit.json", _fit_json(fit, **params))
-    _write(out / "prediction.json", _prediction_json(pred))
+    files = {
+        "spectrum.csv": _spectrum_csv(S, alpha),
+        "fit.json": _fit_json(fit, **params),
+        "prediction.json": _prediction_json(pred),
+    }
     lines = [
-        f"scenario: {scenario.name}",
         f"kind: {scenario.kind}",
         f"run: {label}",
         f"solver: {S.solver_id} converged={S.converged}",
@@ -552,25 +554,15 @@ def _run_spectrum(scenario, out: Path) -> int:
         f"a_hat_minus: {_f(fit.a_hat_minus)} (predicted {_f(pred.a_minus)})",
         f"drift: {_f(fit.drift)}",
     ]
-    _write(out / "summary.txt", "\n".join(lines) + "\n")
-    return 0 if S.converged else 3
+    return files, lines, 0 if S.converged else 3
 
 
-def _unconverged_line(labels, flags) -> list:
-    """Summary line naming the runs whose solver did not converge, if any."""
-    missed = [label for label, ok in zip(labels, flags) if not ok]
-    return [f"not converged: {missed}"] if missed else []
-
-
-def _run_verify(scenario, out: Path) -> int:
-    alpha = scenario.spec.alpha
+def _run_verify(scenario):
     if scenario.kind == "discrete":
-        pred = model.predict_discrete(scenario.spec)
         study = analysis.truncation_study(
             scenario.spec, scenario.N_list, scenario.solver,
             scenario.fit.window, scenario.fit.model,
         )
-        _write(out / "spectrum.csv", _spectrum_csv(study.spectra[-1], alpha))
         doc = {
             "producer": _producer(
                 "analysis", window=list(scenario.fit.window), model=scenario.fit.model
@@ -580,18 +572,19 @@ def _run_verify(scenario, out: Path) -> int:
             "improving": study.improving,
             "fits": [f.to_dict() for f in study.fits],
         }
-        _write(out / "fit.json", _to_json(doc) + "\n")
-        _write(out / "prediction.json", _prediction_json(pred))
+        files = {
+            "spectrum.csv": _spectrum_csv(study.spectra[-1], scenario.spec.alpha),
+            "fit.json": _to_json(doc) + "\n",
+            "prediction.json": _prediction_json(study.prediction),
+        }
         lines = [
-            f"scenario: {scenario.name}",
             "kind: discrete verify",
             f"N_list: {study.N_list}",
             f"deviations: {[_f(d) for d in study.deviations]}",
             f"improving: {study.improving}",
         ]
-        _write(out / "summary.txt", "\n".join(lines) + "\n")
-        return 0
-    pred = model.predict_continuous(scenario.spec)
+        return files, lines, 0
+    pred = _prediction(scenario)
     report = quadrature.convergence_report(
         scenario.spec, scenario.grids, scenario.fit.window, scenario.solver
     )
@@ -606,20 +599,20 @@ def _run_verify(scenario, out: Path) -> int:
         "lambda_plus": [list(map(float, t)) for t in report.tables_plus],
         "lambda_minus": [list(map(float, t)) for t in report.tables_minus],
     }
-    _write(out / "fit.json", _to_json(doc) + "\n")
-    _write(out / "prediction.json", _prediction_json(pred))
+    files = {"fit.json": _to_json(doc) + "\n", "prediction.json": _prediction_json(pred)}
     lines = [
-        f"scenario: {scenario.name}",
         "kind: continuous verify",
         f"grids: {report.labels}",
         f"changes: {[_f(c) for c in report.changes]}",
         f"improving: {report.improving}",
-    ] + _unconverged_line(report.labels, report.converged)
-    _write(out / "summary.txt", "\n".join(lines) + "\n")
-    return 0 if all(report.converged) else 3
+    ]
+    missed = [label for label, ok in zip(report.labels, report.converged) if not ok]
+    if missed:
+        lines.append(f"not converged: {missed}")
+    return files, lines, 3 if missed else 0
 
 
-def _run_symbol(scenario, out: Path) -> int:
+def _run_symbol(scenario):
     spec = scenario.spec
     samp = symbols.sample_aslog(spec, scenario.samples)
     coeffs = symbols.fourier_coefficients(samp)
@@ -642,7 +635,6 @@ def _run_symbol(scenario, out: Path) -> int:
     thetas = np.where(thetas > np.pi, thetas - 2.0 * np.pi, thetas)
     for idx in range(0, scenario.samples, stride):
         rows.append(f"{_f(thetas[idx])},{_f(samp[idx].real)},{_f(samp[idx].imag)}")
-    _write(out / "symbol.csv", "\n".join(rows) + "\n")
     doc = {
         "producer": _producer(
             "symbols", samples=scenario.samples, j_window=list(scenario.j_window)
@@ -654,17 +646,15 @@ def _run_symbol(scenario, out: Path) -> int:
         "ratio_min": float(np.min(ratio)),
         "ratio_max": float(np.max(ratio)),
     }
-    _write(out / "fourier.json", _to_json(doc) + "\n")
+    files = {"symbol.csv": "\n".join(rows) + "\n", "fourier.json": _to_json(doc) + "\n"}
     lines = [
-        f"scenario: {scenario.name}",
         "kind: symbol",
         f"samples: {scenario.samples}",
         f"b: {_f(b.real)} + {_f(b.imag)}i",
         f"ratio over j in [{j_lo}, {j_hi}]: median {_f(ratio_median)}, "
         f"min {_f(float(np.min(ratio)))}, max {_f(float(np.max(ratio)))}",
     ]
-    _write(out / "summary.txt", "\n".join(lines) + "\n")
-    return 0
+    return files, lines, 0
 
 
 _ACTIONS = {
@@ -676,7 +666,13 @@ _ACTIONS = {
 
 
 def run_scenario(scenario: Scenario, out_root: Path) -> int:
-    return _ACTIONS[scenario.action](scenario, out_root / scenario.outputs)
+    """Run the scenario's action and write its reports and summary.txt under out_root."""
+    files, lines, code = _ACTIONS[scenario.action](scenario)
+    out = out_root / scenario.outputs
+    for name, text in files.items():
+        _write(out / name, text)
+    _write(out / "summary.txt", "\n".join([f"scenario: {scenario.name}", *lines]) + "\n")
+    return code
 
 
 # ------------------------------------------------------------------ main

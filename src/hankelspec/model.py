@@ -25,6 +25,10 @@ lambda_n^{+-} ~ m! t0^{m+1} (2 pi n)^{-m-1}; combined specs (requiring
 alpha = m + 1) enter the same p-th power combination with weight
 (2 pi)^{-1} t0 (m! |coeff|)^{1/alpha}.
 
+One table, _shares, states this closed form, a row per summand: the spec
+constructors refuse, naming its field, a share that overflows, and
+predict_discrete and predict_continuous sum the shares of each sign.
+
 Everything here is closed-form arithmetic; no operator is ever built.
 """
 
@@ -64,41 +68,6 @@ class FieldError(ValueError):
         self.field = field
         self.reason = reason
         super().__init__(f"{field}: {reason}")
-
-
-def _kappa_p(alpha: float) -> float:
-    """kappa(alpha)^(1/alpha), or FieldError at alpha where it overflows."""
-    try:
-        kap_p = kappa(alpha) ** (1.0 / alpha)
-    except OverflowError:
-        kap_p = math.inf
-    if not math.isfinite(kap_p):
-        raise FieldError("alpha", f"kappa(alpha)^(1/alpha) overflows at alpha = {alpha!r}")
-    return kap_p
-
-
-def require_finite_shares(alpha: float, shares) -> None:
-    """Raise FieldError where the p-th power shares of a prediction overflow.
-
-    shares lists (field, weight, base): the field's share of
-    a_plus^p + a_minus^p is weight * base^p with p = 1/alpha.  The first
-    field at which its share, the running sum of the shares (a bound of
-    both totals) or that sum to the power alpha leaves the float range is
-    named.
-    """
-    total = 0.0
-    for field, weight, base in shares:
-        try:
-            total += weight * base ** (1.0 / alpha)
-            finite = math.isfinite(total) and math.isfinite(total**alpha)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise FieldError(
-                field,
-                f"its share of the predicted coefficients' p-th powers "
-                f"(p = 1/alpha = {1.0 / alpha!r}) overflows",
-            )
 
 
 def require_finite(spec, *names) -> None:
@@ -214,17 +183,17 @@ class DiscreteSymbolSpec:
                     )
         if self.perturbation is not None and not isinstance(self.perturbation, Perturbation):
             object.__setattr__(self, "perturbation", Perturbation(*self.perturbation))
-        kap_p = _kappa_p(self.alpha)
-        require_finite_shares(
-            self.alpha,
-            [("b_minus1", kap_p, abs(self.b_minus1)), ("b_plus1", kap_p, abs(self.b_plus1))]
-            + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(self.oscillations)],
-        )
+        _check_shares(self)
 
 
 @dataclass(frozen=True)
 class ContinuousKernelSpec:
-    """Parameters of the continuous model kernel h(t)."""
+    """Parameters of the continuous model kernel h(t).
+
+    cutoffs = (c1, c2, C1, C2): chi0 falls from 1 to 0 over [c1, c2], chi_inf
+    rises from 0 to 1 over [C1, C2], and 0 < c1 < c2 < 1 < C1 < C2 keeps their
+    supports disjoint and away from t = 1.
+    """
 
     alpha: float
     b_zero: float = 0.0
@@ -261,23 +230,7 @@ class ContinuousKernelSpec:
                 "a t->0 singular term (b_zero != 0) cannot be combined with local "
                 "singularities; the two contributions are not independent"
             )
-        # A local singularity enters a prediction only at alpha = m + 1 >= 1,
-        # with the share t0 (m! |coeff|)^p / (2 pi); m! overflows above 170.
-        kap_p = _kappa_p(self.alpha)
-        require_finite_shares(
-            self.alpha,
-            [
-                (
-                    f"local_singularities[{i}]",
-                    sing.t0 / (2.0 * math.pi),
-                    math.factorial(sing.m) * abs(sing.coeff) if sing.m <= 170 else math.inf,
-                )
-                for i, sing in enumerate(self.local_singularities)
-                if self.alpha == sing.m + 1
-            ]
-            + [("b_zero", kap_p, abs(self.b_zero)), ("b_inf", kap_p, abs(self.b_inf))]
-            + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(self.oscillations)],
-        )
+        _check_shares(self)
 
 
 @dataclass(frozen=True)
@@ -321,80 +274,102 @@ def kappa(alpha: float) -> float:
     )
 
 
-def _signed_terms(kap_p: float, p: float, *pairs) -> list:
-    """(label, kap_p (b)_+^p, kap_p (b)_-^p) for each (label, b) with b != 0.
+def _shares(spec):
+    """Rows (field, label, weight, amplitude, signed), one per summand of a spec.
 
-    x_+- = (|x| +- x)/2, with an exact zero for the non-matching sign.
+    By the localization principle each summand adds its own share
+    weight * |amplitude|^p, p = 1/alpha, to the p-th powers of the
+    coefficients.  A signed summand adds it to the sign of its amplitude
+    only; by the symmetry principle every other one adds it to both.
+    Raises FieldError at alpha where kappa(alpha)^(1/alpha) overflows.
     """
-    return [
-        (label, kap_p * (b if b > 0.0 else 0.0) ** p, kap_p * (-b if b < 0.0 else 0.0) ** p)
-        for label, b in pairs
-        if b != 0.0
-    ]
+    alpha = spec.alpha
+    try:
+        kap_p = kappa(alpha) ** (1.0 / alpha)
+    except OverflowError:
+        kap_p = math.inf
+    if not math.isfinite(kap_p):
+        raise FieldError("alpha", f"kappa(alpha)^(1/alpha) overflows at alpha = {alpha!r}")
+    discrete = isinstance(spec, DiscreteSymbolSpec)
+    if discrete:
+        yield "b_minus1", "point mu=-1", kap_p, spec.b_minus1, True
+        yield "b_plus1", "point mu=+1", kap_p, spec.b_plus1, True
+    else:
+        # A local singularity enters a prediction only at alpha = m + 1 >= 1,
+        # with the share t0 (m! |coeff|)^p / (2 pi); m! overflows above 170.
+        for i, sing in enumerate(spec.local_singularities):
+            if alpha == sing.m + 1:
+                base = math.factorial(sing.m) * abs(sing.coeff) if sing.m <= 170 else math.inf
+                yield (
+                    f"local_singularities[{i}]", f"local singularity t0={sing.t0:.12g}",
+                    sing.t0 / (2.0 * math.pi), base, False,
+                )
+        yield "b_zero", "t->0 singularity", kap_p, spec.b_zero, True
+        yield "b_inf", "slow tail", kap_p, spec.b_inf, True
+    for i, osc in enumerate(spec.oscillations):
+        frequency = f"phi={osc.phi:.12g}" if discrete else f"rho={osc.rho:.12g}"
+        yield f"oscillations[{i}].b", f"oscillation {frequency}", kap_p, osc.b, False
 
 
-def _combine(alpha: float, plus_terms, minus_terms):
+def _check_shares(spec) -> None:
+    """Raise FieldError at the first summand whose share overflows.
+
+    The running sum of the shares bounds a_plus^p and a_minus^p; the first
+    field at which a share, that sum or that sum to the power alpha leaves
+    the float range is named.
+    """
+    p = 1.0 / spec.alpha
+    total = 0.0
+    for field, _label, weight, amplitude, _signed in _shares(spec):
+        try:
+            total += weight * abs(amplitude) ** p
+            finite = math.isfinite(total) and math.isfinite(total**spec.alpha)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise FieldError(
+                field,
+                f"its share of the predicted coefficients' p-th powers "
+                f"(p = 1/alpha = {p!r}) overflows",
+            )
+
+
+def _predict(spec) -> AsymptoticPrediction:
+    """The closed form a^{+-} = (sum of the shares of the sign)^alpha."""
+    alpha = spec.alpha
     p = 1.0 / alpha
-    total_plus = math.fsum(plus_terms)
-    total_minus = math.fsum(minus_terms)
+    terms = []
+    for _field, label, weight, amplitude, signed in _shares(spec):
+        share = weight * abs(amplitude) ** p
+        if not signed:
+            terms.append((label, share, share))
+        elif amplitude != 0.0:
+            terms.append((label, share, 0.0) if amplitude > 0.0 else (label, 0.0, share))
+    total_plus = math.fsum(t[1] for t in terms)
+    total_minus = math.fsum(t[2] for t in terms)
     a_plus = total_plus**alpha if total_plus > 0.0 else 0.0
     a_minus = total_minus**alpha if total_minus > 0.0 else 0.0
     # Exact identity for the merged sequence; p-th powers add.
     a_singular = 0.0
     if total_plus + total_minus > 0.0:
         a_singular = (a_plus**p + a_minus**p) ** alpha
-    return a_plus, a_minus, a_singular
+    return AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
 
 
 def predict_discrete(spec: DiscreteSymbolSpec) -> AsymptoticPrediction:
     """Leading eigenvalue coefficients for the discrete symbol spec."""
-    alpha = spec.alpha
-    p = 1.0 / alpha
-    kap_p = kappa(alpha) ** p
-
-    terms = _signed_terms(
-        kap_p, p, ("point mu=-1", spec.b_minus1), ("point mu=+1", spec.b_plus1)
-    )
-    for osc in spec.oscillations:
-        share = kap_p * abs(osc.b) ** p
-        terms.append((f"oscillation phi={osc.phi:.12g}", share, share))
-
-    a_plus, a_minus, a_singular = _combine(
-        alpha, [t[1] for t in terms], [t[2] for t in terms]
-    )
-    return AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
+    return _predict(spec)
 
 
 def predict_continuous(spec: ContinuousKernelSpec) -> AsymptoticPrediction:
     """Leading eigenvalue coefficients for the continuous kernel spec."""
-    alpha = spec.alpha
-    p = 1.0 / alpha
-    kap_p = kappa(alpha) ** p
-
     for sing in spec.local_singularities:
-        if alpha != sing.m + 1:
+        if spec.alpha != sing.m + 1:
             raise UnsupportedCombinationError(
                 f"a local singularity of order m={sing.m} is only covered at "
-                f"alpha = m + 1 = {sing.m + 1}, got alpha = {alpha}"
+                f"alpha = m + 1 = {sing.m + 1}, got alpha = {spec.alpha}"
             )
-
-    terms = []
-    for sing in spec.local_singularities:
-        share = (
-            sing.t0 / (2.0 * math.pi) * (math.factorial(sing.m) * abs(sing.coeff)) ** p
-        )
-        terms.append((f"local singularity t0={sing.t0:.12g}", share, share))
-    terms += _signed_terms(
-        kap_p, p, ("t->0 singularity", spec.b_zero), ("slow tail", spec.b_inf)
-    )
-    for osc in spec.oscillations:
-        share = kap_p * abs(osc.b) ** p
-        terms.append((f"oscillation rho={osc.rho:.12g}", share, share))
-
-    a_plus, a_minus, a_singular = _combine(
-        alpha, [t[1] for t in terms], [t[2] for t in terms]
-    )
-    return AsymptoticPrediction(alpha, a_plus, a_minus, a_singular, tuple(terms))
+    return _predict(spec)
 
 
 def predict_local_term(t0: float, m: int, n: int) -> float:

@@ -3,19 +3,18 @@
 The discrete sequence and the continuous kernel defined in `model` are
 evaluated here exactly, with smooth cutoffs built from the classic bump
 construction, so the asymptotic error terms are identically zero in the
-regions the theory constrains.
+regions the theory constrains.  The kernel's cutoffs are smooth_step over
+the bands [c1, c2] (chi0, falling) and [C1, C2] (chi_inf, rising) of
+spec.cutoffs, whose order ContinuousKernelSpec checks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ContinuousKernelSpec, DiscreteSymbolSpec
 
 __all__ = [
-    "CutoffPair",
     "smooth_step",
     "eval_discrete",
     "eval_discrete_many",
@@ -50,35 +49,6 @@ def smooth_step(x):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class CutoffPair:
-    """Smooth cutoffs chi0 (near 0) and chi_inf (near infinity).
-
-    chi0(t) = 1 for t <= c1, 0 for t >= c2, smoothly decreasing between;
-    chi_inf(t) = 0 for t <= C1, 1 for t >= C2, smoothly increasing between.
-    Requires 0 < c1 < c2 < 1 < C1 < C2 so the two supports stay disjoint
-    and away from t = 1.
-    """
-
-    c1: float = 0.25
-    c2: float = 0.5
-    C1: float = 1.5
-    C2: float = 2.0
-
-    def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0 < self.C1 < self.C2):
-            raise ValueError(
-                f"cutoffs must satisfy 0 < c1 < c2 < 1 < C1 < C2, got "
-                f"({self.c1}, {self.c2}, {self.C1}, {self.C2})"
-            )
-
-    def chi0(self, t):
-        return smooth_step((self.c2 - np.asarray(t, dtype=float)) / (self.c2 - self.c1))
-
-    def chi_inf(self, t):
-        return smooth_step((np.asarray(t, dtype=float) - self.C1) / (self.C2 - self.C1))
-
-
 def eval_discrete_many(spec: DiscreteSymbolSpec, j) -> np.ndarray:
     """Vectorized h(j) over an integer array. h(0) = h(1) = 0 exactly."""
     j = np.asarray(j)
@@ -110,32 +80,29 @@ def eval_discrete(spec: DiscreteSymbolSpec, j: int) -> float:
     return float(eval_discrete_many(spec, np.asarray([j]))[0])
 
 
-def _cutoffs_of(spec: ContinuousKernelSpec) -> CutoffPair:
-    c1, c2, C1, C2 = spec.cutoffs
-    return CutoffPair(c1, c2, C1, C2)
-
-
 def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
     """Vectorized kernel h(t) over a positive array of points."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("kernel argument t must be positive")
-    cut = _cutoffs_of(spec)
+    c1, c2, C1, C2 = spec.cutoffs
     out = np.zeros(t.shape, dtype=float)
 
     if spec.b_zero != 0.0:
         # q0 support is (0, c2); log(1/t) > 0 there.
-        mask = t < cut.c2
+        mask = t < c2
         ts = t[mask]
-        q0 = cut.chi0(ts) / (ts * np.log(1.0 / ts) ** spec.alpha)
+        chi0 = smooth_step((c2 - ts) / (c2 - c1))
+        q0 = chi0 / (ts * np.log(1.0 / ts) ** spec.alpha)
         out[mask] += spec.b_zero * q0
 
     tail_needed = spec.b_inf != 0.0 or spec.oscillations
     if tail_needed:
         # q_inf support is (C1, infinity); log t > 0 there.
-        mask = t > cut.C1
+        mask = t > C1
         ts = t[mask]
-        qinf = cut.chi_inf(ts) / (ts * np.log(ts) ** spec.alpha)
+        chi_inf = smooth_step((ts - C1) / (C2 - C1))
+        qinf = chi_inf / (ts * np.log(ts) ** spec.alpha)
         amp = np.full(ts.shape, spec.b_inf, dtype=float)
         for osc in spec.oscillations:
             amp += 2.0 * osc.b * np.cos(osc.rho * ts - osc.psi)

@@ -218,6 +218,22 @@ def test_perturbation_validation():
     assert spec.perturbation == Perturbation(0.1, 2.0)
 
 
+@pytest.mark.parametrize(
+    "cutoffs",
+    [
+        (0.0, 0.5, 1.5, 2.0),
+        (0.5, 0.5, 1.5, 2.0),
+        (0.25, 1.0, 1.5, 2.0),
+        (0.25, 0.5, 1.0, 2.0),
+        (0.25, 0.5, 2.0, 1.5),
+    ],
+    ids=["0<c1", "c1<c2", "c2<1", "1<C1", "C1<C2"],
+)
+def test_cutoffs_out_of_order_rejected(cutoffs):
+    with pytest.raises(ValueError, match=r"^cutoffs must satisfy 0 < c1 < c2 < 1 < C1 < C2"):
+        ContinuousKernelSpec(alpha=1.0, b_zero=1.0, cutoffs=cutoffs)
+
+
 def test_local_singularity_validation():
     with pytest.raises(ValueError):
         LocalSingularity(-1.0, 0, 1.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
 from hankelspec.sequences import (
-    CutoffPair,
     eval_discrete,
     eval_discrete_many,
     eval_kernel,
@@ -151,29 +150,6 @@ def test_kernel_cutoffs_are_bitwise_the_closed_form(spec):
         assert np.all(h[t <= C1] == 0.0)
         assert np.all(h[t >= C2] == 1.0 / (t[t >= C2] * np.log(t[t >= C2])))
     assert h.tobytes() == want.tobytes()
-
-
-def test_cutoff_pair_plateaus():
-    cut = CutoffPair(0.25, 0.5, 1.5, 2.0)
-    assert cut.chi0(0.1) == 1.0
-    assert cut.chi0(0.25) == 1.0
-    assert cut.chi0(0.5) == 0.0
-    assert cut.chi0(3.0) == 0.0
-    assert cut.chi_inf(1.5) == 0.0
-    assert cut.chi_inf(0.3) == 0.0
-    assert cut.chi_inf(2.0) == 1.0
-    assert cut.chi_inf(100.0) == 1.0
-    t = np.linspace(0.2, 0.6, 200)
-    vals = cut.chi0(t)
-    assert np.all(np.diff(vals) <= 0.0)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-
-def test_cutoff_pair_validation():
-    with pytest.raises(ValueError):
-        CutoffPair(0.5, 0.25, 1.5, 2.0)
-    with pytest.raises(ValueError):
-        CutoffPair(0.25, 0.5, 2.0, 1.5)
 
 
 # ------------------------------------------------------------------- kernels
