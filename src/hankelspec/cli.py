@@ -521,6 +521,8 @@ def _details_line(S) -> str:
 
 
 def _run_spectrum(scenario):
+    # A scenario the closed forms do not cover is refused before its solve.
+    pred = _prediction(scenario)
     if scenario.kind == "discrete":
         N = scenario.N_list[0]
         S = analysis.discrete_spectrum(scenario.spec, N, scenario.solver)
@@ -532,7 +534,6 @@ def _run_spectrum(scenario):
         S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver, k=k)
         label = f"grid {grid.kind} M={grid.points}"
         params = {"solver": dataclasses.asdict(scenario.solver)}
-    pred = _prediction(scenario)
     alpha = scenario.spec.alpha
     fit = analysis.fit_coefficient(
         S, alpha, scenario.fit.window, scenario.fit.model, extend_by_zero=True
@@ -682,8 +683,8 @@ def _load_config(path: str) -> dict:
     import json
 
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
     try:
         cfg = json.loads(text)

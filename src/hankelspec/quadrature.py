@@ -3,7 +3,8 @@
 Uniform midpoint grids keep the Hankel structure exactly: with step w and
 nodes t_i = (i + 1/2) w the node sums t_i + t_j = (i + j + 1) w depend on
 i + j only, so the weighted kernel matrix w * h((i+j+1) w) is a Hankel
-truncation and the FFT fast matvec applies at orders up to 2^18.  Geometric
+truncation, which Lanczos solves through the FFT fast matvec at every order
+physical memory can hold (hankel_core.require_memory).  Geometric
 grids resolve the t -> 0 logarithmic singularity instead; they produce a
 dense symmetric matrix with the node weights split symmetrically.  Its
 singular values decay rapidly, so eigensolve.solve takes it to the

@@ -102,6 +102,24 @@ def test_spectrum_run_outputs(tmp_path):
     assert "a_hat_plus:" in (out / "run" / "summary.txt").read_text()
 
 
+def test_spectrum_refuses_an_uncovered_spec_before_it_solves(tmp_path, capsys, monkeypatch):
+    # A local singularity of order m is predicted only at alpha = m + 1.
+    def solve(*args, **kwargs):
+        raise AssertionError("spectrum solved a scenario it cannot predict")
+
+    monkeypatch.setattr(hankelspec.cli, "solve", solve)
+    cfg = {
+        "name": "uncovered",
+        "kind": "continuous",
+        "spec": {"alpha": 2.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
+        "grids": [{"kind": "uniform", "t_max": 1.0, "points": 4096}],
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    assert "only covered at alpha = m + 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_seed_override_recorded(tmp_path):
     # Only the Lanczos route of a uniform grid reads the seed; no discrete
     # order does.
@@ -311,6 +329,16 @@ def test_invalid_json(tmp_path, capsys):
     code = main(["predict", "--config", str(p)])
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_names_config(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"kind": "discrete", "name": "caf\xe9", "spec": {"alpha": 1.0}}'.encode("latin-1"))
+    code = main(["predict", "--config", str(p), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error at '<config>': cannot read")
+    assert not (tmp_path / "out").exists()
 
 
 def test_action_mismatch(tmp_path, capsys):
