@@ -3,9 +3,8 @@
 The discrete sequence and the continuous kernel defined in `model` are
 evaluated here exactly, with smooth cutoffs built from the classic bump
 construction, so the asymptotic error terms are identically zero in the
-regions the theory constrains.  The kernel's cutoffs are smooth_step over
-the bands [c1, c2] (chi0, falling) and [C1, C2] (chi_inf, rising) of
-spec.cutoffs, whose order ContinuousKernelSpec checks.
+regions the theory constrains.  The kernel's cutoffs chi0 and chi_inf are
+smooth_step over the bands of spec.cutoffs (see ContinuousKernelSpec).
 """
 
 from __future__ import annotations
@@ -92,8 +91,7 @@ def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
         # q0 support is (0, c2); log(1/t) > 0 there.
         mask = t < c2
         ts = t[mask]
-        chi0 = smooth_step((c2 - ts) / (c2 - c1))
-        q0 = chi0 / (ts * np.log(1.0 / ts) ** spec.alpha)
+        q0 = smooth_step((c2 - ts) / (c2 - c1)) / (ts * np.log(1.0 / ts) ** spec.alpha)
         out[mask] += spec.b_zero * q0
 
     tail_needed = spec.b_inf != 0.0 or spec.oscillations
@@ -101,8 +99,7 @@ def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
         # q_inf support is (C1, infinity); log t > 0 there.
         mask = t > C1
         ts = t[mask]
-        chi_inf = smooth_step((ts - C1) / (C2 - C1))
-        qinf = chi_inf / (ts * np.log(ts) ** spec.alpha)
+        qinf = smooth_step((ts - C1) / (C2 - C1)) / (ts * np.log(ts) ** spec.alpha)
         amp = np.full(ts.shape, spec.b_inf, dtype=float)
         for osc in spec.oscillations:
             amp += 2.0 * osc.b * np.cos(osc.rho * ts - osc.psi)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import glob
 import io
 import json
 import math
@@ -161,9 +160,8 @@ def run_case(root: Path, name: str, command: str, cfg, memory: int) -> None:
 
 def _openblas() -> str:
     """The OpenBLAS numpy loaded, with the core it chose at run time where it says."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in glob.glob(str(libs / "*openblas*")):
-        lib = ctypes.CDLL(path)
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
         for symbol in ("scipy_openblas_get_config64_", "openblas_get_config"):
             get = getattr(lib, symbol, None)
             if get is not None:
