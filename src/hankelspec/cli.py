@@ -260,6 +260,13 @@ class Scenario:
             raise model.FieldError(
                 "action", f"{self.kind} scenarios take {'|'.join(allowed)}, got {self.action!r}"
             )
+        if self.kind == "continuous":
+            # Every action on a kernel makes its prediction, which covers a
+            # local singularity only at alpha = m + 1; the solvers take any.
+            try:
+                model.predict_continuous(self.spec)
+            except model.UnsupportedCombinationError as exc:
+                raise model.FieldError("spec.local_singularities", str(exc)) from exc
         if self.outputs is None:
             object.__setattr__(self, "outputs", self.name)
         if Path(self.outputs).is_absolute() or ".." in Path(self.outputs).parts:
@@ -270,6 +277,13 @@ class Scenario:
         if self.samples < 2 or self.samples & (self.samples - 1):
             raise model.FieldError("samples", f"expected a power of two, got {self.samples}")
         if self.action == "symbol":
+            if self.spec.alpha <= 1.0:
+                # The sample at theta = 0 takes the symbol's limit there,
+                # which is finite only for alpha > 1.
+                raise model.FieldError(
+                    "spec.alpha",
+                    f"sampling through theta = 0 needs alpha > 1, got {self.spec.alpha!r}",
+                )
             j_min, j_max = self.j_window
             if not (2 <= j_min <= j_max <= self.samples // 2):
                 # Coefficient j is read from a DFT of `samples` points;
@@ -310,6 +324,12 @@ class Scenario:
             else:
                 at, order = f"grids[{i}].points", run.points
                 route = "entries" if run.kind == "uniform" else "matrix"
+                if run.kind == "uniform" and self.spec.b_zero != 0.0:
+                    raise model.FieldError(
+                        f"grids[{i}].kind",
+                        "a uniform grid cannot resolve the t -> 0 singularity of a "
+                        "kernel with b_zero != 0; use a geometric grid",
+                    )
             k = quadrature.lanczos_request(self.action, self.solver.k, self.fit.window)
             need = solve_bytes(order, route, k, self.solver.basis_cap, self.spec)
             _refuse_oversize(need, f"an order-{order} solve", at)
@@ -521,7 +541,6 @@ def _details_line(S) -> str:
 
 
 def _run_spectrum(scenario):
-    # A scenario the closed forms do not cover is refused before its solve.
     pred = _prediction(scenario)
     if scenario.kind == "discrete":
         N = scenario.N_list[0]

@@ -61,7 +61,6 @@ __all__ = [
     "dense_spectrum",
     "lanczos_extremes",
     "counting",
-    "merged_singular_values",
 ]
 
 # Columns of each block the range finder examines.
@@ -819,8 +818,3 @@ def counting(S: SpectrumResult, lam: float):
     n_minus = int(np.count_nonzero(S.lambda_minus > lam))
     return n_plus, n_minus, n_plus + n_minus
 
-
-def merged_singular_values(S: SpectrumResult) -> np.ndarray:
-    """Non-increasing union of lambda_plus and lambda_minus."""
-    merged = np.concatenate([S.lambda_plus, S.lambda_minus])
-    return np.sort(merged)[::-1].copy()

@@ -51,7 +51,6 @@ __all__ = [
     "kappa",
     "predict_discrete",
     "predict_continuous",
-    "predict_local_term",
 ]
 
 DEFAULT_CUTOFFS = (0.25, 0.5, 1.5, 2.0)
@@ -314,15 +313,16 @@ def _shares(spec):
 def _check_shares(spec) -> None:
     """Raise FieldError at the first summand whose share overflows.
 
-    The running sum of the shares bounds a_plus^p and a_minus^p; the first
-    field at which a share, that sum or that sum to the power alpha leaves
-    the float range is named.
+    The running sum of the shares, an unsigned share counted once for each
+    sign, bounds a_plus^p + a_minus^p, the p-th power of a_singular; the
+    first field at which a share, that sum or that sum to the power alpha
+    leaves the float range is named.
     """
     p = 1.0 / spec.alpha
     total = 0.0
-    for field, _label, weight, amplitude, _signed in _shares(spec):
+    for field, _label, weight, amplitude, signed in _shares(spec):
         try:
-            total += weight * abs(amplitude) ** p
+            total += (1.0 if signed else 2.0) * weight * abs(amplitude) ** p
             finite = math.isfinite(total) and math.isfinite(total**spec.alpha)
         except OverflowError:
             finite = False
@@ -371,14 +371,3 @@ def predict_continuous(spec: ContinuousKernelSpec) -> AsymptoticPrediction:
             )
     return _predict(spec)
 
-
-def predict_local_term(t0: float, m: int, n: int) -> float:
-    """Exact leading eigenvalue law m! t0^{m+1} (2 pi n)^{-m-1} of one local singularity."""
-    if t0 <= 0.0:
-        raise ValueError(f"t0 must be positive, got {t0}")
-    if m < 0 or m != int(m):
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    m = int(m)
-    return math.factorial(m) * t0 ** (m + 1) * (2.0 * math.pi * n) ** (-(m + 1))

@@ -15,11 +15,8 @@ from .model import ContinuousKernelSpec, DiscreteSymbolSpec
 
 __all__ = [
     "smooth_step",
-    "eval_discrete",
     "eval_discrete_many",
-    "eval_kernel",
     "eval_kernel_many",
-    "finite_difference",
 ]
 
 
@@ -74,11 +71,6 @@ def eval_discrete_many(spec: DiscreteSymbolSpec, j) -> np.ndarray:
     return out
 
 
-def eval_discrete(spec: DiscreteSymbolSpec, j: int) -> float:
-    """Model sequence h(j); zero at j = 0, 1."""
-    return float(eval_discrete_many(spec, np.asarray([j]))[0])
-
-
 def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
     """Vectorized kernel h(t) over a positive array of points."""
     t = np.asarray(t, dtype=float)
@@ -110,22 +102,3 @@ def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
         out[mask] += sing.coeff * (sing.t0 - t[mask]) ** sing.m
 
     return out
-
-
-def eval_kernel(spec: ContinuousKernelSpec, t: float) -> float:
-    """Model kernel h(t), t > 0."""
-    return float(eval_kernel_many(spec, np.asarray([t]))[0])
-
-
-def finite_difference(values, m: int):
-    """m-fold forward difference; output length shrinks by m."""
-    values = np.asarray(values, dtype=float)
-    if m < 0:
-        raise ValueError(f"difference order m must be nonnegative, got {m}")
-    if m > len(values) - 1:
-        raise ValueError(
-            f"sequence of length {len(values)} is too short for difference order {m}"
-        )
-    if m == 0:
-        return values.copy()
-    return np.diff(values, n=m)

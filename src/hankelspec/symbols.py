@@ -3,8 +3,7 @@
 The symbols carry polynomial modulations around theta = 0, and their
 Fourier coefficients decay like b / (j log(j)^alpha).  This module
 evaluates and samples them, gives the closed-form coefficient b, and
-computes normalized Fourier coefficients from uniform samples.  A Mobius
-map transports circle symbols to line symbols and back.
+computes normalized Fourier coefficients from uniform samples.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "sample_bytes",
     "aslog_coefficient",
     "fourier_coefficients",
-    "mobius_to_line",
-    "mobius_to_circle",
 ]
 
 MAX_POLY_DEGREE = 4
@@ -140,19 +137,19 @@ class AsLogSpec:
 
 
 def eval_aslog(spec: AsLogSpec, theta):
-    """Evaluate the log-singular symbol; theta = 0 is a domain error."""
+    """Evaluate the log-singular symbol; theta = 0 is a domain error.
+
+    A scalar theta gives a complex number, an array theta an array.
+    """
+    scalar = np.ndim(theta) == 0
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if np.any(theta_arr == 0.0):
         raise ValueError("the symbol has a logarithmic singularity at theta = 0")
-    return _eval_aslog_nonzero(spec, theta_arr, np.isscalar(theta) or np.asarray(theta).ndim == 0)
-
-
-def _eval_aslog_nonzero(spec, theta_arr, scalar):
     c1, c2 = spec.cutoffs
     out = np.zeros(theta_arr.shape, dtype=complex)
     absq = np.abs(theta_arr)
     chi = smooth_step((c2 - absq) / (c2 - c1))
-    live = (chi > 0.0) & (absq > 0.0)
+    live = chi > 0.0
     for side, mask in (("plus", theta_arr > 0), ("minus", theta_arr < 0)):
         sel = live & mask
         if not np.any(sel):
@@ -166,9 +163,7 @@ def _eval_aslog_nonzero(spec, theta_arr, scalar):
             base = loga + u
             acc = acc + v * np.exp((1.0 - j - spec.alpha) * np.log(base))
         out[sel] = acc * chi[sel]
-    if scalar:
-        return complex(out[0])
-    return out
+    return complex(out[0]) if scalar else out
 
 
 def sample_aslog(spec: AsLogSpec, samples: int):
@@ -189,7 +184,7 @@ def sample_aslog(spec: AsLogSpec, samples: int):
     theta = 2.0 * np.pi * k / samples
     theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
     out = np.zeros(samples, dtype=complex)
-    out[1:] = _eval_aslog_nonzero(spec, theta[1:], False)
+    out[1:] = eval_aslog(spec, theta[1:])
     return out
 
 
@@ -237,28 +232,3 @@ def fourier_coefficients(samples) -> np.ndarray:
         raise ValueError(f"sample count must be a power of two, got {n}")
     return np.fft.fft(samples) / n
 
-
-def mobius_to_line(omega):
-    """Transport a circle symbol to the line: x -> -w(x) omega(w(x)).
-
-    w(x) = (x - i/2) / (x + i/2) maps the real line onto the unit circle.
-    """
-
-    def line_symbol(x):
-        w = (x - 0.5j) / (x + 0.5j)
-        return -w * omega(w)
-
-    return line_symbol
-
-
-def mobius_to_circle(line_symbol):
-    """Inverse transport; the point w = 1 maps to x = infinity (domain error)."""
-
-    def circle_symbol(w):
-        w = complex(w)
-        if abs(w - 1.0) < 1e-15:
-            raise ValueError("w = 1 corresponds to x = infinity")
-        x = 0.5j * (1.0 + w) / (1.0 - w)
-        return -line_symbol(x) / w
-
-    return circle_symbol

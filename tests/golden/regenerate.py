@@ -9,8 +9,9 @@ what it produced under `<case>/`:
 
 The cases are small versions of the four benchmark workloads, a geometric
 grid on the range-finder route, a discrete order above 2^53 with a
-b_minus1 term, `predict` on each kind, a spec refused only when its
-prediction is made, and every refusal of `REFUSALS` in `tests/test_cli.py`.
+b_minus1 term, `predict` on each kind, a `spectrum` whose prediction the
+closed form does not cover, and every refusal of `REFUSALS` in
+`tests/test_cli.py`.
 Physical memory reads as 8 GiB in every case, or as the row's own figure
 for the memory refusals that set one, so the messages do not depend on the
 machine.  `build.json` records the machine, numpy and OpenBLAS the corpus
@@ -114,7 +115,10 @@ RUNS = {
     }),
     "predict-symbol": ("predict", {
         "name": "symbol", "kind": "symbol",
-        "spec": {"alpha": 2.0, "v0_plus": [1.0, [0.5, -0.25]], "v0_minus": [0.5]},
+        "spec": {
+            "alpha": 2.0, "v0_plus": [1.0, [0.5, -0.25]], "v0_minus": [1.0],
+            "v1_plus": [[0.0, 0.5]], "u0_plus": [0.25],
+        },
     }),
     # Local singularities are predicted only at alpha = m + 1.
     "spectrum-uncovered-singularity": ("spectrum", {

@@ -3,10 +3,10 @@
 A name in the `__all__` of a hankelspec module must exist, and must be used
 by code in `src/hankelspec` outside its own definition (an AST name or
 attribute, not a string), or be imported by `tests/test_acceptance.py`.  The
-few names kept for unit tests alone are listed below with their reason.  A
-stale `__all__` entry also breaks `benchmarks/spans.py`, which looks every
-entry up.  The package's own `__all__` lists the submodules and is not
-checked.
+one name kept for unit tests alone, a reference they compare against, is
+listed below with its reason.  A stale `__all__` entry also breaks
+`benchmarks/spans.py`, which looks every entry up.  The package's own
+`__all__` lists the submodules and is not checked.
 """
 
 import ast
@@ -19,14 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hankelspec"
 
 ALLOWED_UNUSED = {
-    "sequences.eval_discrete": "scalar entry point of the unit tests; the program uses eval_discrete_many",
-    "sequences.eval_kernel": "scalar entry point of the unit tests; the program uses eval_kernel_many",
-    "symbols.eval_aslog": "scalar entry point of the unit tests; the program uses sample_aslog",
-    "eigensolve.merged_singular_values": "the singular values s_n of the counting identity n = n_+ + n_-; library helper",
-    "model.predict_local_term": "closed-form eigenvalue law of one local singularity; library helper",
-    "sequences.finite_difference": "the m-fold differences of the regularity conditions; library helper",
-    "symbols.mobius_to_line": "circle-to-line transport of symbols; library helper",
-    "symbols.mobius_to_circle": "line-to-circle transport of symbols; library helper",
     "hankel_core.build_discrete": "the built discrete truncation, the dense reference the expsum route is tested against",
 }
 TREES = {

@@ -701,6 +701,12 @@ REFUSALS = [
     _refusal("spec-object", "predict", {**DISCRETE, "spec": 3}, "spec"),
     _refusal("spec-field-missing", "predict", {**DISCRETE, "spec": {}}, "spec.alpha"),
     _refusal("spec-share-overflow", "spectrum", {**DISCRETE, "spec": {"alpha": 0.5, "b_plus1": 1e300}, "N_list": [64]}, "spec.b_plus1"),
+    # An oscillation's share counts for both signs in a_singular.
+    _refusal(
+        "spec-singular-share-overflow", "predict",
+        {**DISCRETE, "spec": {"alpha": 138.0, "oscillations": [{"phi": 1.0, "psi": 0.0, "b": 2.1e138}]}},
+        "spec.oscillations[0].b",
+    ),
     _refusal(
         "spec-entry", "predict",
         {**DISCRETE, "spec": {"alpha": 1.0, "oscillations": [{"phi": 3.141592653589793, "psi": 0.0, "b": 1.0}]}},
@@ -753,6 +759,7 @@ REFUSALS = [
     _refusal("j-window-entry", "predict", {**DISCRETE, "j_window": [1.5, 8]}, "j_window[0]"),
     _refusal("j-window-beyond-samples", "symbol", {**SYMBOL, "samples": 4096, "j_window": [8, 9000]}, "j_window"),
     _refusal("j-window-below-2", "symbol", {**SYMBOL, "samples": 4096, "j_window": [1, 8]}, "j_window"),
+    _refusal("symbol-alpha-at-most-1", "symbol", {**SYMBOL, "spec": {"alpha": 1.0}, "samples": 4096}, "spec.alpha"),
     # The rules between fields.
     _refusal("discrete-run-needs-orders", "spectrum", DISCRETE, "N_list"),
     _refusal("continuous-run-needs-grids", "verify", {"kind": "continuous", "spec": TRIANGLE}, "grids"),
@@ -765,6 +772,15 @@ REFUSALS = [
         "continuous-verify-log-corrected", "verify",
         {"kind": "continuous", "spec": TRIANGLE, "grids": TWO_GRIDS, "fit": {"window": [2, 8], "model": "log_corrected"}},
         "fit.model",
+    ),
+    _refusal(
+        "uniform-grid-b-zero", "spectrum",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0}, "grids": [{"kind": "uniform", "t_max": 1.0, "points": 64}]},
+        "grids[0].kind",
+    ),
+    _refusal(
+        "uncovered-singularity", "predict", {"kind": "continuous", "spec": {**TRIANGLE, "alpha": 2.0}},
+        "spec.local_singularities", message="only covered at alpha = m + 1",
     ),
     _refusal(
         "phase-order-limit", "verify",

@@ -1,10 +1,11 @@
 """Property tests of the config boundary: any JSON gives exit 0 or 2, never a traceback.
 
-Only `predict` runs here.  It parses and validates the whole scenario and
-writes two small files, but it never starts a solver, so arbitrary sizes in
-the config stay cheap.  The parser test also starts from valid `spectrum`,
-`verify` and `symbol` scenarios, whose rules between fields only those
-actions check; it parses them and runs nothing.
+Only `predict` runs here, alone or as the actions of a sweep.  It parses
+and validates the whole scenario and writes two small files, but it never
+starts a solver, so arbitrary sizes in the config stay cheap.  The parser
+test also starts from valid `spectrum`, `verify` and `symbol` scenarios,
+whose rules between fields only those actions check; it parses them and
+runs nothing.
 """
 
 import copy
@@ -12,7 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hankelspec import cli
@@ -163,6 +164,23 @@ def test_predict_on_any_json_exits_0_or_2(cfg):
 @given(cfg=near_valid())
 def test_predict_on_near_valid_scenarios_exits_0_or_2(cfg):
     assert _predict_exit_code(cfg) in (0, 2)
+
+
+@FUZZ
+@given(second=near_valid())
+# A local singularity off alpha = m + 1, which parses but cannot be predicted.
+@example(second={**VALID[2], "spec": {**VALID[2]["spec"], "alpha": 2.0}})
+def test_sweep_refuses_before_it_writes(second):
+    # A valid scenario first: a refusal of the second must leave --out empty.
+    first = {**VALID[0], "name": "first", "outputs": "first"}
+    cfg = {"scenarios": [first, {**second, "action": "predict"}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        code = cli.main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        assert code == 0 or not out.exists()
 
 
 def test_valid_run_scenarios_parse():

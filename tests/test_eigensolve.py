@@ -17,7 +17,6 @@ from hankelspec.eigensolve import (
     counting,
     dense_spectrum,
     lanczos_extremes,
-    merged_singular_values,
     solve,
     solve_bytes,
 )
@@ -651,15 +650,10 @@ def test_counting_identity_and_domain():
     for lam in [0.05, 0.15, 0.3, 0.6, 0.8, 1.0]:
         n_plus, n_minus, n = counting(S, lam)
         assert n == n_plus + n_minus
-        merged = merged_singular_values(S)
+        merged = np.concatenate([S.lambda_plus, S.lambda_minus])
         assert n == int(np.sum(merged > lam))
     with pytest.raises(ValueError):
         counting(S, 0.0)
-
-
-def test_merged_singular_values_sorted():
-    S = _result([1.0, 0.5], [0.75])
-    assert np.array_equal(merged_singular_values(S), [1.0, 0.75, 0.5])
 
 
 # ------------------------------------------------------------ Weyl inequality

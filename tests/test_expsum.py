@@ -8,7 +8,7 @@ import pytest
 
 from hankelspec import expsum
 from hankelspec.analysis import SolverParams, discrete_spectrum, window_scaled_median
-from hankelspec.eigensolve import solve
+from hankelspec.eigensolve import dense_spectrum, solve
 from hankelspec.hankel_core import DiscreteTruncation, build_discrete, dense_matrix
 from hankelspec.model import DiscreteSymbolSpec, Perturbation
 
@@ -133,8 +133,9 @@ def test_solve_reports_the_route():
     assert {"nodes", "columns", "gram_rank", "head_order"} <= set(S.details)
     for N in (2, 32, 33, 2048):
         assert solve(DiscreteTruncation(B1_OSC, N), SolverParams()).solver_id == "expsum"
-    dense = solve(dense_matrix(build_discrete(B1_OSC, 2048)), SolverParams())
-    assert dense.solver_id == "dense"
+    # The dense reference, called directly: a dense matrix given to solve
+    # goes to the range finder, whose fallback to it rests on its stop rule.
+    dense = dense_spectrum(dense_matrix(build_discrete(B1_OSC, 2048)))
     # Both routes are exhaustive: every eigenvalue not returned is in the zero band.
     for R in (S, dense):
         assert len(R.lambda_plus) + len(R.lambda_minus) + R.n_dropped == R.order

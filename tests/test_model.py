@@ -19,7 +19,6 @@ from hankelspec.model import (
     kappa,
     predict_continuous,
     predict_discrete,
-    predict_local_term,
 )
 from hankelspec.quadrature import GridSpec
 from hankelspec.symbols import AsLogSpec
@@ -174,12 +173,22 @@ def test_spec_rejects_b_zero_with_singularity():
 
 
 # ------------------------------------------------------------- local term
+#
+# A local singularity alone obeys lambda_n^{+-} ~ m! t0^{m+1} (2 pi n)^{-m-1}:
+# its prediction at alpha = m + 1 is a^{+-} = m! t0^{m+1} (2 pi)^{-m-1}.
+
+
+def _local_term(t0: float, m: int, n: int) -> float:
+    spec = ContinuousKernelSpec(alpha=m + 1.0, local_singularities=[(t0, m, 1.0)])
+    pred = predict_continuous(spec)
+    assert pred.a_minus == pred.a_plus
+    return pred.a_plus * float(n) ** (-(m + 1))
 
 
 def test_predict_local_term_examples():
-    assert predict_local_term(1.0, 0, 1) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
-    assert predict_local_term(2.0, 1, 1) == pytest.approx(1.0 / math.pi**2, rel=1e-12)
-    assert predict_local_term(1.0, 0, 10) == pytest.approx(1.0 / (20 * math.pi), rel=1e-12)
+    assert _local_term(1.0, 0, 1) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
+    assert _local_term(2.0, 1, 1) == pytest.approx(1.0 / math.pi**2, rel=1e-12)
+    assert _local_term(1.0, 0, 10) == pytest.approx(1.0 / (20 * math.pi), rel=1e-12)
 
 
 @given(
@@ -188,7 +197,7 @@ def test_predict_local_term_examples():
     n=st.integers(1, 1000),
 )
 def test_predict_local_term_identity(t0, m, n):
-    value = predict_local_term(t0, m, n)
+    value = _local_term(t0, m, n)
     assert value * (2.0 * math.pi * n) ** (m + 1) == pytest.approx(
         math.factorial(m) * t0 ** (m + 1), rel=1e-12
     )
@@ -339,7 +348,8 @@ def test_singular_coefficient_identity(alpha, b1, bm1, oscs):
 # ------------------------------------------------- reference closed form
 #
 # The share arithmetic of the spec checks and of predict_discrete and
-# predict_continuous as first written, kept as the reference: every
+# predict_continuous as first written, kept as the reference (the spec
+# check since counts an unsigned share once for each sign): every
 # prediction must be bitwise equal to it, and every refusal must have its
 # type, field and message.  A spec here is a plain namespace of fields that
 # pass the constructors' other checks.
@@ -357,10 +367,12 @@ def _ref_kappa_p(alpha: float) -> float:
 
 
 def _ref_require_finite_shares(alpha: float, shares) -> None:
+    # count is 1 for a share of one sign, 2 for one of both: the sum then
+    # bounds a_plus^p + a_minus^p, of which a_singular is the alpha-th power.
     total = 0.0
-    for field, weight, base in shares:
+    for field, weight, base, count in shares:
         try:
-            total += weight * base ** (1.0 / alpha)
+            total += count * weight * base ** (1.0 / alpha)
             finite = math.isfinite(total) and math.isfinite(total**alpha)
         except OverflowError:
             finite = False
@@ -376,8 +388,8 @@ def _ref_check_discrete(spec) -> None:
     kap_p = _ref_kappa_p(spec.alpha)
     _ref_require_finite_shares(
         spec.alpha,
-        [("b_minus1", kap_p, abs(spec.b_minus1)), ("b_plus1", kap_p, abs(spec.b_plus1))]
-        + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(spec.oscillations)],
+        [("b_minus1", kap_p, abs(spec.b_minus1), 1), ("b_plus1", kap_p, abs(spec.b_plus1), 1)]
+        + [(f"oscillations[{i}].b", kap_p, abs(o.b), 2) for i, o in enumerate(spec.oscillations)],
     )
 
 
@@ -390,12 +402,13 @@ def _ref_check_continuous(spec) -> None:
                 f"local_singularities[{i}]",
                 sing.t0 / (2.0 * math.pi),
                 math.factorial(sing.m) * abs(sing.coeff) if sing.m <= 170 else math.inf,
+                2,
             )
             for i, sing in enumerate(spec.local_singularities)
             if spec.alpha == sing.m + 1
         ]
-        + [("b_zero", kap_p, abs(spec.b_zero)), ("b_inf", kap_p, abs(spec.b_inf))]
-        + [(f"oscillations[{i}].b", kap_p, abs(o.b)) for i, o in enumerate(spec.oscillations)],
+        + [("b_zero", kap_p, abs(spec.b_zero), 1), ("b_inf", kap_p, abs(spec.b_inf), 1)]
+        + [(f"oscillations[{i}].b", kap_p, abs(o.b), 2) for i, o in enumerate(spec.oscillations)],
     )
 
 

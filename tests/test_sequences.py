@@ -4,18 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hankelspec.model import ContinuousKernelSpec, DiscreteSymbolSpec
-from hankelspec.sequences import (
-    eval_discrete,
-    eval_discrete_many,
-    eval_kernel,
-    eval_kernel_many,
-    finite_difference,
-    smooth_step,
-)
+from hankelspec.sequences import eval_discrete_many, eval_kernel_many, smooth_step
 
 B1_SPEC = DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0)
 
@@ -24,26 +15,26 @@ B1_SPEC = DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0)
 
 
 def test_eval_discrete_zero_at_small_j():
-    assert eval_discrete(B1_SPEC, 0) == 0.0
-    assert eval_discrete(B1_SPEC, 1) == 0.0
+    assert eval_discrete_many(B1_SPEC, [0])[0] == 0.0
+    assert eval_discrete_many(B1_SPEC, [1])[0] == 0.0
 
 
 def test_eval_discrete_b1_at_two():
-    assert eval_discrete(B1_SPEC, 2) == pytest.approx(1.0 / (2.0 * math.log(2.0)), rel=1e-14)
+    assert eval_discrete_many(B1_SPEC, [2])[0] == pytest.approx(1.0 / (2.0 * math.log(2.0)), rel=1e-14)
 
 
 def test_eval_discrete_oscillation_at_four():
     spec = DiscreteSymbolSpec(alpha=1.0, oscillations=[(math.pi / 2, 0.0, 1.0)])
     # cos(pi/2 * 4) = cos(2 pi) = 1, so h(4) = 2 / (4 ln 4).
-    assert eval_discrete(spec, 4) == pytest.approx(2.0 / (4.0 * math.log(4.0)), rel=1e-12)
+    assert eval_discrete_many(spec, [4])[0] == pytest.approx(2.0 / (4.0 * math.log(4.0)), rel=1e-12)
 
 
 def test_eval_discrete_alternating_point():
     spec = DiscreteSymbolSpec(alpha=1.0, b_minus1=1.0)
     q3 = 1.0 / (3.0 * math.log(3.0))
-    assert eval_discrete(spec, 3) == pytest.approx(-q3, rel=1e-14)
+    assert eval_discrete_many(spec, [3])[0] == pytest.approx(-q3, rel=1e-14)
     q4 = 1.0 / (4.0 * math.log(4.0))
-    assert eval_discrete(spec, 4) == pytest.approx(q4, rel=1e-14)
+    assert eval_discrete_many(spec, [4])[0] == pytest.approx(q4, rel=1e-14)
 
 
 def test_eval_discrete_perturbation_term():
@@ -51,7 +42,7 @@ def test_eval_discrete_perturbation_term():
     j = 7
     base = 1.0 / (j * math.log(j))
     pert = 0.5 / (j * math.log(j) ** 2)
-    assert eval_discrete(spec, j) == pytest.approx(base + pert, rel=1e-14)
+    assert eval_discrete_many(spec, [j])[0] == pytest.approx(base + pert, rel=1e-14)
 
 
 def test_eval_discrete_many_matches_scalar():
@@ -60,13 +51,14 @@ def test_eval_discrete_many_matches_scalar():
     )
     j = np.arange(0, 50)
     vec = eval_discrete_many(spec, j)
+    # An entry does not depend on the other indices of the call.
     for jj in [0, 1, 2, 3, 17, 49]:
-        assert vec[jj] == eval_discrete(spec, jj)
+        assert vec[jj] == eval_discrete_many(spec, [jj])[0]
 
 
 def test_eval_discrete_rejects_negative_index():
     with pytest.raises(ValueError):
-        eval_discrete(B1_SPEC, -1)
+        eval_discrete_many(B1_SPEC, [-1])
 
 
 def test_psi_shift_invariance_to_rounding():
@@ -158,27 +150,27 @@ def test_kernel_cutoffs_are_bitwise_the_closed_form(spec):
 def test_eval_kernel_b_zero_plateau():
     spec = ContinuousKernelSpec(alpha=1.0, b_zero=1.0, cutoffs=(0.2, 0.5, 1.5, 2.0))
     # chi0(0.1) = 1, so h(0.1) = 1/(0.1 * ln 10).
-    assert eval_kernel(spec, 0.1) == pytest.approx(10.0 / math.log(10.0), rel=1e-14)
+    assert eval_kernel_many(spec, [0.1])[0] == pytest.approx(10.0 / math.log(10.0), rel=1e-14)
 
 
 def test_eval_kernel_triangle_piecewise():
     spec = ContinuousKernelSpec(alpha=1.0, local_singularities=[(1.0, 0, 1.0)])
-    assert eval_kernel(spec, 0.5) == 1.0
-    assert eval_kernel(spec, 1.5) == 0.0
-    assert eval_kernel(spec, 1.0) == 1.0
+    assert eval_kernel_many(spec, [0.5])[0] == 1.0
+    assert eval_kernel_many(spec, [1.5])[0] == 0.0
+    assert eval_kernel_many(spec, [1.0])[0] == 1.0
 
 
 def test_eval_kernel_tail_plateau():
     spec = ContinuousKernelSpec(alpha=1.0, b_inf=1.0)
     t = math.e**2
-    assert eval_kernel(spec, t) == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
+    assert eval_kernel_many(spec, [t])[0] == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
 
 
 def test_eval_kernel_rejects_nonpositive_t():
     with pytest.raises(ValueError):
-        eval_kernel(B1_KERNEL, 0.0)
+        eval_kernel_many(B1_KERNEL, [0.0])
     with pytest.raises(ValueError):
-        eval_kernel(B1_KERNEL, -1.0)
+        eval_kernel_many(B1_KERNEL, [-1.0])
 
 
 B1_KERNEL = ContinuousKernelSpec(alpha=1.0, b_inf=1.0)
@@ -199,33 +191,7 @@ def test_eval_kernel_oscillation_rides_tail():
     spec = ContinuousKernelSpec(alpha=1.0, oscillations=[(1.0, 0.0, 1.0)])
     t = 4.0 * math.pi
     expected = 2.0 * math.cos(t) / (t * math.log(t))
-    assert eval_kernel(spec, t) == pytest.approx(expected, rel=1e-12)
+    assert eval_kernel_many(spec, [t])[0] == pytest.approx(expected, rel=1e-12)
     # Inside the support gap (t <= C1) the tail term vanishes.
-    assert eval_kernel(spec, 1.0) == 0.0
+    assert eval_kernel_many(spec, [1.0])[0] == 0.0
 
-
-# ---------------------------------------------------------- finite differences
-
-
-def test_finite_difference_examples():
-    assert np.array_equal(finite_difference([0, 1, 2, 3], 1), [1, 1, 1])
-    assert np.array_equal(finite_difference([0, 1, 2, 3], 2), [0, 0])
-    assert np.array_equal(finite_difference([1, 2, 4, 8], 1), [1, 2, 4])
-    assert np.array_equal(finite_difference([5, 5], 0), [5, 5])
-
-
-def test_finite_difference_too_short():
-    with pytest.raises(ValueError):
-        finite_difference([1.0, 2.0], 2)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    values=st.lists(st.floats(-100, 100), min_size=5, max_size=20),
-    m1=st.integers(0, 2),
-    m2=st.integers(0, 2),
-)
-def test_finite_difference_composes(values, m1, m2):
-    direct = finite_difference(values, m1 + m2)
-    nested = finite_difference(finite_difference(values, m1), m2)
-    assert np.allclose(direct, nested, rtol=1e-12, atol=1e-9)
