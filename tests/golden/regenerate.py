@@ -8,7 +8,9 @@ what it produced under `<case>/`:
     out/...       the report files written under --out (none on a refusal)
 
 The cases are small versions of the four benchmark workloads, a geometric
-grid on the range-finder route, a discrete order above 2^53 with a
+grid on the range-finder route, two geometric grids whose kernels between
+them take every branch of the kernel evaluator and both cutoff bands, a
+discrete order above 2^53 with a
 b_minus1 term, `predict` on each kind, a `spectrum` whose prediction the
 closed form does not cover, and every refusal of `REFUSALS` in
 `tests/test_cli.py`.
@@ -75,6 +77,30 @@ RUNS = {
     "geometric-range": ("spectrum", {
         "name": "b0-geometric", "kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1.0},
         "grids": [_geometric(1024)], "fit": {"window": [8, 32], "model": "plain"},
+    }),
+    # b_zero cannot be combined with a local singularity, so two kernels
+    # share the evaluator's branches: chi0's band (c1, c2), the tail with an
+    # oscillation and chi_inf's band (C1, C2), since t_max lies past C2, and
+    # a local singularity of order m = 1.  The negative amplitudes give
+    # signed zeros.
+    "geometric-zero-tail": ("spectrum", {
+        "name": "zero-tail", "kind": "continuous",
+        "spec": {
+            "alpha": 2.0, "b_zero": 1.0, "b_inf": -0.5,
+            "oscillations": [{"rho": 3.0, "psi": 0.25, "b": 0.5}],
+        },
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 8.0, "points": 512}],
+        "fit": {"window": [2, 8], "model": "plain"},
+    }),
+    "geometric-local-tail": ("spectrum", {
+        "name": "local-tail", "kind": "continuous",
+        "spec": {
+            "alpha": 2.0, "b_inf": 1.0,
+            "oscillations": [{"rho": 3.0, "psi": 0.25, "b": -0.5}],
+            "local_singularities": [{"t0": 0.75, "m": 1, "coeff": -2.0}],
+        },
+        "grids": [{"kind": "geometric", "t_min": 1e-6, "t_max": 8.0, "points": 512}],
+        "fit": {"window": [2, 8], "model": "plain"},
     }),
     "sweep-verify": ("sweep", {"scenarios": [
         {
