@@ -10,8 +10,10 @@ dense symmetric matrix with the node weights split symmetrically.  Its
 singular values decay rapidly, so eigensolve.solve takes it to the
 randomized range finder, which holds a basis of a few hundred columns in
 place of the M^3 dense eigendecomposition; building the matrix still costs
-M^2 kernel values and 8 M^2 bytes, refused beforehand when physical memory
-cannot hold them (hankel_core.require_memory).
+M^2 / 2 kernel values and 8 M^2 bytes, refused beforehand when physical
+memory cannot hold them (hankel_core.require_memory).  Its row blocks are
+evaluated in place on one thread per CPU; they write disjoint parts of the
+matrix, so the result does not depend on the thread count.
 
 The domain truncation helper bounds the neglected tail of an oscillating
 kernel by integration by parts (one oscillation period costs 2 q(T) / rho),
@@ -22,6 +24,8 @@ while the oscillatory integral still converges.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,11 @@ __all__ = [
 GRID_KINDS = ("uniform", "geometric")
 MIN_POINTS = 16
 # Rows of the geometric Nystrom matrix evaluated per kernel call.
-_GRADED_ROWS = 256
+_GRADED_ROWS = 128
+# Bytes a build thread holds per point of its row block, at most: the node
+# sums, the evaluator's scratch and masks, and its arrays over a cutoff band.
+# Measured: 34 with an oscillating tail, 53 when the block lies in a band.
+_SCRATCH_PER_POINT = 64
 
 
 @dataclass(frozen=True)
@@ -92,13 +100,23 @@ def geometric_nodes(grid: GridSpec):
     return t, w
 
 
-def _kernel_values(kernel, t: np.ndarray) -> np.ndarray:
-    """Kernel evaluation seam: a ContinuousKernelSpec or a plain callable h(t)."""
+def _kernel_values(kernel, t: np.ndarray, out=None) -> np.ndarray:
+    """Kernel evaluation seam: a ContinuousKernelSpec or a plain callable h(t).
+
+    With out, the values are written there and out is returned.  A callable
+    must return one value per point of t.
+    """
     if isinstance(kernel, ContinuousKernelSpec):
-        return eval_kernel_many(kernel, t)
-    if callable(kernel):
-        return np.asarray(kernel(t), dtype=float)
-    raise TypeError(f"expected a ContinuousKernelSpec or a callable kernel, got {type(kernel)}")
+        return eval_kernel_many(kernel, t, out=out)
+    if not callable(kernel):
+        raise TypeError(f"expected a ContinuousKernelSpec or a callable kernel, got {type(kernel)}")
+    values = np.asarray(kernel(t), dtype=float)
+    if values.shape != t.shape:
+        raise ValueError(f"the kernel returned shape {values.shape} for points of shape {t.shape}")
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 def build_uniform(spec, T: float, M: int) -> HankelTruncation:
@@ -127,7 +145,10 @@ def build_graded(spec, grid: GridSpec) -> np.ndarray:
     """Symmetrized Nystrom matrix sqrt(w_i w_j) h(t_i + t_j) on a geometric grid.
 
     `spec` is a ContinuousKernelSpec or any vectorized, elementwise callable
-    h(t).  Memory: the M x M result plus O(_GRADED_ROWS * M) scratch.
+    h(t); it is called on 2-D blocks of node sums.  Row blocks are built on
+    _workers(M) threads.  Memory: the M x M result plus, per thread, at most
+    _SCRATCH_PER_POINT bytes for each point of a _GRADED_ROWS x M block; from
+    M = 1024 on, all threads together stay within a second 8 M^2 bytes.
     """
     if grid.kind != "geometric":
         raise ValueError(f"build_graded needs a geometric grid, got kind={grid.kind!r}")
@@ -136,17 +157,80 @@ def build_graded(spec, grid: GridSpec) -> np.ndarray:
     t, w = geometric_nodes(grid)
     sw = np.sqrt(w)
     K = np.empty((M, M))
-    # Evaluate the upper triangle one row block at a time and mirror it, so
-    # the kernel's temporaries scale with the block, not with M^2.  Node sums
-    # and weight products commute, so the result is bitwise symmetric.
-    for i in range(0, M, _GRADED_ROWS):
+
+    # Evaluate the upper triangle one row block at a time, straight into K,
+    # and mirror it, so the kernel's temporaries scale with the block, not
+    # with M^2.  Node sums and weight products commute, so the result is
+    # bitwise symmetric.  Each block writes its own rows right of the
+    # diagonal and its own columns below the block, so blocks run on
+    # separate threads in any order and give the same matrix.
+    def fill(i):
         rows = slice(i, min(i + _GRADED_ROWS, M))
-        block = _kernel_values(spec, np.add.outer(t[rows], t[i:]).ravel())
-        block = block.reshape(-1, M - i)
+        block = K[rows, i:]
+        _kernel_values(spec, np.add.outer(t[rows], t[i:]), out=block)
         block *= np.multiply.outer(sw[rows], sw[i:])
-        K[rows, i:] = block
-        K[rows.stop :, rows] = block[:, rows.stop - i :].T
+        # A contiguous copy first: numpy's own copy of a source that shares
+        # K's buffer is taken in the transposed order, at twice the cost.
+        K[rows.stop :, rows] = block[:, rows.stop - i :].copy().T
+
+    _run_threads(fill, range(0, M, _GRADED_ROWS), _workers(M))
     return K
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(M: int) -> int:
+    """Threads that build an M-point geometric matrix.
+
+    One per CPU and at most one per row block, and no more than fit their
+    scratch into 8 M^2 bytes, the second matrix solve_bytes counts for the
+    solve that follows the build.
+    """
+    blocks = -(-M // _GRADED_ROWS)
+    fit = 8 * M // (_SCRATCH_PER_POINT * _GRADED_ROWS)
+    return max(1, min(_cpu_count(), blocks, fit))
+
+
+def _run_threads(task, items, workers: int) -> None:
+    """Call task(item) for every item on `workers` threads, this one included.
+
+    Threads take the next item as they come free.  Once a task raises, no
+    new item is started, and the first exception is raised here after every
+    thread has stopped.
+    """
+    todo = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                item = None if errors else next(todo, None)
+            if item is None:
+                return
+            try:
+                task(item)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def build_from_grid(spec, grid: GridSpec):

@@ -5,6 +5,8 @@ evaluated here exactly, with smooth cutoffs built from the classic bump
 construction, so the asymptotic error terms are identically zero in the
 regions the theory constrains.  The kernel's cutoffs chi0 and chi_inf are
 smooth_step over the bands of spec.cutoffs (see ContinuousKernelSpec).
+The kernel is evaluated in place, into an output array that may be a view
+of a larger matrix, with smooth_step called on the cutoff bands only.
 """
 
 from __future__ import annotations
@@ -38,10 +40,15 @@ def smooth_step(x):
     out[hi] = 1.0
     xm = x[mid]
     # exp(-1/y) underflows to 0 for y near 0, where -1/y may overflow to -inf.
+    # In place, so the band holds two arrays of its size at a time.
     with np.errstate(over="ignore"):
-        ex = np.exp(-1.0 / xm)
-        e1x = np.exp(-1.0 / (1.0 - xm))
-    out[mid] = ex / (ex + e1x)
+        ex = np.divide(-1.0, xm)
+        np.exp(ex, out=ex)
+        e1x = np.subtract(1.0, xm, out=xm)
+        np.divide(-1.0, e1x, out=e1x)
+        np.exp(e1x, out=e1x)
+    e1x += ex
+    out[mid] = np.divide(ex, e1x, out=ex)
     return float(out[0]) if scalar else out
 
 
@@ -71,34 +78,85 @@ def eval_discrete_many(spec: DiscreteSymbolSpec, j) -> np.ndarray:
     return out
 
 
-def eval_kernel_many(spec: ContinuousKernelSpec, t) -> np.ndarray:
-    """Vectorized kernel h(t) over a positive array of points."""
+def eval_kernel_many(spec: ContinuousKernelSpec, t, out=None) -> np.ndarray:
+    """Vectorized kernel h(t) over a positive array of points, of any shape.
+
+    out, if given, is a float array of t's shape, possibly a strided view,
+    that receives h(t) and is returned.  Each term is evaluated by ufuncs
+    with where= its support mask, into one scratch array, and added into out
+    the same way: nothing is gathered or scattered except the transition
+    bands (c1, c2) and (C1, C2), the only points where smooth_step is called.
+    Everywhere else on a support the cutoff is exactly 1, so the term is
+    1.0 / d where a band point's is smooth_step(x) / d.  Every point sees
+    the float operations of the term-by-term formula in the same order, so
+    the result does not depend on the shape of t or on the other points.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("kernel argument t must be positive")
+    if out is None:
+        out = np.zeros(t.shape)
+    elif out.shape != t.shape:
+        raise ValueError(f"out has shape {out.shape}, the points {t.shape}")
+    else:
+        out.fill(0.0)
     c1, c2, C1, C2 = spec.cutoffs
-    out = np.zeros(t.shape, dtype=float)
+    q = np.empty(t.shape)
 
     if spec.b_zero != 0.0:
         # q0 support is (0, c2); log(1/t) > 0 there.
         mask = t < c2
-        ts = t[mask]
-        q0 = smooth_step((c2 - ts) / (c2 - c1)) / (ts * np.log(1.0 / ts) ** spec.alpha)
-        out[mask] += spec.b_zero * q0
+        band = mask & (t > c1)
+        x = t[band]
+        np.subtract(c2, x, out=x)
+        x /= c2 - c1
+        np.divide(1.0, t, out=q, where=mask)
+        np.log(q, out=q, where=mask)
+        _over_log_power(q, t, mask, band, smooth_step(x), spec.alpha)
+        np.multiply(spec.b_zero, q, out=q, where=mask)
+        np.add(out, q, out=out, where=mask)
 
-    tail_needed = spec.b_inf != 0.0 or spec.oscillations
-    if tail_needed:
+    if spec.b_inf != 0.0 or spec.oscillations:
         # q_inf support is (C1, infinity); log t > 0 there.
         mask = t > C1
-        ts = t[mask]
-        qinf = smooth_step((ts - C1) / (C2 - C1)) / (ts * np.log(ts) ** spec.alpha)
-        amp = np.full(ts.shape, spec.b_inf, dtype=float)
-        for osc in spec.oscillations:
-            amp += 2.0 * osc.b * np.cos(osc.rho * ts - osc.psi)
-        out[mask] += amp * qinf
+        band = mask & (t < C2)
+        x = t[band]
+        x -= C1
+        x /= C2 - C1
+        np.log(t, out=q, where=mask)
+        _over_log_power(q, t, mask, band, smooth_step(x), spec.alpha)
+        if spec.oscillations:
+            amp = np.full(t.shape, spec.b_inf)
+            wave = np.empty(t.shape)
+            for osc in spec.oscillations:
+                np.multiply(osc.rho, t, out=wave, where=mask)
+                np.subtract(wave, osc.psi, out=wave, where=mask)
+                np.cos(wave, out=wave, where=mask)
+                np.multiply(2.0 * osc.b, wave, out=wave, where=mask)
+                np.add(amp, wave, out=amp, where=mask)
+            np.multiply(amp, q, out=q, where=mask)
+        else:
+            np.multiply(spec.b_inf, q, out=q, where=mask)
+        np.add(out, q, out=out, where=mask)
 
     for sing in spec.local_singularities:
         mask = t <= sing.t0
-        out[mask] += sing.coeff * (sing.t0 - t[mask]) ** sing.m
+        np.subtract(sing.t0, t, out=q, where=mask)
+        np.power(q, sing.m, out=q, where=mask)
+        np.multiply(sing.coeff, q, out=q, where=mask)
+        np.add(out, q, out=out, where=mask)
 
     return out
+
+
+def _over_log_power(q, t, mask, band, chi, alpha) -> None:
+    """q <- chi / (t * q**alpha) where mask holds, in place.
+
+    q holds the log factor of the term.  chi holds the cutoff on the band,
+    in the band's order; off the band the cutoff is exactly 1.
+    """
+    np.power(q, alpha, out=q, where=mask)
+    np.multiply(t, q, out=q, where=mask)
+    chi /= q[band]
+    np.divide(1.0, q, out=q, where=mask)
+    q[band] = chi

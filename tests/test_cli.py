@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hankelspec
+from hankelspec import quadrature
 from hankelspec.cli import main, parse_scenario
 
 
@@ -600,6 +601,30 @@ def test_geometric_reports_do_not_depend_on_seed(tmp_path):
     assert "solver: randomized_range_finder converged=True\n" in summary
     assert "details: blocks=" in summary and " fell_back=False\n" in summary
     assert "solver=randomized_range_finder seed=0 tol=0 " in (outs[0] / "spectrum.csv").read_text()
+
+
+def test_an_error_in_a_build_thread_ends_the_run_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # A 2048-point geometric grid is built on two threads; an error in one
+    # row block reaches main, which reports it as it reports any other.
+    monkeypatch.setattr(quadrature, "_cpu_count", lambda: 2)
+    assert quadrature._workers(2048) == 2
+    real = quadrature.eval_kernel_many
+
+    def fail_on_one_block(spec, t, out=None):
+        if t.shape[1] == 2048 - 5 * 128:
+            raise ValueError("the kernel failed on one row block")
+        return real(spec, t, out=out)
+
+    monkeypatch.setattr(quadrature, "eval_kernel_many", fail_on_one_block)
+    cfg = {
+        "name": "b0",
+        "kind": "continuous",
+        "spec": {"alpha": 1.0, "b_zero": 1.0},
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 2048}],
+    }
+    code, _ = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == "validation error: the kernel failed on one row block\n"
 
 
 def test_continuous_verify_refuses_log_corrected_model(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Nystrom discretization tests against analytic kernel oracles."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hankelspec import eigensolve, quadrature
-from hankelspec.eigensolve import dense_spectrum
+from hankelspec.eigensolve import dense_spectrum, solve_bytes
 from hankelspec.hankel_core import HankelTruncation, ResourceLimitError, dense_matrix
 from hankelspec.model import ContinuousKernelSpec, UnsupportedCombinationError
 from hankelspec.quadrature import (
@@ -118,19 +120,130 @@ def test_graded_matrix_symmetric():
     assert np.array_equal(A, A.T)
 
 
+# Between them these kernels take every branch of the evaluator: chi0's band
+# with b_zero, the tail with an oscillation and chi_inf's band, a local
+# singularity of order m = 1, and a plain callable.
+BRANCH_KERNELS = {
+    "b_zero": ContinuousKernelSpec(alpha=1.0, b_zero=1.0),
+    "zero-tail": ContinuousKernelSpec(
+        alpha=2.0, b_zero=1.0, b_inf=-0.5, oscillations=[(3.0, 0.25, 0.5)]
+    ),
+    "local-tail": ContinuousKernelSpec(
+        alpha=2.0, b_inf=1.0, oscillations=[(3.0, 0.25, -0.5)], local_singularities=[(0.75, 1, -2.0)]
+    ),
+    "callable": RANK_ONE,
+}
+
+
+def _count_threads(monkeypatch, cpus: int) -> list:
+    """Make build_graded see `cpus` CPUs; the list collects the thread count of each build."""
+    monkeypatch.setattr(quadrature, "_cpu_count", lambda: cpus)
+    used = []
+    run = quadrature._run_threads
+
+    def spy(task, items, workers):
+        used.append(workers)
+        run(task, items, workers)
+
+    monkeypatch.setattr(quadrature, "_run_threads", spy)
+    return used
+
+
 @pytest.mark.parametrize("rows", [16, 256])
 def test_graded_blocked_build_matches_full_formula(monkeypatch, rows):
-    # M = 300 is not a multiple of either block height.
+    # M = 300 is not a multiple of either block height, and t_max = 8 puts
+    # node sums past C2.  Two threads fit their scratch into 8 M^2 bytes only
+    # with 16-row blocks, so 256-row blocks are built on one.
     monkeypatch.setattr(quadrature, "_GRADED_ROWS", rows)
-    g = GridSpec("geometric", 1e-12, 3.0, 300)
-    spec = ContinuousKernelSpec(alpha=1.0, b_zero=1.0)
+    g = GridSpec("geometric", 1e-12, 8.0, 300)
     t, w = geometric_nodes(g)
     sw = np.sqrt(w)
-    want = eval_kernel_many(spec, np.add.outer(t, t).ravel()).reshape(300, 300)
-    want *= np.multiply.outer(sw, sw)
-    A = build_graded(spec, g)
-    assert np.array_equal(A, want)
-    assert np.array_equal(A, A.T)
+    sums = np.add.outer(t, t).ravel()
+    for name, kernel in BRANCH_KERNELS.items():
+        if name == "callable":
+            want = kernel(sums).reshape(300, 300)
+        else:
+            want = eval_kernel_many(kernel, sums).reshape(300, 300)
+        want *= np.multiply.outer(sw, sw)
+        for cpus in (1, 2):
+            used = _count_threads(monkeypatch, cpus)
+            A = build_graded(kernel, g)
+            assert used == [cpus if rows == 16 else 1]
+            assert np.array_equal(A.view(np.int64), want.view(np.int64)), (name, cpus)
+            assert np.array_equal(A, A.T)
+
+
+class BlockError(Exception):
+    pass
+
+
+def test_graded_build_raises_a_threads_error(monkeypatch):
+    # The callable fails on the block that starts at row 64 only, while
+    # other blocks run on the second thread.
+    monkeypatch.setattr(quadrature, "_GRADED_ROWS", 16)
+    used = _count_threads(monkeypatch, 2)
+    g = GridSpec("geometric", 1e-12, 8.0, 300)
+    t, _ = geometric_nodes(g)
+
+    def kernel(s):
+        if s[0, 0] == t[64] + t[64]:
+            raise BlockError("block 64")
+        return np.exp(-s)
+
+    with pytest.raises(BlockError, match="block 64"):
+        build_graded(kernel, g)
+    assert used == [2]
+
+
+def test_build_threads_take_each_block_once():
+    # More threads than cores, switching as often as the interpreter allows:
+    # a block taken twice or lost shows in the list.
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        quadrature._run_threads(seen.append, range(5000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(5000))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_graded_build_refuses_a_kernel_of_the_wrong_shape(monkeypatch, cpus):
+    # One row of values would broadcast over the whole block.
+    monkeypatch.setattr(quadrature, "_GRADED_ROWS", 16)
+    _count_threads(monkeypatch, cpus)
+    g = GridSpec("geometric", 1e-12, 8.0, 300)
+    with pytest.raises(ValueError, match="shape"):
+        build_graded(lambda s: np.exp(-s[0]), g)
+
+
+@pytest.mark.parametrize(
+    "name, t_min, t_max",
+    [
+        ("b_zero", 1e-12, 1.0),
+        ("zero-tail", 1e-12, 8.0),
+        # Every node sum inside chi0's band, then inside chi_inf's: the
+        # evaluator's band arrays are as large as they get.
+        ("zero-tail", 0.126, 0.249),
+        ("local-tail", 0.76, 0.99),
+        ("callable", 1e-8, 40.0),
+    ],
+)
+def test_graded_peak_is_within_its_scratch_and_solve_bytes(monkeypatch, name, t_min, t_max):
+    M = 2048
+    used = _count_threads(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        A = build_graded(BRANCH_KERNELS[name], GridSpec("geometric", t_min, t_max, M))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert used == [2] and A.nbytes == 8 * M * M
+    scratch = quadrature._SCRATCH_PER_POINT * quadrature._GRADED_ROWS * M
+    assert peak <= 8 * M * M + 2 * scratch
+    assert peak <= solve_bytes(M, "matrix", 64, 600)
 
 
 def test_graded_zero_kernel():

@@ -195,3 +195,90 @@ def test_eval_kernel_oscillation_rides_tail():
     # Inside the support gap (t <= C1) the tail term vanishes.
     assert eval_kernel_many(spec, [1.0])[0] == 0.0
 
+
+
+# ------------------------------------------------- in-place kernel evaluation
+
+
+def _kernel_reference(spec, t):
+    # The term-by-term formula on the gathered points of each support, with
+    # the closed-form cutoff: every point gets the same float operations in
+    # the same order as in eval_kernel_many, and each term is added to a zero.
+    t = np.asarray(t, dtype=float)
+    c1, c2, C1, C2 = spec.cutoffs
+    out = np.zeros(t.shape)
+    if spec.b_zero != 0.0:
+        m = t < c2
+        ts = t[m]
+        chi = _step_reference((c2 - ts) / (c2 - c1))
+        out[m] += spec.b_zero * (chi / (ts * np.log(1.0 / ts) ** spec.alpha))
+    if spec.b_inf != 0.0 or spec.oscillations:
+        m = t > C1
+        ts = t[m]
+        chi = _step_reference((ts - C1) / (C2 - C1))
+        amp = np.full(ts.shape, spec.b_inf)
+        for osc in spec.oscillations:
+            amp += 2.0 * osc.b * np.cos(osc.rho * ts - osc.psi)
+        out[m] += amp * (chi / (ts * np.log(ts) ** spec.alpha))
+    for sing in spec.local_singularities:
+        m = t <= sing.t0
+        out[m] += sing.coeff * (sing.t0 - t[m]) ** sing.m
+    return out
+
+
+def _branch_kernels(alpha, m):
+    # b_zero cannot be combined with a local singularity, so two kernels
+    # share the branches.  Their negative amplitudes make -0.0 terms where a
+    # cutoff underflows to 0 or t = t0.
+    return [
+        ContinuousKernelSpec(
+            alpha=alpha, b_zero=-1.0, b_inf=0.5, oscillations=[(3.0, 0.25, -0.5)]
+        ),
+        ContinuousKernelSpec(
+            alpha=alpha,
+            b_inf=-1.0,
+            oscillations=[(3.0, 0.25, 0.5), (7.0, 0.0, 0.25)],
+            local_singularities=[(0.75, m, -2.0), (3.0, m, 0.5)],
+        ),
+    ]
+
+
+def _edge_points(spec):
+    # The cutoff ends, t0 and their float neighbours.
+    marks = [*spec.cutoffs, *(s.t0 for s in spec.local_singularities)]
+    return np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, np.inf)])
+
+
+def _bits_equal(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1, 2.0, 2.5])
+def test_eval_kernel_is_bitwise_the_term_by_term_formula(alpha, m):
+    rng = np.random.default_rng(0)
+    for spec in _branch_kernels(alpha, m):
+        t = np.concatenate([_edge_points(spec), np.exp(rng.uniform(-28.0, 3.0, 5000))])
+        rng.shuffle(t)
+        h = eval_kernel_many(spec, t)
+        assert _bits_equal(h, _kernel_reference(spec, t))
+        assert not np.any(np.signbit(h[h == 0.0]))
+        # Node sums of a geometric grid, as build_graded passes them.
+        nodes = np.geomspace(1e-12, 8.0, 160)
+        sums = np.add.outer(nodes[:40], nodes)
+        want = _kernel_reference(spec, sums.ravel()).reshape(sums.shape)
+        assert _bits_equal(eval_kernel_many(spec, sums), want)
+        assert _bits_equal(eval_kernel_many(spec, sums.T), want.T)
+
+
+def test_eval_kernel_writes_into_a_strided_out():
+    spec = _branch_kernels(2.0, 1)[1]
+    t = np.add.outer(np.geomspace(1e-6, 1.0, 30), np.geomspace(1e-6, 8.0, 70))
+    big = np.full((40, 90), np.nan)
+    view = big[5:35, 10:80]
+    assert eval_kernel_many(spec, t, out=view) is view
+    assert _bits_equal(view, _kernel_reference(spec, t.ravel()).reshape(t.shape))
+    view[...] = np.nan
+    assert np.isnan(big).all()
+    with pytest.raises(ValueError, match="shape"):
+        eval_kernel_many(spec, t, out=np.empty(t.size))
