@@ -276,6 +276,10 @@ class Scenario:
             )
         if self.samples < 2 or self.samples & (self.samples - 1):
             raise model.FieldError("samples", f"expected a power of two, got {self.samples}")
+        if self.dump_samples < 1:
+            raise model.FieldError(
+                "dump_samples", f"expected at least 1 row, got {self.dump_samples}"
+            )
         if self.action == "symbol":
             if self.spec.alpha <= 1.0:
                 # The sample at theta = 0 takes the symbol's limit there,
@@ -646,7 +650,7 @@ def _run_symbol(scenario):
     else:
         ratio = np.abs(coeffs[j]) * decay / b_eff
     ratio_median = analysis._median(ratio)
-    stride = max(1, scenario.samples // max(scenario.dump_samples, 1))
+    stride = max(1, scenario.samples // scenario.dump_samples)
     rows = [
         f"# hankelspec {__version__} symbol samples={scenario.samples} stride={stride}",
         "theta,re,im",

@@ -46,6 +46,7 @@ from . import expsum
 from .hankel_core import (
     DiscreteTruncation,
     HankelTruncation,
+    circulant_embedding,
     matvec,
     require_memory,
 )
@@ -126,42 +127,37 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
     "symbol" (a DiscreteTruncation).  For a matrix: the matrix, and the
     larger of the copy eigvalsh factors, made by the dense solve below order
     256 or on fallback once the rest is freed, and what the range finder
-    holds before it: the basis and its product with the matrix, range_cap(N)
-    rows of N floats each, the Rayleigh quotient and the copy eigvalsh
-    factors, and four blocks of RANGE_BLOCK rows, more than any step holds
-    at once: a Gaussian block and its product, or that product and the two
-    iterates of a Cholesky QR step, or the product and the copy and factor
-    of the Householder fallback; a Krylov block is held in the basis rows it
-    would join, and adds nothing.  For a symbol: expsum.solve_bytes of the
-    spec, which grows with log N only.  For entries, solved by Lanczos, with
-    P the circulant length of the fast matvec: the 2N - 1 entries, their
-    packed transform image alpha and beta (P/2 complex numbers each), one
-    matvec workspace (the padded input of P floats and its spectrum of P/2
-    complex numbers), and what lanczos_extremes holds: the cap + 1 basis
-    rows of N floats it allocates at once, four N-vectors (the start vector,
-    the product the apply returns and two Gram-Schmidt transients), the
-    block of at most cap * _RESTART_COLUMNS floats a thick restart rotates
-    at a time, four (cap + 1)^2 arrays (the projected matrix T, the copy
-    eigh factors, its eigenvectors and its workspace), and the two omega
-    estimates of partial reorthogonalization, cap + 1 floats each.
+    holds before it: the basis, cap = range_cap(N) rows of N floats, the
+    Rayleigh quotient and the copy eigvalsh factors, cap^2 floats each, the
+    product of the newest block with the matrix, and four blocks of
+    RANGE_BLOCK rows, more than any step holds at once: a Gaussian block and
+    its product, or that product and the two iterates of a Cholesky QR step,
+    or the product and the copy and factor of the Householder fallback; a
+    Krylov block is held in the basis rows it would join, and adds nothing.
+    That is 8 (N cap + 2 cap^2 + 5 RANGE_BLOCK N) bytes, at most 8 N^2 from
+    N = 512 on.  For a symbol: expsum.solve_bytes of the spec, which grows
+    with log N only.  For entries, solved by Lanczos: the 2N - 1 entries,
+    their transform image and one matvec workspace
+    (hankel_core.circulant_embedding), and what lanczos_extremes holds: the
+    cap + 1 basis rows of N floats it allocates at once, four N-vectors (the
+    start vector, the product the apply returns and two Gram-Schmidt
+    transients), the block of at most cap * _RESTART_COLUMNS floats a thick
+    restart rotates at a time, four (cap + 1)^2 arrays (the projected matrix
+    T, the copy eigh factors, its eigenvectors and its workspace), and the
+    two omega estimates of partial reorthogonalization, cap + 1 floats each.
     """
     if kind == "matrix":
         cap = range_cap(order)
-        finder = 8 * (2 * order * cap + 2 * cap * cap + 4 * RANGE_BLOCK * order)
+        finder = 8 * (order * cap + 2 * cap * cap + 5 * RANGE_BLOCK * order)
         return 8 * order * order + max(8 * order * order, finder)
     if kind == "symbol":
         return expsum.solve_bytes(spec, order)
-    # The circulant length of the fast matvec: the power of two at or above 2N.
-    P = 1 << (2 * order - 1).bit_length()
-    half_spectrum = 16 * (P // 2)
-    entries = 8 * (2 * order - 1) + 2 * half_spectrum
-    workspace = 8 * P + half_spectrum
     cap = lanczos_cap(order, k, basis_cap)
     basis = (cap + 1) * order
     transients = (
         4 * order + cap * min(order, _RESTART_COLUMNS) + 4 * (cap + 1) ** 2 + 2 * (cap + 1)
     )
-    return entries + workspace + 8 * (basis + transients)
+    return 8 * (2 * order - 1) + circulant_embedding(order)[1] + 8 * (basis + transients)
 
 
 @dataclass(frozen=True)
@@ -296,16 +292,19 @@ def _range_spectrum(A) -> SpectrumResult:
     256, where range_cap leaves no room for one block, the route is the
     dense route from the start, and draws nothing.
 
-    Memory: the basis Q, the products A Q and Q^T A Q, allocated once at
-    range_cap(order) columns (solve_bytes counts them), and a
-    few blocks of RANGE_BLOCK rows; all are released before a fallback.
+    Memory, besides A: the basis Q and the Rayleigh quotient Q^T A Q,
+    allocated once at cap = range_cap(order) columns, the copy of Q^T A Q
+    eigvalsh factors, the product A Q_new of the newest block only, and at
+    most four more blocks of RANGE_BLOCK rows: 8 (order cap + 2 cap^2 +
+    5 RANGE_BLOCK order) bytes in all, as solve_bytes counts.  All are
+    released before a fallback.
     """
     n, b, cap = A.shape[0], RANGE_BLOCK, range_cap(A.shape[0])
     if cap < b:
         return _dense(A)
     rng = np.random.default_rng(_RANGE_SEED)
     # The basis vectors are rows, so every block is a contiguous row slice.
-    Qt, AQt, T = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
+    Qt, T = np.empty((cap, n)), np.empty((cap, cap))
     theta = np.empty(0)
     r = blocks = probes = stall = 0
     norm_est, last_drop = 0.0, math.inf
@@ -329,7 +328,8 @@ def _range_spectrum(A) -> SpectrumResult:
         # Neither test fires on a block that passed: stall grows only on
         # blocks that do not, and a Krylov block lies in rows below the cap.
         if stall >= _RANGE_STALL or r + b > cap:
-            del Qt, AQt, T, Y
+            # The first block always joins Q, so AQ is bound here.
+            del Qt, T, Y, AQ
             S = _dense(A)
             S.details.update(blocks=blocks, probes=probes, basis_rank=r, fell_back=True)
             return S
@@ -349,11 +349,11 @@ def _range_spectrum(A) -> SpectrumResult:
         del X, Y
         _project_out(Qt[new], Qt[:r])
         Qt[new] = _orthonormal_rows(Qt[new])
-        np.matmul(Qt[new], A, out=AQt[new])
+        AQ = Qt[new] @ A
         r += b
         # Grow the Rayleigh quotient T = Q^T A Q by its new columns and
         # mirror them, so T stays exactly symmetric.
-        T[:r, new] = Qt[:r] @ AQt[new].T
+        T[:r, new] = Qt[:r] @ AQ.T
         T[new, : r - b] = T[: r - b, new].T
         T[new, new] = 0.5 * (T[new, new] + T[new, new].T)
         theta = np.linalg.eigvalsh(T[:r, :r])
@@ -362,7 +362,7 @@ def _range_spectrum(A) -> SpectrumResult:
             # The next block of the Krylov space, free: A times the new rows,
             # written where it would join Q.
             Y, gaussian = Qt[r : r + b], False
-            Y[...] = AQt[new]
+            Y[...] = AQ
         else:
             # A Krylov block could not join Q, or would hold only rounding.
             Y, gaussian = rng.standard_normal((b, n)) @ A, True

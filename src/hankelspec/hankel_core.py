@@ -32,10 +32,10 @@ folds the unpacking and packing into alpha and beta once.
 Each product needs two work arrays: the zero-padded reversed input (P
 floats, also the scratch of the conjugate reversal and the target of the
 inverse transform) and its spectrum (P/2 complex numbers).
-HankelTruncation.workspace() allocates them; matvec reuses a workspace
-passed to it, and allocates a fresh one otherwise.  A workspace belongs to
-one caller at a time: concurrent products on the same truncation each use
-their own.
+circulant_embedding states P and their bytes; HankelTruncation.workspace()
+allocates them; matvec reuses a workspace passed to it, and allocates a
+fresh one otherwise.  A workspace belongs to one caller at a time:
+concurrent products on the same truncation each use their own.
 
 A DiscreteTruncation only describes the truncation of a discrete spec;
 expsum factorizes it at every order (build_discrete builds its entries as
@@ -60,6 +60,7 @@ from .sequences import eval_discrete_many
 __all__ = [
     "HankelTruncation",
     "DiscreteTruncation",
+    "circulant_embedding",
     "ResourceLimitError",
     "require_memory",
     "build_discrete",
@@ -89,11 +90,15 @@ def require_memory(need: int, what: str) -> None:
         )
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+def circulant_embedding(order: int) -> tuple:
+    """(P, bytes) of the fast matvec of an order-N truncation, N >= 1.
+
+    P is the circulant length, the power of two at or above 2N.  bytes is
+    what a truncation keeps beyond its entries, alpha and beta (P/2 complex
+    numbers each), plus one workspace (P floats and P/2 complex numbers).
+    """
+    P = 1 << (2 * order - 1).bit_length()
+    return P, 8 * P + 3 * 16 * (P // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +129,7 @@ class HankelTruncation:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        embed = _next_pow2(2 * self.order)
+        embed = circulant_embedding(self.order)[0]
         object.__setattr__(self, "_embed", embed)
         half = embed // 2
         # F[half + k] = conj(F[half - k]) for real entries, so the half

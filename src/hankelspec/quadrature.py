@@ -12,8 +12,9 @@ randomized range finder, which holds a basis of a few hundred columns in
 place of the M^3 dense eigendecomposition; building the matrix still costs
 M^2 / 2 kernel values and 8 M^2 bytes, refused beforehand when physical
 memory cannot hold them (hankel_core.require_memory).  Its row blocks are
-evaluated in place on one thread per CPU; they write disjoint parts of the
-matrix, so the result does not depend on the thread count.
+evaluated in place by a concurrent.futures thread pool, one thread per CPU;
+they write disjoint parts of the matrix, so the result does not depend on
+the thread count.
 
 The domain truncation helper bounds the neglected tail of an oscillating
 kernel by integration by parts (one oscillation period costs 2 q(T) / rho),
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +145,16 @@ def build_graded(spec, grid: GridSpec) -> np.ndarray:
     """Symmetrized Nystrom matrix sqrt(w_i w_j) h(t_i + t_j) on a geometric grid.
 
     `spec` is a ContinuousKernelSpec or any vectorized, elementwise callable
-    h(t); it is called on 2-D blocks of node sums.  Row blocks are built on
-    _workers(M) threads.  Memory: the M x M result plus, per thread, at most
-    _SCRATCH_PER_POINT bytes for each point of a _GRADED_ROWS x M block; from
-    M = 1024 on, all threads together stay within a second 8 M^2 bytes.
+    h(t); it is called on 2-D blocks of node sums.  Row blocks are built by
+    a ThreadPoolExecutor of _workers(M) threads; an exception raised in any
+    block reaches the caller once every thread has stopped.  Memory: the
+    M x M result plus, per thread, at most _SCRATCH_PER_POINT bytes for each
+    point of a _GRADED_ROWS x M block; from M = 1024 on, all threads
+    together stay within a second 8 M^2 bytes.
     """
+    # Imported here: concurrent.futures costs about 8 ms at every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
     if grid.kind != "geometric":
         raise ValueError(f"build_graded needs a geometric grid, got kind={grid.kind!r}")
     M = grid.points
@@ -173,7 +178,11 @@ def build_graded(spec, grid: GridSpec) -> np.ndarray:
         # K's buffer is taken in the transposed order, at twice the cost.
         K[rows.stop :, rows] = block[:, rows.stop - i :].copy().T
 
-    _run_threads(fill, range(0, M, _GRADED_ROWS), _workers(M))
+    # The with block joins every thread; reading map's results re-raises
+    # the first failing block's exception and cancels the blocks not yet
+    # started.
+    with ThreadPoolExecutor(_workers(M)) as pool:
+        list(pool.map(fill, range(0, M, _GRADED_ROWS)))
     return K
 
 
@@ -195,42 +204,6 @@ def _workers(M: int) -> int:
     blocks = -(-M // _GRADED_ROWS)
     fit = 8 * M // (_SCRATCH_PER_POINT * _GRADED_ROWS)
     return max(1, min(_cpu_count(), blocks, fit))
-
-
-def _run_threads(task, items, workers: int) -> None:
-    """Call task(item) for every item on `workers` threads, this one included.
-
-    Threads take the next item as they come free.  Once a task raises, no
-    new item is started, and the first exception is raised here after every
-    thread has stopped.
-    """
-    todo = iter(items)
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        while True:
-            with lock:
-                item = None if errors else next(todo, None)
-            if item is None:
-                return
-            try:
-                task(item)
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def build_from_grid(spec, grid: GridSpec):

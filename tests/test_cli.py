@@ -780,6 +780,7 @@ REFUSALS = [
     # Every kind checks samples, though only the symbol action reads it.
     _refusal("samples-type-discrete", "predict", {**DISCRETE, "samples": "x"}, "samples"),
     _refusal("samples-power-of-two-continuous", "predict", {"kind": "continuous", "spec": TRIANGLE, "samples": 1000}, "samples"),
+    _refusal("dump-samples-below-1", "symbol", {**SYMBOL, "samples": 4096, "j_window": [8, 64], "dump_samples": -5}, "dump_samples"),
     _refusal("j-window-shape", "predict", {**DISCRETE, "j_window": [1]}, "j_window"),
     _refusal("j-window-entry", "predict", {**DISCRETE, "j_window": [1.5, 8]}, "j_window[0]"),
     _refusal("j-window-beyond-samples", "symbol", {**SYMBOL, "samples": 4096, "j_window": [8, 9000]}, "j_window"),
@@ -1366,6 +1367,19 @@ def test_spectrum_run_does_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_cli_import_does_not_load_the_thread_pool():
+    # concurrent.futures costs about 8 ms at every CLI start; only the
+    # geometric build, which runs on its thread pool, imports it.
+    src = str(Path(hankelspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hankelspec.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 FFT_FAULTS_SCRIPT = """

@@ -608,6 +608,30 @@ def test_range_route_peak_is_within_solve_bytes(matrix):
     assert A.nbytes + peak <= solve_bytes(M, "matrix", 64, 600)
 
 
+@pytest.mark.parametrize("M", [700, 1024])
+def test_range_finder_peak_is_within_its_count(M):
+    # The finder holds its basis, the Rayleigh quotient and the copy eigvalsh
+    # factors, the product of the newest block with A and four more blocks.
+    # From about M = 700 up the dense copy is larger, so solve_bytes alone
+    # would not see a finder that holds more than its count.  The kernel
+    # 1/t keeps the finder from falling back at 700 points, where b_zero's
+    # rank does not fit range_cap.
+    cap = eigensolve.range_cap(M)
+    finder = 8 * (M * cap + 2 * cap * cap + 5 * RANGE_BLOCK * M)
+    assert solve_bytes(M, "matrix", 64, 600) == 8 * M * M + max(8 * M * M, finder)
+    A = build_graded(lambda t: 1.0 / t, GridSpec("geometric", 1e-12, 1.0, M))
+    solve(_b_zero_grid(256), SolverParams())  # numpy.linalg allocates once on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S = solve(A, SolverParams())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert S.solver_id == "randomized_range_finder"
+    assert peak <= finder
+
+
 def test_lanczos_route_peak_is_within_solve_bytes():
     _check_lanczos_peak(2**14)
 

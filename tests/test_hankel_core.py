@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from hankelspec.eigensolve import lanczos_cap, solve_bytes
 from hankelspec.hankel_core import (
     HankelTruncation,
     ResourceLimitError,
     build_discrete,
+    circulant_embedding,
     dense_matrix,
     matvec,
     matvec_direct,
@@ -111,6 +113,26 @@ def test_packed_matvec_matches_direct_at_edge_orders(N):
     u = np.random.default_rng(N + 1).standard_normal(N)
     row_sum = np.max(np.abs(dense_matrix(H)).sum(axis=1))
     assert np.max(np.abs(matvec(H, u) - matvec_direct(H, u))) <= 1e-13 * row_sum
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 1023, 1024, 1025, 2**18])
+def test_circulant_embedding_is_what_a_truncation_holds(N):
+    # The arithmetic solve_bytes used before the circulant length was stated
+    # once: P the power of two at or above 2N, the entries with alpha and
+    # beta, one workspace, and what Lanczos holds at k = 64, cap 600.
+    P = 1 << (2 * N - 1).bit_length()
+    half_spectrum = 16 * (P // 2)
+    cap = lanczos_cap(N, 64, 600)
+    lanczos = 8 * (
+        (cap + 1) * N + 4 * N + cap * min(N, 2048) + 4 * (cap + 1) ** 2 + 2 * (cap + 1)
+    )
+    parent = 8 * (2 * N - 1) + 2 * half_spectrum + 8 * P + half_spectrum + lanczos
+    assert solve_bytes(N, "entries", 64, 600) == parent
+    H = HankelTruncation(N, np.zeros(2 * N - 1))
+    held = sum(a.nbytes for a in H.workspace()) + H._alpha.nbytes + H._beta.nbytes
+    assert circulant_embedding(N) == (P, held)
+    assert H._embed == P
+    assert solve_bytes(N, "entries", 64, 600) == H.entries.nbytes + held + lanczos
 
 
 def test_matvec_symmetry():

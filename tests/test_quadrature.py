@@ -1,7 +1,6 @@
 """Nystrom discretization tests against analytic kernel oracles."""
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -139,13 +138,13 @@ def _count_threads(monkeypatch, cpus: int) -> list:
     """Make build_graded see `cpus` CPUs; the list collects the thread count of each build."""
     monkeypatch.setattr(quadrature, "_cpu_count", lambda: cpus)
     used = []
-    run = quadrature._run_threads
+    workers = quadrature._workers
 
-    def spy(task, items, workers):
-        used.append(workers)
-        run(task, items, workers)
+    def spy(M):
+        used.append(workers(M))
+        return used[-1]
 
-    monkeypatch.setattr(quadrature, "_run_threads", spy)
+    monkeypatch.setattr(quadrature, "_workers", spy)
     return used
 
 
@@ -177,11 +176,12 @@ class BlockError(Exception):
     pass
 
 
-def test_graded_build_raises_a_threads_error(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_graded_build_raises_a_threads_error(monkeypatch, cpus):
     # The callable fails on the block that starts at row 64 only, while
-    # other blocks run on the second thread.
+    # other blocks run on the other threads.
     monkeypatch.setattr(quadrature, "_GRADED_ROWS", 16)
-    used = _count_threads(monkeypatch, 2)
+    used = _count_threads(monkeypatch, cpus)
     g = GridSpec("geometric", 1e-12, 8.0, 300)
     t, _ = geometric_nodes(g)
 
@@ -192,20 +192,7 @@ def test_graded_build_raises_a_threads_error(monkeypatch):
 
     with pytest.raises(BlockError, match="block 64"):
         build_graded(kernel, g)
-    assert used == [2]
-
-
-def test_build_threads_take_each_block_once():
-    # More threads than cores, switching as often as the interpreter allows:
-    # a block taken twice or lost shows in the list.
-    seen = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        quadrature._run_threads(seen.append, range(5000), 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(seen) == list(range(5000))
+    assert used == [cpus]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
