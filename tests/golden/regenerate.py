@@ -9,11 +9,12 @@ what it produced under `<case>/`:
 
 The cases are small versions of the four benchmark workloads, a geometric
 grid on the range-finder route, two geometric grids whose kernels between
-them take every branch of the kernel evaluator and both cutoff bands, a
-discrete order above 2^53 with a
-b_minus1 term, `predict` on each kind, a `spectrum` whose prediction the
-closed form does not cover, and every refusal of `REFUSALS` in
-`tests/test_cli.py`.
+them take every branch of the kernel evaluator and both cutoff bands, two
+`symbol` runs with polynomials that differ on the two sides of theta = 0,
+one with a narrow and one with a wide cutoff band, a discrete order above
+2^53 with a b_minus1 term, `predict` on each kind, a `spectrum` whose
+prediction the closed form does not cover, and every refusal of `REFUSALS`
+in `tests/test_cli.py`.
 Physical memory reads as 8 GiB in every case, or as the row's own figure
 for the memory refusals that set one, so the messages do not depend on the
 machine.  `build.json` records the machine, numpy and OpenBLAS the corpus
@@ -145,6 +146,31 @@ RUNS = {
             "alpha": 2.0, "v0_plus": [1.0, [0.5, -0.25]], "v0_minus": [1.0],
             "v1_plus": [[0.0, 0.5]], "u0_plus": [0.25],
         },
+    }),
+    # Two symbol runs whose polynomials differ on the two sides of
+    # theta = 0: a cutoff band of a few samples, and one that spans almost
+    # the whole circle.
+    "symbol-narrow-cutoffs": ("symbol", {
+        "name": "narrow", "kind": "symbol", "action": "symbol",
+        "spec": {
+            "alpha": 1.5, "v0_plus": [1.0, [0.5, -0.25], 0.3], "v0_minus": [1.0, -0.4],
+            "v1_plus": [[0.0, 0.5], 0.2], "v1_minus": [0.3, [0.0, -0.1]],
+            "u0_plus": [0.25, [0.1, 0.2]], "u0_minus": [[0.5, -0.3], 0.2],
+            "u1_plus": [0.1, 0.0, 0.3], "u1_minus": [[0.2, 0.1]],
+            "cutoffs": [0.01, 0.02],
+        },
+        "samples": 2**14, "j_window": [16, 1024], "dump_samples": 1024,
+    }),
+    "symbol-wide-cutoffs": ("symbol", {
+        "name": "wide", "kind": "symbol", "action": "symbol",
+        "spec": {
+            "alpha": 2.5, "v0_plus": [1.0, [0.5, -0.25], 0.3], "v0_minus": [1.0, -0.4],
+            "v1_plus": [[0.0, 0.5], 0.2], "v1_minus": [0.3, [0.0, -0.1]],
+            "u0_plus": [0.25, [0.1, 0.2]], "u0_minus": [[0.5, -0.3], 0.2],
+            "u1_plus": [0.1, 0.0, 0.3], "u1_minus": [[0.2, 0.1]],
+            "cutoffs": [0.001, 0.999],
+        },
+        "samples": 2**12, "j_window": [8, 512], "dump_samples": 256,
     }),
     # Local singularities are predicted only at alpha = m + 1.
     "spectrum-uncovered-singularity": ("spectrum", {
