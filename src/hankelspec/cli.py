@@ -288,6 +288,12 @@ class Scenario:
                     "spec.alpha",
                     f"sampling through theta = 0 needs alpha > 1, got {self.spec.alpha!r}",
                 )
+            b = symbols.aslog_coefficient(self.spec)
+            if (b.real if self.spec.symmetric else abs(b)) == 0.0:
+                # The action reports the coefficients' ratio to b j^-1 (log j)^-alpha.
+                raise model.FieldError(
+                    "spec", "the decay coefficient b is 0, so the coefficients have no ratio to it"
+                )
             j_min, j_max = self.j_window
             if not (2 <= j_min <= j_max <= self.samples // 2):
                 # Coefficient j is read from a DFT of `samples` points;
@@ -637,9 +643,16 @@ def _run_verify(scenario):
 
 
 def _run_symbol(scenario):
-    spec = scenario.spec
-    samp = symbols.sample_aslog(spec, scenario.samples)
-    coeffs = symbols.fourier_coefficients(samp)
+    spec, n = scenario.spec, scenario.samples
+    samp = symbols.sample_aslog(spec, n)
+    # The dumped rows are copied out before the transform overwrites the
+    # samples in place.
+    stride = max(1, n // scenario.dump_samples)
+    idx = np.arange(0, n, stride)
+    thetas = 2.0 * np.pi * idx / n
+    thetas = np.where(thetas > np.pi, thetas - 2.0 * np.pi, thetas)
+    dumped = samp[idx]
+    coeffs = symbols.fourier_coefficients(samp, out=samp)
     b = symbols.aslog_coefficient(spec)
     b_eff = b.real if spec.symmetric else abs(b)
     j_lo, j_hi = scenario.j_window
@@ -650,15 +663,11 @@ def _run_symbol(scenario):
     else:
         ratio = np.abs(coeffs[j]) * decay / b_eff
     ratio_median = analysis._median(ratio)
-    stride = max(1, scenario.samples // scenario.dump_samples)
     rows = [
-        f"# hankelspec {__version__} symbol samples={scenario.samples} stride={stride}",
+        f"# hankelspec {__version__} symbol samples={n} stride={stride}",
         "theta,re,im",
+        *(f"{_f(t)},{_f(v.real)},{_f(v.imag)}" for t, v in zip(thetas, dumped)),
     ]
-    thetas = 2.0 * np.pi * np.arange(scenario.samples) / scenario.samples
-    thetas = np.where(thetas > np.pi, thetas - 2.0 * np.pi, thetas)
-    for idx in range(0, scenario.samples, stride):
-        rows.append(f"{_f(thetas[idx])},{_f(samp[idx].real)},{_f(samp[idx].imag)}")
     doc = {
         "producer": _producer(
             "symbols", samples=scenario.samples, j_window=list(scenario.j_window)

@@ -545,8 +545,9 @@ def lanczos_extremes(
     An end is done at k values outside the zero band or where it reaches
     the band (_stop_state).  Convergence is checked at the cap and every
     _CHECK_EVERY steps, or m/16 to m/8 past m = 128 basis vectors, so the
-    checks' O(m^3) eigh costs O(m^2) a step.  A check at a breakdown never
-    ends the solve: the invariant subspace holds one copy of each
+    checks' O(m^3) eigh costs O(m^2) a step; the check that ends the solve
+    also gives its Ritz pairs, with no further eigh.  A check at a breakdown
+    never ends the solve: the invariant subspace holds one copy of each
     eigenvalue, so further copies are sought from a fresh direction.  The
     space is exhausted when the basis spans it, or when that direction
     breaks down at once with its Rayleigh quotient in the band.  Then, or
@@ -595,6 +596,7 @@ def lanczos_extremes(
     m, applies, restarts, reorth_passes, reorth_repeats = 1, 0, 0, 0, 0
     norm_est = beta = 0.0
     exhausted = fresh = False
+    checked = None  # the Ritz pairs of the check that stops the solve
     # partial: no restart or breakdown yet; again: the last step ran a pass
     # its estimate asked for, so this one runs one too.
     partial, again = True, False
@@ -658,6 +660,7 @@ def lanczos_extremes(
             res = beta * np.abs(S[m - 1, :])
             # At a breakdown every residual is tiny, but copies may lie outside.
             if not broke and _stop_state(theta, res, tol, norm_est, k_eff)[2]:
+                checked = theta, S  # T[:m, :m] as the extraction below reads it
                 break
             if at_cap:
                 # Thick restart: lock both spectral ends plus a buffer and
@@ -700,7 +703,7 @@ def lanczos_extremes(
         # residuals' coefficients.
         m -= 1
 
-    theta, S = np.linalg.eigh(T[:m, :m])
+    theta, S = checked or np.linalg.eigh(T[:m, :m])
     norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
     # Exhausted, the basis spans the whole space, or all of it outside the
     # band, so T is exact and residuals vanish.

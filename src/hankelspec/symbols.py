@@ -172,6 +172,15 @@ def sample_aslog(spec: AsLogSpec, samples: int):
     Sample k sits at theta_k = 2 pi k / samples wrapped to (-pi, pi].  The
     k = 0 sample is assigned the limit value 0, which is the correct limit
     only when alpha > 1 (the exponent 1 - alpha is then negative).
+
+    The symbol is 0 for |theta| >= c2, so eval_aslog runs only on the two
+    windows k in [1, reach] and [samples - reach, samples), reach =
+    floor(c2 samples / (2 pi)) + 1, one window at a time.  Past them
+    |theta_k| exceeds c2 by about 2 pi / samples or more, far more than the
+    rounding of theta_k, so smooth_step's argument is negative and the
+    sample 0 on the full grid as well.  A window's theta_k is the full
+    grid's expression and eval_aslog works point by point, so every sample
+    is the full grid's bit for bit.
     """
     if spec.alpha <= 1.0:
         raise ValueError(
@@ -180,30 +189,29 @@ def sample_aslog(spec: AsLogSpec, samples: int):
         )
     if samples < 2 or samples & (samples - 1):
         raise ValueError(f"sample count must be a power of two, got {samples}")
-    k = np.arange(samples)
-    theta = 2.0 * np.pi * k / samples
-    theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
+    reach = min(int(spec.cutoffs[1] * samples / (2.0 * np.pi)) + 1, samples // 2)
     out = np.zeros(samples, dtype=complex)
-    out[1:] = eval_aslog(spec, theta[1:])
+    for lo, hi in ((1, reach + 1), (max(samples - reach, reach + 1), samples)):
+        theta = 2.0 * np.pi * np.arange(lo, hi) / samples
+        theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
+        out[lo:hi] = eval_aslog(spec, theta)
     return out
 
 
 def sample_bytes(samples: int) -> int:
-    """Bytes sample_aslog allocates at its peak, by arithmetic.
+    """Bytes the symbol action holds at its peak, by arithmetic.
 
-    Per sample, throughout: the index and angle grids, the complex result,
-    the complex values of the nonzero samples and |theta| (56 bytes).  On
-    top, the larger of two phases.  smooth_step: its argument, its result
-    and three masks (19), and five float arrays over its band
-    c1 < |theta| < c2, under 1/pi of the samples (40/pi): under 87.8 in all.
-    Each side of theta = 0: the cutoff and four masks (12), and 128 bytes
-    over each live sample of the side, under 1/(2 pi) of all (the angles
-    and their logarithms, the sum, v, u and base, the last three alive from
-    the other side, and a polynomial step's three complex arrays): under
-    88.4.  89 bytes leave 0.6 a sample for fixed objects.  The DFT that
-    follows holds less: three complex arrays.
+    Sampling holds the complex result (16 bytes a sample) and the evaluation
+    of one window, under 1/(2 pi) of the samples since c2 < 1.  eval_aslog
+    holds 155 bytes over each point of it at its peak: the angles, their
+    moduli and logarithms, the cutoff, three masks, the result and six
+    complex arrays of one term.  That is under 40.7 in all.  The transform
+    overwrites the samples in place (16) and holds pocketfft's plan and work
+    buffer, one complex array each (32): 48.  56 bytes leave 8 a sample for
+    fixed objects.  The dumped rows, 32 bytes each with their angles and
+    indices, are not counted; the default 4096 of them take 128 KiB.
     """
-    return 89 * samples
+    return 56 * samples
 
 
 def aslog_coefficient(spec: AsLogSpec) -> complex:
@@ -224,11 +232,18 @@ def aslog_coefficient(spec: AsLogSpec) -> complex:
     return complex(b)
 
 
-def fourier_coefficients(samples) -> np.ndarray:
-    """DFT normalized so that samples of mu^j give coefficient 1 at index j."""
+def fourier_coefficients(samples, out=None) -> np.ndarray:
+    """DFT normalized so that samples of mu^j give coefficient 1 at index j.
+
+    out, if given, is a complex array of the samples' length that receives
+    the coefficients and is returned; it may be samples itself, which are
+    then transformed in place.
+    """
     samples = np.asarray(samples, dtype=complex)
     n = len(samples)
     if n < 2 or n & (n - 1):
         raise ValueError(f"sample count must be a power of two, got {n}")
-    return np.fft.fft(samples) / n
+    out = np.fft.fft(samples, out=out)
+    out /= n
+    return out
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import platform
 import subprocess
@@ -786,6 +787,13 @@ REFUSALS = [
     _refusal("j-window-beyond-samples", "symbol", {**SYMBOL, "samples": 4096, "j_window": [8, 9000]}, "j_window"),
     _refusal("j-window-below-2", "symbol", {**SYMBOL, "samples": 4096, "j_window": [1, 8]}, "j_window"),
     _refusal("symbol-alpha-at-most-1", "symbol", {**SYMBOL, "spec": {"alpha": 1.0}, "samples": 4096}, "spec.alpha"),
+    # u0's jump of -i pi cancels the 1/2 of b = (1 - alpha) v0 (1/2 + (u0+ - u0-)/(2 pi i)).
+    _refusal(
+        "symbol-b-zero", "symbol",
+        {**SYMBOL, "spec": {"alpha": 2.0, "u0_plus": [[0.0, -math.pi / 2]], "u0_minus": [[0.0, math.pi / 2]]},
+         "samples": 4096, "j_window": [16, 512]},
+        "spec", message="decay coefficient b is 0",
+    ),
     # The rules between fields.
     _refusal("discrete-run-needs-orders", "spectrum", DISCRETE, "N_list"),
     _refusal("continuous-run-needs-grids", "verify", {"kind": "continuous", "spec": TRIANGLE}, "grids"),

@@ -132,6 +132,28 @@ def test_lanczos_matches_dense_hilbert_1024():
     assert np.all(S.residuals_plus <= 1e-12 * norm * 1.0000001)
 
 
+def test_lanczos_stopped_at_a_check_decomposes_t_once_per_check(monkeypatch):
+    # The check that ends the solve has decomposed T[:m, :m] already, and
+    # the extraction after it reads the same matrix: it takes that check's
+    # Ritz pairs instead of a second eigh of the largest T of the solve.
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    H = _hilbert_truncation(1024)
+    S = lanczos_extremes(lambda v: matvec(H, v), 1024, k=10, tol=1e-12, seed=0)
+    assert S.converged and S.details["restarts"] == 0
+    assert S.details["basis_final"] < 1024
+    # One eigh per check, each of a larger T, the last the one that stopped it.
+    assert len(sizes) >= 2
+    assert sizes == sorted(set(sizes))
+    assert sizes[-1] == S.details["basis_final"]
+
+
 def test_lanczos_two_by_two_closure():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     S = lanczos_extremes(lambda v: A @ v, 2, k=1, seed=3)

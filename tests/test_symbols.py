@@ -1,11 +1,18 @@
 """Log-singular symbol tests: closed-form values, sampling and Fourier decay."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hankelspec
 from hankelspec.symbols import (
     AsLogSpec,
     aslog_coefficient,
@@ -163,11 +170,40 @@ def test_fourier_requires_power_of_two():
         fourier_coefficients(np.ones(48))
 
 
+# Sampling and transform of a symbol run in a fresh process; prints the
+# growth of its peak RSS over its RSS before them.  Linux keeps both in
+# /proc/self/status: VmHWM is the peak of this process image, where
+# getrusage's ru_maxrss also covers the image before exec.
+BOTH_PHASES = """
+import sys
+from hankelspec.symbols import AsLogSpec, fourier_coefficients, sample_aslog
+
+def kib(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key))
+
+samples, c1, c2 = int(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3])
+spec = AsLogSpec(alpha=2.0, cutoffs=(c1, c2))
+fourier_coefficients(sample_aslog(spec, 64))  # the code pages of first use
+before = kib("VmRSS:")
+x = sample_aslog(spec, samples)
+fourier_coefficients(x, out=x)
+print(1024 * (kib("VmHWM:") - before))
+"""
+
+
 @pytest.mark.parametrize("cutoffs", [(0.25, 0.5), (0.001, 0.999)])
 @pytest.mark.parametrize("samples", [2**16, 2**18])
 def test_sample_bytes_bounds_the_traced_peak(cutoffs, samples):
-    # The widest cutoff band holds almost 1/pi of the samples, the most the
-    # per-sample count allows for.
+    """sample_bytes bounds the sampling and the in-place transform of a symbol run.
+
+    Sampling allocates through numpy, so tracemalloc sees its peak.  The
+    transform's own buffers, pocketfft's plan and work buffer, are allocated
+    outside numpy and are not traced; they are counted from the RSS of a
+    fresh process instead, as the growth of its peak RSS over both phases.
+    At cutoffs (0.001, 0.999) each window sampling evaluates holds almost
+    1/(2 pi) of the samples, the most the per-sample count allows for.
+    """
     spec = AsLogSpec(alpha=2.0, v0_plus=[1.0], v0_minus=[1.0], cutoffs=cutoffs)
     sample_aslog(spec, 64)  # numpy allocates once on first use
     tracemalloc.start()
@@ -177,3 +213,62 @@ def test_sample_bytes_bounds_the_traced_peak(cutoffs, samples):
     finally:
         tracemalloc.stop()
     assert peak <= sample_bytes(samples)
+    if not Path("/proc/self/status").exists():
+        return
+    src = str(Path(hankelspec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", BOTH_PHASES, str(samples), *map(str, cutoffs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= sample_bytes(samples)
+
+
+# ------------------------------------------------------------ windowed sampling
+
+_TAIL = st.lists(st.complex_numbers(max_magnitude=0.5), max_size=4)
+
+
+@st.composite
+def _asymmetric_specs(draw):
+    """AsLogSpecs whose polynomials differ on the two sides of theta = 0.
+
+    Each u starts with a real part of at least 2 and has at most four more
+    coefficients of modulus at most 0.5, so -log|theta| + u stays in the
+    right half-plane for |theta| < 1.
+    """
+    c1, c2 = sorted(draw(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=2, unique=True)))
+    v0 = draw(st.complex_numbers(max_magnitude=4.0))
+    polys = {
+        "v0_plus": [v0, *draw(_TAIL)],
+        "v0_minus": [v0, *draw(_TAIL)],
+        "v1_plus": draw(st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=5)),
+        "v1_minus": draw(st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=5)),
+    }
+    for name in ("u0_plus", "u0_minus", "u1_plus", "u1_minus"):
+        head = complex(draw(st.floats(2.0, 3.0)), draw(st.floats(-2.0, 2.0)))
+        polys[name] = [head, *draw(_TAIL)]
+    return AsLogSpec(alpha=draw(st.floats(1.01, 4.0)), cutoffs=(c1, c2), **polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_asymmetric_specs(), log2_samples=st.integers(1, 16))
+@example(spec=AsLogSpec(alpha=2.0, u0_plus=(2.0 + 0.5j,), cutoffs=(0.001, 0.999)), log2_samples=16)
+@example(spec=AsLogSpec(alpha=1.5, v1_minus=(0.5j,), cutoffs=(0.01, 0.02)), log2_samples=16)
+def test_sample_aslog_is_eval_aslog_on_the_full_grid(spec, log2_samples):
+    # sample_aslog evaluates only the windows where |theta| < c2; every bit
+    # of its samples is that of eval_aslog over the whole grid.
+    samples = 2**log2_samples
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
+    want = np.zeros(samples, dtype=complex)
+    want[1:] = eval_aslog(spec, theta[1:])
+    got = sample_aslog(spec, samples)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fourier_coefficients_in_place_matches_a_new_array():
+    x = sample_aslog(AsLogSpec(alpha=2.0, u0_plus=(0.5j,), cutoffs=(0.001, 0.999)), 2**12)
+    want = fourier_coefficients(x)
+    assert fourier_coefficients(x, out=x) is x
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
