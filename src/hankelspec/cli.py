@@ -30,15 +30,7 @@ from .eigensolve import solve, solve_bytes
 from .expsum import PHASE_ORDER_LIMIT
 from .hankel_core import ResourceLimitError, require_memory
 
-__all__ = ["main", "run_scenario", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Invalid scenario config; carries the offending field path."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"config error at '{field}': {message}")
+__all__ = ["main", "run_scenario"]
 
 
 # ---------------------------------------------------------------- parsing
@@ -50,7 +42,7 @@ def _at(path: str, name: str) -> str:
 
 
 # Converters: each turns one JSON value into a field value, or raises a
-# ConfigError at the field's path.
+# model.FieldError at the field's path.
 
 
 def _as_is(value, path: str):
@@ -60,34 +52,27 @@ def _as_is(value, path: str):
 
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
+        raise model.FieldError(path, f"expected a string, got {value!r}")
     return value
 
 
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+        raise model.FieldError(path, f"expected a number, got {value!r}")
     # json.loads turns NaN, Infinity and 400-digit integers into numbers too.
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+        raise model.FieldError(path, f"expected a finite number, got {value!r}")
     return x
 
 
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
+        raise model.FieldError(path, f"expected an integer, got {value!r}")
     return value
-
-
-def _as_seed(value, path: str) -> int:
-    seed = _as_int(value, path)
-    if seed < 0:
-        raise ConfigError(path, f"expected a non-negative integer, got {seed}")
-    return seed
 
 
 def _as_complex(value, path: str) -> complex:
@@ -99,19 +84,19 @@ def _as_complex(value, path: str) -> complex:
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         return complex(_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
-    raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
+    raise model.FieldError(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
 def _as_poly(value, path: str) -> tuple:
     if not isinstance(value, list) or not value:
-        raise ConfigError(path, "expected a coefficient list")
+        raise model.FieldError(path, "expected a coefficient list")
     return tuple(_as_complex(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _as_order(value, path: str) -> int:
     order = _as_int(value, path)
     if order < 2:
-        raise ConfigError(path, f"order must be >= 2, got {order}")
+        raise model.FieldError(path, f"order must be >= 2, got {order}")
     return order
 
 
@@ -125,7 +110,7 @@ def _list(convert, *names: str, nonempty: bool = False):
             or (names and len(value) != len(names))
             or (nonempty and not value)
         ):
-            raise ConfigError(path, f"expected {expected}")
+            raise model.FieldError(path, f"expected {expected}")
         return tuple(convert(v, f"{path}[{i}]") for i, v in enumerate(value))
 
     return convert_list
@@ -140,7 +125,7 @@ def _as_perturbation(value, path: str):
     if value is None:
         return None
     if not isinstance(value, dict):
-        raise ConfigError(path, "expected an object or null")
+        raise model.FieldError(path, "expected an object or null")
     return _build(model.Perturbation, value, path)
 
 
@@ -150,30 +135,36 @@ def _build(cls, cfg, path: str, **convert):
     A key of cfg that names no field of cls is refused.  Fields are read in
     the order cls declares them.  A field cfg leaves out takes its
     dataclass default, and is required when it has none.  A present value
-    goes through convert[field] (default _as_float).  A ValueError from cls
-    itself is reported at path, or at the field it names (model.FieldError).
+    goes through convert[field] (default _as_float).  A refusal of cls
+    itself is reported at the field it names under path, and any other
+    ValueError of cls at path.
     """
     if not isinstance(cfg, dict):
-        raise ConfigError(path or "<root>", "expected an object")
+        raise model.FieldError(path or "<root>", "expected an object")
     # unwrap sees through a functools.wraps wrapper of cls, such as the
     # timing span benchmarks/spans.py puts around Scenario.
     fields = dataclasses.fields(inspect.unwrap(cls))
     names = {f.name for f in fields}
     for key in cfg:
         if key not in names:
-            raise ConfigError(_at(path, key), "unknown field")
+            raise model.FieldError(_at(path, key), "unknown field")
     kwargs = {}
     for f in fields:
         if f.name in cfg:
             kwargs[f.name] = convert.get(f.name, _as_float)(cfg[f.name], _at(path, f.name))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(_at(path, f.name), "missing required field")
+            raise model.FieldError(_at(path, f.name), "missing required field")
     try:
         return cls(**kwargs)
     except model.FieldError as exc:
-        raise ConfigError(_at(path, exc.field), exc.reason) from exc
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise model.FieldError(_at(path, exc.field), exc.reason) from exc
+    except ValueError as exc:  # an UnsupportedCombinationError, which names no field
+        raise model.FieldError(path, str(exc)) from exc
+
+
+def _dump_stride(samples: int, dump_samples: int) -> int:
+    """symbol.csv dumps every stride-th of the samples, about dump_samples rows."""
+    return max(1, samples // dump_samples)
 
 
 # GridSpec leaves t_min to its callers; configs that omit it get this one.
@@ -221,7 +212,7 @@ _SPECS = {
 
 def _as_kind(value, path: str) -> str:
     if not isinstance(value, str) or value not in _SPECS:
-        raise ConfigError(path, f"expected {'|'.join(_SPECS)}, got {value!r}")
+        raise model.FieldError(path, f"expected {'|'.join(_SPECS)}, got {value!r}")
     return value
 
 
@@ -288,8 +279,7 @@ class Scenario:
                     "spec.alpha",
                     f"sampling through theta = 0 needs alpha > 1, got {self.spec.alpha!r}",
                 )
-            b = symbols.aslog_coefficient(self.spec)
-            if (b.real if self.spec.symmetric else abs(b)) == 0.0:
+            if _decay_part(symbols.aslog_coefficient(self.spec), self.spec.symmetric) == 0.0:
                 # The action reports the coefficients' ratio to b j^-1 (log j)^-alpha.
                 raise model.FieldError(
                     "spec", "the decay coefficient b is 0, so the coefficients have no ratio to it"
@@ -305,6 +295,16 @@ class Scenario:
                 )
             _refuse_oversize(
                 symbols.sample_bytes(self.samples), f"sampling {self.samples} points", "samples"
+            )
+            # A dumped row holds at most 256 bytes while _run_symbol builds
+            # symbol.csv: its index, angle and value (32), its string and the
+            # list's pointer to it (three numbers of at most 24 characters and
+            # two commas in a 49-byte str object, 123, and 8) and its line of
+            # the joined text (75).
+            rows = len(range(0, self.samples, _dump_stride(self.samples, self.dump_samples)))
+            _refuse_oversize(
+                symbols.sample_bytes(self.samples) + 256 * rows,
+                f"sampling {self.samples} points and dumping {rows} rows", "dump_samples",
             )
         if self.action in ("spectrum", "verify"):
             self._check_runs()
@@ -383,7 +383,7 @@ def parse_scenario(cfg, path: str = "", seed=None) -> Scenario:
         Scenario, cfg, path, kind=_as_kind, name=_as_str, action=_as_is, outputs=_as_str,
         spec=_SPECS[kind] if isinstance(kind, str) and kind in _SPECS else _as_is,
         solver=_object(
-            analysis.SolverParams, k=_as_int, max_iter=_as_int, seed=_as_seed, basis_cap=_as_int
+            analysis.SolverParams, k=_as_int, max_iter=_as_int, seed=_as_int, basis_cap=_as_int
         ),
         fit=_object(analysis.FitParams, window=_list(_as_int, "n_min", "n_max"), model=_as_is),
         N_list=_list(_as_order, nonempty=True), grids=_list(parse_grid, nonempty=True),
@@ -397,7 +397,7 @@ def _check_distinct_outputs(scenarios) -> None:
     for i, s in enumerate(scenarios):
         j = first.setdefault(Path(s.outputs), i)
         if j != i:
-            raise ConfigError(
+            raise model.FieldError(
                 f"scenarios[{i}].outputs",
                 f"output directory {s.outputs!r} is already used by scenarios[{j}]",
             )
@@ -456,13 +456,10 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _producer(module: str, **params) -> dict:
-    return {
-        "package": "hankelspec",
-        "version": __version__,
-        "module": module,
-        "parameters": params,
-    }
+def _report(module: str, body: dict, /, **params) -> str:
+    """A JSON report: the producer of module with its parameters, then the fields of body."""
+    producer = {"package": "hankelspec", "version": __version__, "module": module}
+    return _to_json({"producer": {**producer, "parameters": params}, **body}) + "\n"
 
 
 def _write(path: Path, text: str):
@@ -491,15 +488,11 @@ def _spectrum_csv(S, alpha: float) -> str:
 
 
 def _fit_json(fit: analysis.FitReport, **params) -> str:
-    doc = {"producer": _producer("analysis", **params)}
-    doc.update(fit.to_dict())
-    return _to_json(doc) + "\n"
+    return _report("analysis", fit.to_dict(), **params)
 
 
 def _prediction_json(pred) -> str:
-    doc = {"producer": _producer("model")}
-    doc.update(pred.to_dict())
-    return _to_json(doc) + "\n"
+    return _report("model", pred.to_dict())
 
 
 def _prediction(scenario) -> model.AsymptoticPrediction:
@@ -509,21 +502,25 @@ def _prediction(scenario) -> model.AsymptoticPrediction:
     return model.predict_continuous(scenario.spec)
 
 
+def _symbol_fields(spec) -> dict:
+    """The fields both symbol reports open with: alpha, b and symmetric."""
+    b = symbols.aslog_coefficient(spec)
+    return {"alpha": spec.alpha, "b": b, "symmetric": spec.symmetric}
+
+
+def _decay_part(z, symmetric: bool):
+    """What a symbol ratio reads of b or of a coefficient: Re if symmetric, else |.|."""
+    return z.real if symmetric else abs(z)
+
+
 def _run_predict(scenario):
     if scenario.kind == "symbol":
-        b = symbols.aslog_coefficient(scenario.spec)
-        doc = {
-            "producer": _producer("symbols"),
-            "alpha": scenario.spec.alpha,
-            "b": b,
-            "symmetric": scenario.spec.symmetric,
-        }
+        fields = _symbol_fields(scenario.spec)
+        b = fields["b"]
         lines = [
-            "kind: symbol",
-            f"b: {_f(b.real)} + {_f(b.imag)}i",
-            f"symmetric: {scenario.spec.symmetric}",
+            "kind: symbol", f"b: {_f(b.real)} + {_f(b.imag)}i", f"symmetric: {fields['symmetric']}"
         ]
-        return {"prediction.json": _to_json(doc) + "\n"}, lines, 0
+        return {"prediction.json": _report("symbols", fields)}, lines, 0
     pred = _prediction(scenario)
     lines = [
         f"kind: {scenario.kind}",
@@ -593,10 +590,7 @@ def _run_verify(scenario):
             scenario.spec, scenario.N_list, scenario.solver,
             scenario.fit.window, scenario.fit.model,
         )
-        doc = {
-            "producer": _producer(
-                "analysis", window=list(scenario.fit.window), model=scenario.fit.model
-            ),
+        body = {
             "N_list": study.N_list,
             "deviations": study.deviations,
             "improving": study.improving,
@@ -604,7 +598,9 @@ def _run_verify(scenario):
         }
         files = {
             "spectrum.csv": _spectrum_csv(study.spectra[-1], scenario.spec.alpha),
-            "fit.json": _to_json(doc) + "\n",
+            "fit.json": _report(
+                "analysis", body, window=list(scenario.fit.window), model=scenario.fit.model
+            ),
             "prediction.json": _prediction_json(study.prediction),
         }
         lines = [
@@ -618,18 +614,17 @@ def _run_verify(scenario):
     report = quadrature.convergence_report(
         scenario.spec, scenario.grids, scenario.fit.window, scenario.solver
     )
-    doc = {
-        "producer": _producer(
-            "quadrature", solver=dataclasses.asdict(scenario.solver),
-            window=list(report.window),
-        ),
+    body = {
         "labels": report.labels,
         "changes": report.changes,
         "improving": report.improving,
         "lambda_plus": [list(map(float, t)) for t in report.tables_plus],
         "lambda_minus": [list(map(float, t)) for t in report.tables_minus],
     }
-    files = {"fit.json": _to_json(doc) + "\n", "prediction.json": _prediction_json(pred)}
+    fit = _report(
+        "quadrature", body, solver=dataclasses.asdict(scenario.solver), window=list(report.window)
+    )
+    files = {"fit.json": fit, "prediction.json": _prediction_json(pred)}
     lines = [
         "kind: continuous verify",
         f"grids: {report.labels}",
@@ -647,45 +642,35 @@ def _run_symbol(scenario):
     samp = symbols.sample_aslog(spec, n)
     # The dumped rows are copied out before the transform overwrites the
     # samples in place.
-    stride = max(1, n // scenario.dump_samples)
+    stride = _dump_stride(n, scenario.dump_samples)
     idx = np.arange(0, n, stride)
     thetas = 2.0 * np.pi * idx / n
     thetas = np.where(thetas > np.pi, thetas - 2.0 * np.pi, thetas)
     dumped = samp[idx]
     coeffs = symbols.fourier_coefficients(samp, out=samp)
-    b = symbols.aslog_coefficient(spec)
-    b_eff = b.real if spec.symmetric else abs(b)
+    fields = _symbol_fields(spec)
+    b, symmetric = fields["b"], fields["symmetric"]
     j_lo, j_hi = scenario.j_window
     j = np.arange(j_lo, j_hi + 1)
     decay = j * np.log(j) ** spec.alpha
-    if spec.symmetric:
-        ratio = coeffs[j].real * decay / b_eff
-    else:
-        ratio = np.abs(coeffs[j]) * decay / b_eff
+    ratio = _decay_part(coeffs[j], symmetric) * decay / _decay_part(b, symmetric)
     ratio_median = analysis._median(ratio)
     rows = [
         f"# hankelspec {__version__} symbol samples={n} stride={stride}",
         "theta,re,im",
         *(f"{_f(t)},{_f(v.real)},{_f(v.imag)}" for t, v in zip(thetas, dumped)),
+        "",  # the last newline, without a copy of the joined text
     ]
-    doc = {
-        "producer": _producer(
-            "symbols", samples=scenario.samples, j_window=list(scenario.j_window)
-        ),
-        "alpha": spec.alpha,
-        "b": b,
-        "symmetric": spec.symmetric,
-        "ratio_median": ratio_median,
-        "ratio_min": float(np.min(ratio)),
-        "ratio_max": float(np.max(ratio)),
-    }
-    files = {"symbol.csv": "\n".join(rows) + "\n", "fourier.json": _to_json(doc) + "\n"}
+    ratio_min, ratio_max = float(np.min(ratio)), float(np.max(ratio))
+    body = {**fields, "ratio_median": ratio_median, "ratio_min": ratio_min, "ratio_max": ratio_max}
+    fourier = _report("symbols", body, samples=n, j_window=list(scenario.j_window))
+    files = {"symbol.csv": "\n".join(rows), "fourier.json": fourier}
     lines = [
         "kind: symbol",
         f"samples: {scenario.samples}",
         f"b: {_f(b.real)} + {_f(b.imag)}i",
         f"ratio over j in [{j_lo}, {j_hi}]: median {_f(ratio_median)}, "
-        f"min {_f(float(np.min(ratio)))}, max {_f(float(np.max(ratio)))}",
+        f"min {_f(ratio_min)}, max {_f(ratio_max)}",
     ]
     return files, lines, 0
 
@@ -717,13 +702,13 @@ def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
+        raise model.FieldError("<config>", f"cannot read {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
+        raise model.FieldError("<config>", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("<config>", f"expected a JSON object in {path}")
+        raise model.FieldError("<config>", f"expected a JSON object in {path}")
     return cfg
 
 
@@ -779,13 +764,13 @@ def main(argv=None) -> int:
 
     try:
         if args.threads < 1:
-            raise ConfigError("--threads", f"expected at least 1, got {args.threads}")
+            raise model.FieldError("--threads", f"expected at least 1, got {args.threads}")
         cfg = _load_config(args.config)
         out_root = Path(args.out)
         if args.command == "sweep":
             raw = cfg.get("scenarios")
             if not isinstance(raw, list) or not raw:
-                raise ConfigError("scenarios", "sweep config needs a scenario list")
+                raise model.FieldError("scenarios", "sweep config needs a scenario list")
             scenarios = [
                 parse_scenario(item, f"scenarios[{i}]", args.seed)
                 for i, item in enumerate(raw)
@@ -794,13 +779,13 @@ def main(argv=None) -> int:
         else:
             cfg.setdefault("action", args.command)
             if cfg["action"] != args.command:
-                raise ConfigError(
+                raise model.FieldError(
                     "action", f"config action {cfg['action']!r} does not match "
                     f"the {args.command!r} subcommand"
                 )
             scenarios = [parse_scenario(cfg, seed=args.seed)]
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
+    except model.FieldError as exc:
+        print(f"config error at '{exc.field}': {exc.reason}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -808,9 +793,6 @@ def main(argv=None) -> int:
 
     try:
         codes = [run_scenario(s, out_root) for s in scenarios]
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

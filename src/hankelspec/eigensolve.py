@@ -50,6 +50,7 @@ from .hankel_core import (
     matvec,
     require_memory,
 )
+from .model import FieldError
 
 __all__ = [
     "SolverParams",
@@ -172,13 +173,13 @@ class SolverParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+            raise FieldError("k", f"k must be at least 1, got {self.k}")
         if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+            raise FieldError("tol", f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+            raise FieldError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise FieldError("seed", f"expected a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -211,7 +212,7 @@ def dense_spectrum(A) -> SpectrumResult:
 
 
 def _symmetric_matrix(A) -> np.ndarray:
-    """A as a float array, refused unless square, symmetric and within physical memory.
+    """A as a float array, refused unless square, finite, symmetric and within physical memory.
 
     The memory check counts A and the copy eigvalsh factors, and comes
     before any other work on A.
@@ -423,13 +424,21 @@ def _project_out(Y, Qt) -> None:
 
 
 def _max_asymmetry(A) -> float:
-    """max |A - A.T|, tile pair by tile pair, without an n x n temporary."""
+    """max |A - A.T|, tile pair by tile pair, without an n x n temporary.
+
+    A NaN or infinite entry makes its difference NaN or infinite, so the
+    same scan refuses it, in place of numpy's warning about inf - inf.
+    """
     n, t = A.shape[0], _SYMMETRY_TILE
     worst = 0.0
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            diff = A[i : i + t, j : j + t] - A[j : j + t, i : i + t].T
-            worst = max(worst, float(np.max(np.abs(diff))))
+    with np.errstate(invalid="ignore"):
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                diff = A[i : i + t, j : j + t] - A[j : j + t, i : i + t].T
+                tile = float(np.max(np.abs(diff)))
+                if not math.isfinite(tile):
+                    raise ValueError("matrix has a NaN or infinite entry")
+                worst = max(worst, tile)
     return worst
 
 
@@ -558,7 +567,8 @@ def lanczos_extremes(
     vectors and of the Ritz values |theta|; both are lower bounds of ||A||
     that reach it as the extreme Ritz values converge, so no applications
     are spent on a separate norm estimate.  The zero band is derived from
-    the final estimate.
+    the final estimate; a solve whose estimate is not finite, as when
+    ||A v||^2 overflows, is not converged, since its band holds every value.
 
     Deterministic for a fixed seed: the start vector and every subsequent
     decision depend only on the seed, the dimension, and the operator.
@@ -715,7 +725,7 @@ def lanczos_extremes(
         solver_id="lanczos_partial_reorth_thick_restart",
         seed=seed,
         tol=tol,
-        converged=done or exhausted,
+        converged=(done or exhausted) and math.isfinite(norm_est),
         details={
             "applies": applies,
             "restarts": restarts,

@@ -61,7 +61,11 @@ class UnsupportedCombinationError(ValueError):
 
 
 class FieldError(ValueError):
-    """A spec field the closed forms cannot take; field names it."""
+    """A refused field: field is its path in the refusing object, reason says why.
+
+    Every dataclass a scenario config reaches refuses with it; the CLI puts
+    the path of that object in the config before field.
+    """
 
     def __init__(self, field: str, reason: str):
         self.field = field
@@ -70,7 +74,7 @@ class FieldError(ValueError):
 
 
 def require_finite(spec, *names) -> None:
-    """Raise ValueError naming the first field that holds a NaN or infinity.
+    """Raise FieldError at the first named field that holds a NaN or infinity.
 
     Each named field is a real or complex number, or a tuple or list of them.
     An integer too large for a float counts as infinite.
@@ -83,7 +87,7 @@ def require_finite(spec, *names) -> None:
             except OverflowError:
                 finite = False
             if not finite:
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise FieldError(name, f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class Oscillation:
     def __post_init__(self):
         require_finite(self, "phi", "psi", "b")
         if not 0.0 < self.phi < math.pi:
-            raise ValueError(
-                f"oscillation frequency phi must lie strictly inside (0, pi), got {self.phi}"
+            raise FieldError(
+                "phi", f"oscillation frequency phi must lie strictly inside (0, pi), got {self.phi}"
             )
 
 
@@ -113,7 +117,9 @@ class KernelOscillation:
     def __post_init__(self):
         require_finite(self, "rho", "psi", "b")
         if self.rho <= 0.0:
-            raise ValueError(f"kernel oscillation frequency rho must be positive, got {self.rho}")
+            raise FieldError(
+                "rho", f"kernel oscillation frequency rho must be positive, got {self.rho}"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,11 @@ class LocalSingularity:
     def __post_init__(self):
         require_finite(self, "t0", "m", "coeff")
         if self.t0 <= 0.0:
-            raise ValueError(f"singularity location t0 must be positive, got {self.t0}")
+            raise FieldError("t0", f"singularity location t0 must be positive, got {self.t0}")
         if self.m < 0 or self.m != int(self.m):
-            raise ValueError(f"singularity order m must be a nonnegative integer, got {self.m}")
+            raise FieldError(
+                "m", f"singularity order m must be a nonnegative integer, got {self.m}"
+            )
         object.__setattr__(self, "m", int(self.m))
 
 
@@ -143,17 +151,32 @@ class Perturbation:
     def __post_init__(self):
         require_finite(self, "scale", "beta")
         if self.beta <= 0.0:
-            raise ValueError(f"perturbation decay exponent beta must be positive, got {self.beta}")
+            raise FieldError(
+                "beta", f"perturbation decay exponent beta must be positive, got {self.beta}"
+            )
 
 
-def _as_oscillations(items, cls):
-    out = []
-    for item in items:
-        if isinstance(item, cls):
-            out.append(item)
-        else:
-            out.append(cls(*item))
-    return tuple(out)
+def _as_entry(cls, item, at: str):
+    """item as a cls, built from its field values unless it is one; a refusal named under at."""
+    try:
+        return item if isinstance(item, cls) else cls(*item)
+    except FieldError as exc:
+        raise FieldError(f"{at}.{exc.field}", exc.reason) from exc
+
+
+def _as_entries(spec, name: str, cls) -> None:
+    """Make field name of spec a tuple of cls, entry i built by _as_entry at name[i]."""
+    entries = [_as_entry(cls, item, f"{name}[{i}]") for i, item in enumerate(getattr(spec, name))]
+    object.__setattr__(spec, name, tuple(entries))
+
+
+def _require_distinct(spec, name: str, key: str, what: str) -> None:
+    """Raise FieldError at the first entry of field name whose key repeats an earlier one's."""
+    values = [getattr(entry, key) for entry in getattr(spec, name)]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            reason = f"{what} must be pairwise distinct, {key}={value} repeats"
+            raise FieldError(f"{name}[{i}].{key}", reason)
 
 
 @dataclass(frozen=True)
@@ -169,19 +192,12 @@ class DiscreteSymbolSpec:
     def __post_init__(self):
         require_finite(self, "alpha", "b_plus1", "b_minus1")
         if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(
-            self, "oscillations", _as_oscillations(self.oscillations, Oscillation)
-        )
-        phis = [osc.phi for osc in self.oscillations]
-        for i in range(len(phis)):
-            for j in range(i + 1, len(phis)):
-                if phis[i] == phis[j]:
-                    raise ValueError(
-                        f"oscillation frequencies must be pairwise distinct, phi={phis[i]} repeats"
-                    )
-        if self.perturbation is not None and not isinstance(self.perturbation, Perturbation):
-            object.__setattr__(self, "perturbation", Perturbation(*self.perturbation))
+            raise FieldError("alpha", f"alpha must be positive, got {self.alpha}")
+        _as_entries(self, "oscillations", Oscillation)
+        _require_distinct(self, "oscillations", "phi", "oscillation frequencies")
+        if self.perturbation is not None:
+            perturbation = _as_entry(Perturbation, self.perturbation, "perturbation")
+            object.__setattr__(self, "perturbation", perturbation)
         _check_shares(self)
 
 
@@ -204,25 +220,15 @@ class ContinuousKernelSpec:
     def __post_init__(self):
         require_finite(self, "alpha", "b_zero", "b_inf", "cutoffs")
         if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(
-            self, "oscillations", _as_oscillations(self.oscillations, KernelOscillation)
-        )
-        object.__setattr__(
-            self,
-            "local_singularities",
-            _as_oscillations(self.local_singularities, LocalSingularity),
-        )
-        rhos = [osc.rho for osc in self.oscillations]
-        if len(set(rhos)) != len(rhos):
-            raise ValueError("kernel oscillation frequencies rho must be pairwise distinct")
-        t0s = [s.t0 for s in self.local_singularities]
-        if len(set(t0s)) != len(t0s):
-            raise ValueError("local singularity locations t0 must be pairwise distinct")
+            raise FieldError("alpha", f"alpha must be positive, got {self.alpha}")
+        _as_entries(self, "oscillations", KernelOscillation)
+        _as_entries(self, "local_singularities", LocalSingularity)
+        _require_distinct(self, "oscillations", "rho", "kernel oscillation frequencies")
+        _require_distinct(self, "local_singularities", "t0", "local singularity locations")
         c1, c2, C1, C2 = self.cutoffs
         if not (0.0 < c1 < c2 < 1.0 < C1 < C2):
-            raise ValueError(
-                f"cutoffs must satisfy 0 < c1 < c2 < 1 < C1 < C2, got {self.cutoffs}"
+            raise FieldError(
+                "cutoffs", f"cutoffs must satisfy 0 < c1 < c2 < 1 < C1 < C2, got {self.cutoffs}"
             )
         if self.local_singularities and self.b_zero != 0.0:
             raise UnsupportedCombinationError(

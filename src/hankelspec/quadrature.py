@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import FitParams
 from .eigensolve import SolverParams, solve
 from .hankel_core import HankelTruncation, require_memory
-from .model import ContinuousKernelSpec, UnsupportedCombinationError, require_finite
+from .model import ContinuousKernelSpec, FieldError, UnsupportedCombinationError, require_finite
 from .sequences import eval_kernel_many
 
 __all__ = [
@@ -73,14 +73,15 @@ class GridSpec:
 
     def __post_init__(self):
         if self.kind not in GRID_KINDS:
-            raise ValueError(f"grid kind must be one of {GRID_KINDS}, got {self.kind!r}")
+            raise FieldError("kind", f"grid kind must be one of {GRID_KINDS}, got {self.kind!r}")
         require_finite(self, "t_min", "t_max")
         if not (0.0 < self.t_min < self.t_max):
-            raise ValueError(
-                f"need 0 < t_min < t_max, got t_min={self.t_min}, t_max={self.t_max}"
+            raise FieldError(
+                "t_max" if self.t_min > 0.0 else "t_min",
+                f"need 0 < t_min < t_max, got t_min={self.t_min}, t_max={self.t_max}",
             )
         if self.points < MIN_POINTS:
-            raise ValueError(f"need at least {MIN_POINTS} points, got {self.points}")
+            raise FieldError("points", f"need at least {MIN_POINTS} points, got {self.points}")
 
 
 def geometric_nodes(grid: GridSpec):

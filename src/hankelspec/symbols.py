@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import require_finite
+from .model import FieldError, require_finite
 from .sequences import smooth_step
 
 __all__ = [
@@ -27,15 +27,6 @@ __all__ = [
 MAX_POLY_DEGREE = 4
 DEFAULT_HALF_WIDTHS = (0.25, 0.5)
 
-
-def _as_poly(coeffs) -> tuple:
-    out = tuple(complex(c) for c in coeffs)
-    if len(out) > MAX_POLY_DEGREE + 1:
-        raise ValueError(
-            f"polynomial degree is capped at {MAX_POLY_DEGREE}, "
-            f"got {len(out)} coefficients"
-        )
-    return out
 
 def _poly_eval(coeffs: tuple, theta):
     acc = np.zeros_like(np.asarray(theta, dtype=float), dtype=complex)
@@ -88,22 +79,28 @@ class AsLogSpec:
     def __post_init__(self):
         require_finite(self, "alpha", "cutoffs")
         if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise FieldError("alpha", f"alpha must be positive, got {self.alpha}")
         for name in ("v0", "v1", "u0", "u1"):
             for side in ("plus", "minus"):
                 key = f"{name}_{side}"
-                object.__setattr__(self, key, _as_poly(getattr(self, key)))
+                poly = tuple(complex(c) for c in getattr(self, key))
+                if len(poly) > MAX_POLY_DEGREE + 1:
+                    raise FieldError(
+                        key, f"polynomial degree is capped at {MAX_POLY_DEGREE}, "
+                        f"got {len(poly)} coefficients",
+                    )
+                object.__setattr__(self, key, poly)
                 require_finite(self, key)
         c1, c2 = self.cutoffs
         if not (0.0 < c1 < c2 < 1.0):
-            raise ValueError(
-                f"cutoff half-widths must satisfy 0 < c1 < c2 < 1, got {self.cutoffs}"
+            raise FieldError(
+                "cutoffs", f"cutoff half-widths must satisfy 0 < c1 < c2 < 1, got {self.cutoffs}"
             )
         object.__setattr__(self, "cutoffs", (float(c1), float(c2)))
         if self.v0_plus[0] != self.v0_minus[0]:
-            raise ValueError(
-                f"v0 must be single-valued at 0: v0_plus(0)={self.v0_plus[0]} "
-                f"!= v0_minus(0)={self.v0_minus[0]}"
+            raise FieldError(
+                "v0_minus", f"v0 must be single-valued at 0: v0_plus(0)={self.v0_plus[0]} "
+                f"!= v0_minus(0)={self.v0_minus[0]}",
             )
         self._check_base_nonvanishing()
 
@@ -116,9 +113,9 @@ class AsLogSpec:
                 u = _poly_eval(getattr(self, f"{name}_{side}"), theta)
                 base = -np.log(np.abs(theta)) + u
                 if np.min(base.real) <= 0.0:
-                    raise ValueError(
-                        f"-log|theta| + {name}_{side} leaves the right "
-                        f"half-plane on the cutoff support"
+                    raise FieldError(
+                        f"{name}_{side}", f"-log|theta| + {name}_{side} leaves the right "
+                        f"half-plane on the cutoff support",
                     )
 
     @property
@@ -208,8 +205,8 @@ def sample_bytes(samples: int) -> int:
     complex arrays of one term.  That is under 40.7 in all.  The transform
     overwrites the samples in place (16) and holds pocketfft's plan and work
     buffer, one complex array each (32): 48.  56 bytes leave 8 a sample for
-    fixed objects.  The dumped rows, 32 bytes each with their angles and
-    indices, are not counted; the default 4096 of them take 128 KiB.
+    fixed objects.  The rows the CLI dumps to symbol.csv are counted where
+    it builds them.
     """
     return 56 * samples
 

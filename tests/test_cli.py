@@ -159,6 +159,33 @@ def test_spectrum_solves_for_the_whole_fit_window(tmp_path):
     assert fit["a_hat_minus"] > 0.1  # predicted 1/(2 pi) = 0.159
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_lanczos_norm_exits_3(tmp_path):
+    # At b_inf = 1e200, ||A v||^2 overflows: every value falls in the zero
+    # band, which must not pass for a converged solve.
+    cfg = {
+        "name": "huge", "kind": "continuous", "spec": {"alpha": 1.0, "b_inf": 1e200},
+        "grids": [{"kind": "uniform", "t_max": 8.0, "points": 4096}], "fit": {"window": [2, 8]},
+    }
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == 3
+    assert "converged=false" in (out / "huge" / "spectrum.csv").read_text()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_geometric_build_is_refused(tmp_path, capsys):
+    # The kernel overflows on a 512-point grid at b_zero = 1e300, which the
+    # dense symmetry scan refuses instead of passing to eigvalsh.
+    cfg = {
+        "name": "huge", "kind": "continuous", "spec": {"alpha": 1.0, "b_zero": 1e300},
+        "grids": [{"kind": "geometric", "t_min": 1e-12, "t_max": 1.0, "points": 512}],
+        "fit": {"window": [2, 8]},
+    }
+    code, _ = _run(tmp_path, "spectrum", cfg)
+    assert code == 2
+    assert "validation error: matrix has a NaN or infinite entry" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, solver, window, want",
     [("spectrum", {"k": 4}, [1, 12], 12), ("spectrum", {}, [1, 8], 64), ("verify", {}, [1, 40], 80)],
@@ -229,7 +256,7 @@ def test_phi_on_boundary_rejected(tmp_path, capsys):
     code, _ = _run(tmp_path, "spectrum", cfg)
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error at 'spec.oscillations[0]'" in err
+    assert "config error at 'spec.oscillations[0].phi'" in err
     assert "strictly inside" in err
 
 
@@ -276,7 +303,7 @@ def test_overflowing_integer_order_names_singularity(tmp_path, capsys):
     spec = {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 10**400, "coeff": 1.0}]}
     code, out = _run(tmp_path, "predict", {"name": "bad", "kind": "continuous", "spec": spec})
     assert code == 2
-    assert "config error at 'spec.local_singularities[0]'" in capsys.readouterr().err
+    assert "config error at 'spec.local_singularities[0].m'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -736,16 +763,40 @@ REFUSALS = [
     _refusal(
         "spec-entry", "predict",
         {**DISCRETE, "spec": {"alpha": 1.0, "oscillations": [{"phi": 3.141592653589793, "psi": 0.0, "b": 1.0}]}},
-        "spec.oscillations[0]",
+        "spec.oscillations[0].phi",
     ),
     _refusal(
         "spec-singularity-order", "predict",
         {"kind": "continuous", "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 10**400, "coeff": 1.0}]}},
-        "spec.local_singularities[0]",
+        "spec.local_singularities[0].m",
+    ),
+    _refusal("spec-alpha-not-positive", "predict", {**DISCRETE, "spec": {**B1, "alpha": 0.0}}, "spec.alpha"),
+    _refusal(
+        "spec-cutoffs-order", "predict",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "b_inf": 1.0, "cutoffs": [0.25, 0.5, 2.0, 1.5]}},
+        "spec.cutoffs",
+    ),
+    _refusal(
+        "spec-singularity-location", "predict",
+        {"kind": "continuous", "spec": {"alpha": 1.0, "local_singularities": [{"t0": -1.0, "m": 0, "coeff": 1.0}]}},
+        "spec.local_singularities[0].t0",
+    ),
+    _refusal(
+        "spec-perturbation-beta", "predict",
+        {**DISCRETE, "spec": {**B1, "perturbation": {"scale": 0.1, "beta": 0.0}}},
+        "spec.perturbation.beta",
     ),
     _refusal("solver-object", "predict", {**DISCRETE, "solver": [1]}, "solver"),
+    _refusal("solver-k", "predict", {**DISCRETE, "solver": {"k": 0}}, "solver.k"),
+    _refusal("solver-tol", "predict", {**DISCRETE, "solver": {"tol": 0.0}}, "solver.tol"),
+    _refusal("solver-max-iter", "predict", {**DISCRETE, "solver": {"max_iter": 0}}, "solver.max_iter"),
     _refusal("grid-object", "predict", {**DISCRETE, "grids": [1]}, "grids[0]"),
-    _refusal("grid-kind", "predict", {**DISCRETE, "grids": [{"kind": "x", "t_max": 1.0, "points": 64}]}, "grids[0]"),
+    _refusal("grid-kind", "predict", {**DISCRETE, "grids": [{"kind": "x", "t_max": 1.0, "points": 64}]}, "grids[0].kind"),
+    _refusal(
+        "grid-t-min", "predict",
+        {**DISCRETE, "grids": [{"kind": "geometric", "t_min": 0.0, "t_max": 1.0, "points": 64}]},
+        "grids[0].t_min",
+    ),
     _unknown_field("unknown-scenario-field", "spectrum", {**DISCRETE, "N_list": [64], "solvr": {"k": 8}}, "solvr"),
     _unknown_field("unknown-spec-field", "spectrum", {**DISCRETE, "spec": {**B1, "b_plus": 5}, "N_list": [64]}, "spec.b_plus"),
     _unknown_field("unknown-fit-field", "spectrum", {**DISCRETE, "N_list": [64], "fit": {"windw": [2, 9]}}, "fit.windw"),
@@ -847,6 +898,12 @@ REFUSALS = [
         "grids[0].points",
     ),
     _memory_refusal("samples-memory", "symbol", {**SYMBOL, "samples": 2**40}, "samples"),
+    # 2^20 samples take 56 MiB by sample_bytes, and 2^20 dumped rows 256 MiB
+    # more: 128 MiB refuses only the rows.
+    _memory_refusal(
+        "dump-samples-memory", "symbol", {**SYMBOL, "samples": 2**20, "dump_samples": 2**20},
+        "dump_samples", memory=128 << 20,
+    ),
     _memory_refusal("fit-window-memory", "spectrum", {**DISCRETE, "N_list": [64], "fit": {"window": [1, 10**12]}}, "fit.window"),
 ]
 
@@ -1231,6 +1288,35 @@ def test_symbol_run_outputs(tmp_path):
     assert csv[1] == "theta,re,im"
     # stride 8192/256 = 32 keeps the dump small
     assert len(csv) == 2 + 256
+
+
+def test_symbol_memory_check_counts_the_dumped_rows(monkeypatch):
+    # The check must count at least the traced peak of the run: with physical
+    # memory at that peak, the config is refused at dump_samples.
+    import tracemalloc
+
+    from hankelspec import cli
+
+    cfg = {
+        "kind": "symbol", "action": "symbol", "samples": 2**16, "dump_samples": 2**16,
+        "spec": {"alpha": 2.0, "v0_plus": [1.0, [0.5, -0.25]], "cutoffs": [0.001, 0.999]},
+        "j_window": [8, 512],
+    }
+    cli._run_symbol(parse_scenario({**cfg, "samples": 64, "j_window": [2, 8]}))  # numpy's first use
+    scenario = parse_scenario(cfg)
+    tracemalloc.start()
+    try:
+        cli._run_symbol(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The rows, not the samples, hold most of the peak.
+    assert peak > 2 * hankelspec.symbols.sample_bytes(2**16)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": peak // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(hankelspec.model.FieldError) as exc:
+        parse_scenario(cfg)
+    assert exc.value.field == "dump_samples"
 
 
 def test_symbol_rejects_bad_sample_count(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hankelspec import cli
+from hankelspec.model import FieldError
 
 # One valid `predict` scenario per spec family, together using every field
 # name the scenario parser reads.
@@ -191,7 +192,9 @@ def test_valid_run_scenarios_parse():
 @FUZZ
 @given(cfg=ANY_JSON | near_valid(VALID + RUNS))
 def test_scenario_parser_returns_or_raises_config_error(cfg):
+    # Every refusal is a FieldError, named under the scenario's own path; any
+    # other exception fails the property.
     try:
         cli.parse_scenario(cfg, "scenarios[0]")
-    except cli.ConfigError as exc:
+    except FieldError as exc:
         assert exc.field.startswith("scenarios[0]")

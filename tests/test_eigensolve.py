@@ -115,6 +115,25 @@ def test_dense_spectrum_rejects_asymmetry_in_a_far_tile(where):
         dense_spectrum(A)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [[(0, 0)], [(1, 2)], [(1, 2), (2, 1)], [(-1, 0)]])
+def test_dense_spectrum_refuses_a_non_finite_entry(bad, where):
+    # Folding the tile maxima with max() drops a NaN, and a symmetric pair of
+    # infinities is as asymmetric as inf allows; the scan checks each tile.
+    A = np.eye(3 * eigensolve._SYMMETRY_TILE + 5)
+    for ij in where:
+        A[ij] = bad
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        dense_spectrum(A)
+
+
+def test_range_finder_refuses_a_non_finite_entry():
+    A = _full_rank(256)
+    A[3, 7] = A[7, 3] = math.inf
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        solve(A, SolverParams())
+
+
 # -------------------------------------------------------------------- lanczos
 
 
@@ -236,6 +255,16 @@ def test_lanczos_flags_nonconvergence():
     assert not S.converged
     # Partial results are still valid converged prefixes, never padded.
     assert len(S.lambda_plus) < 40
+
+
+def test_lanczos_is_not_converged_when_its_norm_overflows():
+    # ||A v||^2 overflows for entries of 1e200, so ||A||_est is infinite and
+    # the zero band holds every value.
+    d = 1e200 * np.linspace(-1.0, 1.0, 64)
+    with np.errstate(over="ignore"):
+        S = lanczos_extremes(lambda v: d * v, 64, k=4)
+    assert math.isinf(S.details["norm_est"])
+    assert not S.converged
 
 
 def test_lanczos_vs_dense_random_hankel_ensemble():

@@ -239,8 +239,10 @@ def test_perturbation_validation():
     ids=["0<c1", "c1<c2", "c2<1", "1<C1", "C1<C2"],
 )
 def test_cutoffs_out_of_order_rejected(cutoffs):
-    with pytest.raises(ValueError, match=r"^cutoffs must satisfy 0 < c1 < c2 < 1 < C1 < C2"):
+    with pytest.raises(model.FieldError) as exc:
         ContinuousKernelSpec(alpha=1.0, b_zero=1.0, cutoffs=cutoffs)
+    assert exc.value.field == "cutoffs"
+    assert exc.value.reason.startswith("cutoffs must satisfy 0 < c1 < c2 < 1 < C1 < C2")
 
 
 def test_local_singularity_validation():
@@ -277,8 +279,10 @@ NAN, INF = float("nan"), float("inf")
     ],
 )
 def test_spec_rejects_non_finite_field(build, field):
-    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+    with pytest.raises(model.FieldError) as exc:
         build()
+    assert exc.value.field == field
+    assert exc.value.reason.startswith(f"{field} must be finite")
 
 
 # -------------------------------------------------------- hypothesis invariants
