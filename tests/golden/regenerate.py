@@ -7,14 +7,16 @@ what it produced under `<case>/`:
     run.txt       the command line, the exit code, stdout and stderr
     out/...       the report files written under --out (none on a refusal)
 
-The cases are small versions of the four benchmark workloads, a geometric
-grid on the range-finder route, two geometric grids whose kernels between
-them take every branch of the kernel evaluator and both cutoff bands, two
-`symbol` runs with polynomials that differ on the two sides of theta = 0,
-one with a narrow and one with a wide cutoff band, a discrete order above
-2^53 with a b_minus1 term, `predict` on each kind, a `spectrum` whose
-prediction the closed form does not cover, and every refusal of `REFUSALS`
-in `tests/test_cli.py`.
+The cases are small versions of the four benchmark workloads, two Lanczos
+solves that end otherwise than by the stop rule (a space the basis
+exhausts, and max_iter), a geometric grid on the range-finder route, two
+geometric grids whose kernels between them take every branch of the
+kernel evaluator and both cutoff bands, two `symbol` runs with
+polynomials that differ on the two sides of theta = 0, one with a narrow
+and one with a wide cutoff band, a discrete order above 2^53 with a
+b_minus1 term, `predict` on each kind, a `spectrum` whose prediction the
+closed form does not cover, and every refusal of `REFUSALS` in
+`tests/test_cli.py`.
 Physical memory reads as 8 GiB in every case, or as the row's own figure
 for the memory refusals that set one, so the messages do not depend on the
 machine.  `build.json` records the machine, numpy and OpenBLAS the corpus
@@ -73,6 +75,16 @@ RUNS = {
     "triangle-restart": ("spectrum", {
         "name": "triangle", "kind": "continuous", "spec": TRIANGLE, "grids": [_uniform(1024)],
         "solver": {"k": 32, "tol": 1e-8, "max_iter": 2000, "basis_cap": 116},
+        "fit": {"window": [5, 20], "model": "plain"},
+    }),
+    # Two more Lanczos exits: a space the basis exhausts, and max_iter.
+    "triangle-exhausted": ("spectrum", {
+        "name": "triangle-small", "kind": "continuous", "spec": TRIANGLE, "grids": [_uniform(32)],
+        "fit": {"window": [2, 8], "model": "plain"},
+    }),
+    "triangle-max-iter": ("spectrum", {
+        "name": "triangle-budget", "kind": "continuous", "spec": TRIANGLE, "grids": [_uniform(1024)],
+        "solver": {"k": 32, "max_iter": 40},
         "fit": {"window": [5, 20], "model": "plain"},
     }),
     "geometric-range": ("spectrum", {
