@@ -307,11 +307,15 @@ def _range_spectrum(A) -> SpectrumResult:
     # The basis vectors are rows, so every block is a contiguous row slice.
     Qt, T = np.empty((cap, n)), np.empty((cap, cap))
     theta = np.empty(0)
-    r = blocks = probes = stall = 0
+    r = blocks = stall = 0
+    probes = -1  # the start block is not a probe
     norm_est, last_drop = 0.0, math.inf
-    # Rows of W^T A are the columns of A W, since A is symmetric.
-    Y, gaussian = rng.standard_normal((b, n)) @ A, True
+    Y = None  # a Gaussian block is drawn where Y is None
     while True:
+        if Y is None:
+            # Rows of W^T A are the columns of A W, since A is symmetric.
+            Y, gaussian = rng.standard_normal((b, n)) @ A, True
+            probes += 1
         blocks += 1
         _project_out(Y, Qt[:r])
         _project_out(Y, Qt[:r])
@@ -336,20 +340,17 @@ def _range_spectrum(A) -> SpectrumResult:
             return S
         if passed:
             # Only a block independent of Q may certify the stop.
-            Y, gaussian = rng.standard_normal((b, n)) @ A, True
-            probes += 1
+            Y = None
             continue
         new = slice(r, r + b)
-        X = _cholesky_qr(Y)
         # A block rank deficient to rounding ends the Krylov growth: a
         # Gaussian one held all of A outside Q, so the next Krylov block
         # would hold only rounding, and after a Krylov one the space has
         # stopped growing along the lost directions.
-        deficient = X is None
-        Qt[new] = np.linalg.qr(Y.T)[0].T if deficient else X
-        del X, Y
+        Qt[new], deficient = _orthonormal_rows(Y)
+        del Y
         _project_out(Qt[new], Qt[:r])
-        Qt[new] = _orthonormal_rows(Qt[new])
+        Qt[new] = _orthonormal_rows(Qt[new])[0]
         AQ = Qt[new] @ A
         r += b
         # Grow the Rayleigh quotient T = Q^T A Q by its new columns and
@@ -366,8 +367,7 @@ def _range_spectrum(A) -> SpectrumResult:
             Y[...] = AQ
         else:
             # A Krylov block could not join Q, or would hold only rounding.
-            Y, gaussian = rng.standard_normal((b, n)) @ A, True
-            probes += 1
+            Y = None
     # The n - r eigenvalues outside the basis lie in the zero band.
     return _result(
         theta, np.zeros(r), r, r, norm_est, complete=True,
@@ -379,14 +379,14 @@ def _range_spectrum(A) -> SpectrumResult:
     )
 
 
-def _orthonormal_rows(Y) -> np.ndarray:
-    """Orthonormal rows spanning the rows of the b x n block Y, b <= n.
+def _orthonormal_rows(Y) -> tuple[np.ndarray, bool]:
+    """(X, fell_back): orthonormal rows X spanning the rows of the b x n block Y, b <= n.
 
-    _cholesky_qr's rows, or, where it fails, those of Householder QR, which
-    is orthonormal whatever Y is.
+    _cholesky_qr's rows, or, where it fails on a block rank deficient to
+    rounding, those of Householder QR, which is orthonormal whatever Y is.
     """
     X = _cholesky_qr(Y)
-    return np.linalg.qr(Y.T)[0].T if X is None else X
+    return (np.linalg.qr(Y.T)[0].T, True) if X is None else (X, False)
 
 
 def _cholesky_qr(Y):
@@ -547,21 +547,22 @@ def lanczos_extremes(
     fewer steps.  A Ritz pair (theta, y) counts as converged when its
     residual ||A y - theta y|| = |beta * s_last| is at most
     tol * max(|theta|, ||A||_est), counted contiguously inward from each
-    end.  max_iter bounds the number of operator applications; a run that
-    reaches it takes its Ritz pairs from the applied part of the basis, so
-    basis_final never exceeds the applications.
+    end.  An end is done at k values outside the zero band or where it
+    reaches the band (_stop_state).
 
-    An end is done at k values outside the zero band or where it reaches
-    the band (_stop_state).  Convergence is checked at the cap and every
-    _CHECK_EVERY steps, or m/16 to m/8 past m = 128 basis vectors, so the
-    checks' O(m^3) eigh costs O(m^2) a step; the check that ends the solve
-    also gives its Ritz pairs, with no further eigh.  A check at a breakdown
-    never ends the solve: the invariant subspace holds one copy of each
-    eigenvalue, so further copies are sought from a fresh direction.  The
-    space is exhausted when the basis spans it, or when that direction
-    breaks down at once with its Rayleigh quotient in the band.  Then, or
-    when both ends stopped at the band, n_dropped counts the rest of the
-    order.  An end stopped at k may still miss copies of a repeated value.
+    Every exit is a check, and its eigh gives the result.  Checks run at
+    the cap, every _CHECK_EVERY steps, or m/16 to m/8 past m = 128 basis
+    vectors, so their O(m^3) eigh costs O(m^2) a step, and at the last
+    step: max_iter applications (so basis_final never exceeds them; at the
+    cap, with no restart) or an exhausted space.  The residuals, and the
+    couplings a restart keeps, are one product: row m of T times the Ritz
+    vectors.  A check at a breakdown ends the solve only as the last: the
+    invariant subspace holds one copy of each eigenvalue, so further copies
+    are sought from a fresh direction.  The space is exhausted when the
+    basis spans it, or when that direction breaks down at once with its
+    Rayleigh quotient in the band; T is exact then.  Then, or when both
+    ends stopped at the band, n_dropped counts the rest of the order.  An
+    end stopped at k may still miss copies of a repeated value.
 
     ||A||_est is the running maximum of ||A v_j|| over the applied basis
     vectors and of the Ritz values |theta|; both are lower bounds of ||A||
@@ -569,6 +570,7 @@ def lanczos_extremes(
     are spent on a separate norm estimate.  The zero band is derived from
     the final estimate; a solve whose estimate is not finite, as when
     ||A v||^2 overflows, is not converged, since its band holds every value.
+    A product A v with a NaN entry is refused with a ValueError.
 
     Deterministic for a fixed seed: the start vector and every subsequent
     decision depend only on the seed, the dimension, and the operator.
@@ -587,6 +589,8 @@ def lanczos_extremes(
         raise ValueError(f"dimension must be positive, got {n}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     rng = np.random.default_rng(seed)
     k_eff = min(k, n)
@@ -604,20 +608,22 @@ def lanczos_extremes(
     V[0] = rng.standard_normal(n)
     V[0] /= np.linalg.norm(V[0])
     m, applies, restarts, reorth_passes, reorth_repeats = 1, 0, 0, 0, 0
-    norm_est = beta = 0.0
-    exhausted = fresh = False
-    checked = None  # the Ritz pairs of the check that stops the solve
+    norm_est = 0.0
+    fresh = False
     # partial: no restart or breakdown yet; again: the last step ran a pass
     # its estimate asked for, so this one runs one too.
     partial, again = True, False
 
-    while applies < max_iter:
+    while True:
         cur = m - 1
         w = np.asarray(apply(V[cur]), dtype=float)
         if np.may_share_memory(w, V):
             w = w.copy()  # an apply that returns (a view of) its argument
         applies += 1
-        norm_est = max(norm_est, float(np.linalg.norm(w)))
+        w_norm = float(np.linalg.norm(w))
+        if math.isnan(w_norm):  # max() would drop it, and eigh fail on T
+            raise ValueError(f"operator product has a NaN entry at apply {applies}")
+        norm_est = max(norm_est, w_norm)
         breakdown = _BREAKDOWN_REL * norm_est
         # Local step: modified Gram-Schmidt against the two newest rows, which
         # carry the large three-term components of A v.  The global pass then
@@ -655,50 +661,41 @@ def lanczos_extremes(
             T[cur, :m] = c
 
         broke = beta <= breakdown
-        if m == n or (broke and fresh and abs(c[cur]) <= ZERO_BAND_REL * norm_est):
-            exhausted = True
-            break
+        exhausted = m == n or (broke and fresh and abs(c[cur]) <= ZERO_BAND_REL * norm_est)
         fresh = broke
-        # The newest vector's row of T, read when max_iter ends the solve.
-        T[m, cur] = T[cur, m] = 0.0 if broke else beta
+        # Row m couples the newest vector to the basis: not at a breakdown or
+        # in an exhausted space, where T[:m, :m] is exact.
+        T[m, cur] = T[cur, m] = 0.0 if broke or exhausted else beta
 
-        at_cap = m == cap
+        last = exhausted or applies >= max_iter
         # The gap between checks: a power of two from m/16 to m/8, at least 8.
-        if at_cap or m % max(_CHECK_EVERY, (1 << m.bit_length()) // 16) == 0:
+        if last or m == cap or m % max(_CHECK_EVERY, (1 << m.bit_length()) // 16) == 0:
             theta, S = np.linalg.eigh(T[:m, :m])
             norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
-            res = beta * np.abs(S[m - 1, :])
-            # At a breakdown every residual is tiny, but copies may lie outside.
-            if not broke and _stop_state(theta, res, tol, norm_est, k_eff)[2]:
-                checked = theta, S  # T[:m, :m] as the extraction below reads it
+            r = T[m, :m] @ S  # signed residuals, the couplings a restart keeps
+            res = np.abs(r)
+            top, bot, done, at_band = _stop_state(theta, res, tol, norm_est, k_eff)
+            # At a breakdown every residual is zero, but copies may lie outside.
+            if last or (done and not broke):
                 break
-            if at_cap:
+            if m == cap:
                 # Thick restart: lock both spectral ends plus a buffer and
                 # continue the recurrence from the current residual direction.
                 keep_idx = np.concatenate(
                     [np.arange(keep_per_end), np.arange(m - keep_per_end, m)]
                 )
-                kept_theta = theta[keep_idx]
-                kept_b = beta * S[m - 1, keep_idx]
                 Sk = S[:, keep_idx].T
-                s = len(keep_idx)
+                m = len(keep_idx)
                 # Rotate the basis block of columns by block of columns; each
                 # block is read in full before it is overwritten.
                 for j in range(0, n, _RESTART_COLUMNS):
                     cols = slice(j, j + _RESTART_COLUMNS)
-                    V[:s, cols] = Sk @ V[:m, cols]
+                    V[:m, cols] = Sk @ V[:cap, cols]
                 T[:, :] = 0.0
-                T[:s, :s] = np.diag(kept_theta)
-                if broke:
-                    V[s] = _fresh_direction(rng, V[:s], n)
-                else:
-                    np.divide(w, beta, out=V[s])
-                    T[s, :s] = kept_b
-                    T[:s, s] = kept_b
-                m = s + 1
+                T[:m, :m] = np.diag(theta[keep_idx])
+                T[m, :m] = T[:m, m] = r[keep_idx]  # zero at a breakdown
                 restarts += 1
                 partial = False
-                continue
 
         if broke:
             # Invariant subspace found early; continue in a fresh direction.
@@ -707,18 +704,7 @@ def lanczos_extremes(
         else:
             np.divide(w, beta, out=V[m])
         m += 1
-    else:
-        # max_iter: the newest basis vector was never applied, so the Ritz
-        # pairs come from the rows before it, and its row of T holds their
-        # residuals' coefficients.
-        m -= 1
 
-    theta, S = checked or np.linalg.eigh(T[:m, :m])
-    norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
-    # Exhausted, the basis spans the whole space, or all of it outside the
-    # band, so T is exact and residuals vanish.
-    res = np.zeros(m) if exhausted else np.abs(T[m, :m] @ S)
-    top, bot, done, at_band = _stop_state(theta, res, tol, norm_est, k_eff)
     return _result(
         theta, res, top, bot, norm_est, complete=exhausted or at_band,
         order=n,

@@ -173,6 +173,32 @@ def test_lanczos_stopped_at_a_check_decomposes_t_once_per_check(monkeypatch):
     assert sizes[-1] == S.details["basis_final"]
 
 
+@pytest.mark.parametrize("stop", ["max_iter", "exhausted"])
+def test_lanczos_ends_every_solve_at_a_check(monkeypatch, stop):
+    # max_iter on a check step and an exhausted space end the solve as the
+    # stop rule does: the last check's eigh, of the applied basis, is the
+    # result, with no second eigh of the same T.
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    if stop == "max_iter":
+        H = _hilbert_truncation(1024)
+        S = lanczos_extremes(lambda v: matvec(H, v), 1024, k=10, tol=1e-12, max_iter=16)
+        assert not S.converged and S.details["applies"] == 16
+    else:
+        H = _triangle_truncation(32)
+        S = lanczos_extremes(lambda v: matvec(H, v), 32, k=32)
+        assert S.converged and S.details["applies"] == 32 and S.n_dropped == 0
+        assert np.all(S.residuals_plus == 0.0) and np.all(S.residuals_minus == 0.0)
+    assert sizes == sorted(set(sizes))
+    assert sizes[-1] == S.details["basis_final"] == S.details["applies"]
+
+
 def test_lanczos_two_by_two_closure():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     S = lanczos_extremes(lambda v: A @ v, 2, k=1, seed=3)
@@ -407,6 +433,37 @@ def test_lanczos_stopped_by_max_iter_uses_the_applied_basis_only():
         assert np.all(gap <= S.residuals_plus)
 
 
+def test_lanczos_stopped_by_max_iter_at_the_cap_extracts_without_a_restart():
+    # The twentieth apply fills the basis and spends max_iter: the solve
+    # ends at that step's check, on all twenty applied vectors, since a
+    # restart there would drop applied vectors for no further step.
+    d = np.concatenate([1.0 / np.arange(1, 201), -1.0 / np.arange(1, 201)])
+    S = lanczos_extremes(lambda v: d * v, d.size, k=4, basis_cap=20, max_iter=20)
+    assert S.details["basis_final"] == S.details["applies"] == 20
+    assert S.details["restarts"] == 0
+    for got, res in ((S.lambda_plus, S.residuals_plus), (-S.lambda_minus, S.residuals_minus)):
+        assert len(got) > 0
+        gap = np.min(np.abs(d[:, None] - got[None, :]), axis=0)
+        assert np.all(gap <= res)
+
+
+def test_lanczos_refuses_a_nan_product():
+    # max() would drop the NaN from ||A||_est, and eigh then fail on T with
+    # no word of the NaN.
+    d = np.linspace(-1.0, 1.0, 64)
+    applies = []
+
+    def apply(v):
+        applies.append(1)
+        w = d * v
+        if len(applies) == 3:
+            w[5] = math.nan
+        return w
+
+    with pytest.raises(ValueError, match="NaN entry at apply 3"):
+        lanczos_extremes(apply, d.size, k=4)
+
+
 def _restart_rows(H, k, cap):
     """Solve H by Lanczos; return the result and the basis row each restart resumes at.
 
@@ -493,6 +550,11 @@ def test_lanczos_rejects_bad_args():
         lanczos_extremes(lambda v: v, 16, k=0)
     with pytest.raises(ValueError):
         lanczos_extremes(lambda v: v, 0, k=1)
+    with pytest.raises(ValueError, match="tolerance"):
+        lanczos_extremes(lambda v: v, 16, k=1, tol=0.0)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            lanczos_extremes(lambda v: v, 16, k=1, max_iter=max_iter)
 
 
 # --------------------------------------------------------------- range finder
@@ -637,10 +699,16 @@ def test_range_finder_orthonormalizes_the_b_zero_grid_by_cholesky_qr(monkeypatch
 
 def test_orthonormal_rows_spans_a_well_conditioned_block():
     Y = np.random.default_rng(5).standard_normal((RANGE_BLOCK, 1024))
-    X = eigensolve._orthonormal_rows(Y)
+    X, fell_back = eigensolve._orthonormal_rows(Y)
+    assert not fell_back
     assert np.max(np.abs(X @ X.T - np.eye(RANGE_BLOCK))) <= 1e-13
     # Y lies in the span of the rows of X.
     assert np.max(np.abs(Y - (Y @ X.T) @ X)) <= 1e-12 * np.max(np.abs(Y))
+    # A repeated row leaves the block rank deficient: Householder QR makes X.
+    Y[1] = Y[0]
+    X, fell_back = eigensolve._orthonormal_rows(Y)
+    assert fell_back
+    assert np.max(np.abs(X @ X.T - np.eye(RANGE_BLOCK))) <= 1e-13
 
 
 @pytest.mark.parametrize("matrix", [_b_zero_grid, _full_rank], ids=["b_zero", "full-rank"])
