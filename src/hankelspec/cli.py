@@ -309,6 +309,18 @@ class Scenario:
         if self.action in ("spectrum", "verify"):
             self._check_runs()
 
+    @property
+    def solve_params(self) -> analysis.SolverParams:
+        """The one solve plan of a run, read by the memory check and every solve.
+
+        The solver block with k the eigenvalues asked for per end: spectrum
+        fits the window (n_min, n_max), so k and at least n_max; verify
+        tabulates it on every grid, so 2 n_max and at least 16.
+        """
+        n_max = self.fit.window[1]
+        k = max(2 * n_max, 16) if self.action == "verify" else max(self.solver.k, n_max)
+        return dataclasses.replace(self.solver, k=k)
+
     def _check_runs(self) -> None:
         """The rules of spectrum and verify for their runs: N_list or grids."""
         discrete = self.kind == "discrete"
@@ -340,8 +352,7 @@ class Scenario:
                         "a uniform grid cannot resolve the t -> 0 singularity of a "
                         "kernel with b_zero != 0; use a geometric grid",
                     )
-            k = quadrature.lanczos_request(self.action, self.solver.k, self.fit.window)
-            need = solve_bytes(order, route, k, self.solver.basis_cap, self.spec)
+            need = solve_bytes(order, route, self.solve_params, self.spec)
             _refuse_oversize(need, f"an order-{order} solve", at)
         if self.action == "verify" and not discrete and len(runs) < 2:
             raise model.FieldError("grids", f"verify compares at least 2 grids, got {len(runs)}")
@@ -547,19 +558,25 @@ def _details_line(S) -> str:
     return "details: " + (" ".join(shown) if shown else "none")
 
 
+def _solve(scenario, run):
+    """The spectrum of one run, an order of N_list or a grid, solved with solve_params."""
+    if scenario.kind == "discrete":
+        return analysis.discrete_spectrum(scenario.spec, run, scenario.solve_params)
+    return solve(quadrature.build_from_grid(scenario.spec, run), scenario.solve_params)
+
+
 def _run_spectrum(scenario):
     pred = _prediction(scenario)
     if scenario.kind == "discrete":
-        N = scenario.N_list[0]
-        S = analysis.discrete_spectrum(scenario.spec, N, scenario.solver)
-        label = f"N={N}"
+        run = scenario.N_list[0]
+        label = f"N={run}"
         params = {}  # no discrete route reads the solver knobs
     else:
-        grid = scenario.grids[0]
-        k = quadrature.lanczos_request("spectrum", scenario.solver.k, scenario.fit.window)
-        S = solve(quadrature.build_from_grid(scenario.spec, grid), scenario.solver, k=k)
-        label = f"grid {grid.kind} M={grid.points}"
+        run = scenario.grids[0]
+        label = f"grid {run.kind} M={run.points}"
+        # The config's own solver block, not the per-end request of solve_params.
         params = {"solver": dataclasses.asdict(scenario.solver)}
+    S = _solve(scenario, run)
     alpha = scenario.spec.alpha
     fit = analysis.fit_coefficient(
         S, alpha, scenario.fit.window, scenario.fit.model, extend_by_zero=True
@@ -611,9 +628,8 @@ def _run_verify(scenario):
         ]
         return files, lines, 0
     pred = _prediction(scenario)
-    report = quadrature.convergence_report(
-        scenario.spec, scenario.grids, scenario.fit.window, scenario.solver
-    )
+    spectra = [_solve(scenario, grid) for grid in scenario.grids]
+    report = quadrature.convergence_report(scenario.grids, spectra, scenario.fit.window)
     body = {
         "labels": report.labels,
         "changes": report.changes,
@@ -631,7 +647,7 @@ def _run_verify(scenario):
         f"changes: {[_f(c) for c in report.changes]}",
         f"improving: {report.improving}",
     ]
-    missed = [label for label, ok in zip(report.labels, report.converged) if not ok]
+    missed = [label for label, S in zip(report.labels, spectra) if not S.converged]
     if missed:
         lines.append(f"not converged: {missed}")
     return files, lines, 3 if missed else 0

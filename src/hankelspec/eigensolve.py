@@ -121,11 +121,12 @@ def range_cap(order: int) -> int:
     return order // 4
 
 
-def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int:
-    """Bytes solve allocates for an order-N operator, by arithmetic.
+def solve_bytes(order: int, kind: str, params: SolverParams, spec=None) -> int:
+    """Bytes solve(op, params) allocates for an order-N operator, by arithmetic.
 
     kind is "matrix" (a geometric grid), "entries" (a HankelTruncation) or
-    "symbol" (a DiscreteTruncation).  For a matrix: the matrix, and the
+    "symbol" (a DiscreteTruncation), and params what the solve is given;
+    only the entries count reads it.  For a matrix: the matrix, and the
     larger of the copy eigvalsh factors, made by the dense solve below order
     256 or on fallback once the rest is freed, and what the range finder
     holds before it: the basis, cap = range_cap(N) rows of N floats, the
@@ -139,9 +140,10 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
     N = 512 on.  For a symbol: expsum.solve_bytes of the spec, which grows
     with log N only.  For entries, solved by Lanczos: the 2N - 1 entries,
     their transform image and one matvec workspace
-    (hankel_core.circulant_embedding), and what lanczos_extremes holds: the
-    cap + 1 basis rows of N floats it allocates at once, four N-vectors (the
-    start vector, the product the apply returns and two Gram-Schmidt
+    (hankel_core.circulant_embedding), and what lanczos_extremes holds at
+    cap = lanczos_cap(N, params.k, params.basis_cap): the cap + 1 basis
+    rows of N floats it allocates at once, four N-vectors (the start
+    vector, the product the apply returns and two Gram-Schmidt
     transients), the block of at most cap * _RESTART_COLUMNS floats a thick
     restart rotates at a time, four (cap + 1)^2 arrays (the projected matrix
     T, the copy eigh factors, its eigenvectors and its workspace), and the
@@ -153,7 +155,7 @@ def solve_bytes(order: int, kind: str, k: int, basis_cap: int, spec=None) -> int
         return 8 * order * order + max(8 * order * order, finder)
     if kind == "symbol":
         return expsum.solve_bytes(spec, order)
-    cap = lanczos_cap(order, k, basis_cap)
+    cap = lanczos_cap(order, params.k, params.basis_cap)
     basis = (cap + 1) * order
     transients = (
         4 * order + cap * min(order, _RESTART_COLUMNS) + 4 * (cap + 1) ** 2 + 2 * (cap + 1)
@@ -554,9 +556,11 @@ def lanczos_extremes(
     the cap, every _CHECK_EVERY steps, or m/16 to m/8 past m = 128 basis
     vectors, so their O(m^3) eigh costs O(m^2) a step, and at the last
     step: max_iter applications (so basis_final never exceeds them; at the
-    cap, with no restart) or an exhausted space.  The residuals, and the
-    couplings a restart keeps, are one product: row m of T times the Ritz
-    vectors.  A check at a breakdown ends the solve only as the last: the
+    cap, with no restart) or an exhausted space.  The residuals are one
+    product: row m of T times the Ritz vectors.  A restart writes no
+    couplings of the kept vectors to the new one: the next step writes its
+    row of T in full, from the global pass that runs on every step after a
+    restart.  A check at a breakdown ends the solve only as the last: the
     invariant subspace holds one copy of each eigenvalue, so further copies
     are sought from a fresh direction.  The space is exhausted when the
     basis spans it, or when that direction breaks down at once with its
@@ -672,8 +676,7 @@ def lanczos_extremes(
         if last or m == cap or m % max(_CHECK_EVERY, (1 << m.bit_length()) // 16) == 0:
             theta, S = np.linalg.eigh(T[:m, :m])
             norm_est = max(norm_est, float(abs(theta[0])), float(abs(theta[-1])))
-            r = T[m, :m] @ S  # signed residuals, the couplings a restart keeps
-            res = np.abs(r)
+            res = np.abs(T[m, :m] @ S)  # the Ritz residuals
             top, bot, done, at_band = _stop_state(theta, res, tol, norm_est, k_eff)
             # At a breakdown every residual is zero, but copies may lie outside.
             if last or (done and not broke):
@@ -693,7 +696,6 @@ def lanczos_extremes(
                     V[:m, cols] = Sk @ V[:cap, cols]
                 T[:, :] = 0.0
                 T[:m, :m] = np.diag(theta[keep_idx])
-                T[m, :m] = T[:m, m] = r[keep_idx]  # zero at a breakdown
                 restarts += 1
                 partial = False
 
@@ -770,7 +772,7 @@ def _fresh_direction(rng, basis, n):
     raise RuntimeError("could not generate a direction orthogonal to the basis")
 
 
-def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
+def solve(op, params: SolverParams) -> SpectrumResult:
     """Spectrum of a dense matrix or a truncation, by the route of its type.
 
     op is a dense matrix, a DiscreteTruncation or a HankelTruncation.  A
@@ -778,8 +780,9 @@ def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
     eigenvalue above its Gram truncation.  A dense matrix takes the range
     finder, which returns every eigenvalue outside the zero band (dense
     below order 256 and on fallback).  A HankelTruncation takes Lanczos
-    through the fast matvec at every order, asking for k eigenvalues per
-    end (params.k when k is None).
+    through the fast matvec at every order, asking for params.k
+    eigenvalues per end; a caller that wants more per end passes params
+    with a larger k.
     """
     if isinstance(op, DiscreteTruncation):
         theta, details = expsum.eigenvalues(op.spec, op.order)
@@ -801,7 +804,7 @@ def solve(op, params: SolverParams, k: int | None = None) -> SpectrumResult:
     return lanczos_extremes(
         lambda v: matvec(op, v, out=w, workspace=workspace),
         op.order,
-        k=params.k if k is None else k,
+        k=params.k,
         tol=params.tol,
         max_iter=params.max_iter,
         seed=params.seed,

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FitParams
-from .eigensolve import SolverParams, solve
 from .hankel_core import HankelTruncation, require_memory
 from .model import ContinuousKernelSpec, FieldError, UnsupportedCombinationError, require_finite
 from .sequences import eval_kernel_many
@@ -45,7 +44,6 @@ __all__ = [
     "tail_bound",
     "suggest_domain",
     "ConvergenceReport",
-    "lanczos_request",
     "convergence_report",
 ]
 
@@ -284,11 +282,7 @@ def suggest_domain(
 
 @dataclass
 class ConvergenceReport:
-    """Eigenvalue tables per grid and relative changes between refinements.
-
-    converged[i] is the solver's convergence flag on grid i; the tables of
-    an unconverged grid hold only its converged prefixes.
-    """
+    """Eigenvalue tables per grid and relative changes between refinements."""
 
     labels: list
     tables_plus: list
@@ -296,50 +290,29 @@ class ConvergenceReport:
     window: tuple
     changes: list
     improving: bool
-    converged: list
 
 
-def lanczos_request(action: str, k: int, window) -> int:
-    """Eigenvalues per end a uniform grid's Lanczos solve asks for, by action.
-
-    spectrum fits the window (n_min, n_max): k, and at least n_max.  verify
-    tabulates it on every grid: 2 n_max, at least 16.
-    """
-    if action == "verify":
-        return max(2 * window[1], 16)
-    return max(k, window[1])
-
-
-def convergence_report(
-    spec: ContinuousKernelSpec,
-    grids,
-    window=(1, 8),
-    params: SolverParams = SolverParams(),
-) -> ConvergenceReport:
+def convergence_report(grids, spectra, window=(1, 8)) -> ConvergenceReport:
     """Tabulate lambda_n^+- across grids and their successive relative changes.
 
-    Each grid is solved once through eigensolve.solve with the knobs of
-    params: a uniform grid by Lanczos (lanczos_request), a geometric grid by
-    the range finder.
+    spectra[i] is the SpectrumResult of grids[i], solved by the caller; the
+    tables of an unconverged spectrum hold only its converged prefixes.
 
     The change between two grids is the max over the window (clipped to the
     eigenvalues available in both) and over both sign channels of the
     relative difference; an eigenvalue present on one grid but absent on
     the other counts as a change of 1.
     """
-    grids = list(grids)
+    grids, spectra = list(grids), list(spectra)
     if len(grids) < 2:
         raise ValueError(f"need at least 2 grids to compare, got {len(grids)}")
+    if len(spectra) != len(grids):
+        raise ValueError(f"need one spectrum per grid, got {len(spectra)} for {len(grids)} grids")
     n_lo, n_hi = FitParams(window).window
 
-    labels, tp, tm, converged = [], [], [], []
-    k = lanczos_request("verify", params.k, (n_lo, n_hi))
-    for g in grids:
-        S = solve(build_from_grid(spec, g), params, k=k)
-        labels.append(f"{g.kind} M={g.points} [{g.t_min:g},{g.t_max:g}]")
-        tp.append(np.asarray(S.lambda_plus[:n_hi]))
-        tm.append(np.asarray(S.lambda_minus[:n_hi]))
-        converged.append(S.converged)
+    labels = [f"{g.kind} M={g.points} [{g.t_min:g},{g.t_max:g}]" for g in grids]
+    tp = [np.asarray(S.lambda_plus[:n_hi]) for S in spectra]
+    tm = [np.asarray(S.lambda_minus[:n_hi]) for S in spectra]
 
     def channel_change(a, b):
         hi = min(n_hi, max(len(a), len(b)))
@@ -373,5 +346,4 @@ def convergence_report(
         window=(n_lo, n_hi),
         changes=changes,
         improving=improving,
-        converged=converged,
     )

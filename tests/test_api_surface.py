@@ -93,13 +93,23 @@ def test_physical_memory_is_read_in_one_function():
     assert readers == {("hankel_core", "require_memory")}
 
 
-def test_hankel_core_does_not_import_the_solvers():
-    # The solve plan lives in eigensolve; hankel_core is below both solvers.
+def _imports(stem: str) -> set:
+    """Modules and names the module imports, each by its last dotted part."""
     imported = set()
-    for node in ast.walk(TREES["hankel_core"]):
+    for node in ast.walk(TREES[stem]):
         if isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").rsplit(".", 1)[-1])
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    assert not imported & {"expsum", "eigensolve"}
+    return imported
+
+
+def test_hankel_core_does_not_import_the_solvers():
+    # The solve plan lives in eigensolve; hankel_core is below both solvers.
+    assert not _imports("hankel_core") & {"expsum", "eigensolve"}
+
+
+def test_quadrature_does_not_import_the_solvers():
+    # quadrature builds grids and compares the spectra its caller solved.
+    assert not _imports("quadrature") & {"expsum", "eigensolve"}

@@ -186,43 +186,66 @@ def test_overflowing_geometric_build_is_refused(tmp_path, capsys):
     assert "validation error: matrix has a NaN or infinite entry" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, solver, window, want",
-    [("spectrum", {"k": 4}, [1, 12], 12), ("spectrum", {}, [1, 8], 64), ("verify", {}, [1, 40], 80)],
-)
-def test_memory_check_counts_the_values_each_solve_asks_for(
-    tmp_path, monkeypatch, command, solver, window, want
-):
-    # The CLI's memory check and every Lanczos solve of the run must use the
-    # same count per end, or the check undercounts the basis.
-    from hankelspec import cli, quadrature
-
-    counted, asked = [], []
-
-    def solve_bytes(order, kind, k, *rest):
-        counted.append(k)
-        return real_bytes(order, kind, k, *rest)
-
-    def solve(op, params, k=None):
-        asked.append(k)
-        return real_solve(op, params, k=k)
-
-    real_bytes, real_solve = cli.solve_bytes, cli.solve
-    monkeypatch.setattr(cli, "solve_bytes", solve_bytes)
-    monkeypatch.setattr(cli, "solve", solve)
-    monkeypatch.setattr(quadrature, "solve", solve)
+def _triangle_runs(name, command, solver, window):
+    """A triangle kernel on uniform grids: one for spectrum, two for verify."""
     grids = [{"kind": "uniform", "t_max": 1.0, "points": M} for M in (128, 256)]
-    cfg = {
-        "name": "count",
+    return {
+        "name": name,
         "kind": "continuous",
         "spec": {"alpha": 1.0, "local_singularities": [{"t0": 1.0, "m": 0, "coeff": 1.0}]},
         "grids": grids[:1] if command == "spectrum" else grids,
         "solver": solver,
         "fit": {"window": window},
     }
+
+
+@pytest.mark.parametrize(
+    "command, solver, window, want",
+    [
+        ("spectrum", {"k": 4}, [1, 12], 12),
+        ("spectrum", {}, [1, 8], 64),
+        ("verify", {}, [1, 40], 80),
+        ("verify", {}, [1, 4], 16),
+    ],
+)
+def test_memory_check_counts_the_values_each_solve_asks_for(
+    tmp_path, monkeypatch, command, solver, window, want
+):
+    # The CLI's memory check and every Lanczos solve of the run must use the
+    # same count per end, or the check undercounts the basis.  verify asks
+    # for 2 n_max values per end, and for at least 16.
+    from hankelspec import cli
+
+    counted, asked = [], []
+
+    def solve_bytes(order, kind, params, *rest):
+        counted.append(params.k)
+        return real_bytes(order, kind, params, *rest)
+
+    def solve(op, params):
+        asked.append(params.k)
+        return real_solve(op, params)
+
+    real_bytes, real_solve = cli.solve_bytes, cli.solve
+    monkeypatch.setattr(cli, "solve_bytes", solve_bytes)
+    monkeypatch.setattr(cli, "solve", solve)
+    cfg = _triangle_runs("count", command, solver, window)
     code, _ = _run(tmp_path, command, cfg)
     assert code == 0
     assert counted == asked == [want] * len(cfg["grids"])
+
+
+@pytest.mark.parametrize(
+    "command, solver, window", [("spectrum", {"k": 4}, [1, 12]), ("verify", {}, [1, 40])]
+)
+def test_fit_json_reports_the_configured_solver_k(tmp_path, command, solver, window):
+    # Each solve asks for more values per end than solver.k (12 and 80);
+    # fit.json reports the config's own solver block.
+    cfg = _triangle_runs("knobs", command, solver, window)
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 0
+    fit = json.loads((out / "knobs" / "fit.json").read_text())
+    assert fit["producer"]["parameters"]["solver"]["k"] == solver.get("k", 64)
 
 
 def test_spectrum_continuous_grid(tmp_path):

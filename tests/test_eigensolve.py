@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -724,7 +725,7 @@ def test_range_route_peak_is_within_solve_bytes(matrix):
     finally:
         tracemalloc.stop()
     assert S.details["fell_back"] is (matrix is _full_rank)
-    assert A.nbytes + peak <= solve_bytes(M, "matrix", 64, 600)
+    assert A.nbytes + peak <= solve_bytes(M, "matrix", SolverParams())
 
 
 @pytest.mark.parametrize("M", [700, 1024])
@@ -737,7 +738,7 @@ def test_range_finder_peak_is_within_its_count(M):
     # rank does not fit range_cap.
     cap = eigensolve.range_cap(M)
     finder = 8 * (M * cap + 2 * cap * cap + 5 * RANGE_BLOCK * M)
-    assert solve_bytes(M, "matrix", 64, 600) == 8 * M * M + max(8 * M * M, finder)
+    assert solve_bytes(M, "matrix", SolverParams()) == 8 * M * M + max(8 * M * M, finder)
     A = build_graded(lambda t: 1.0 / t, GridSpec("geometric", 1e-12, 1.0, M))
     solve(_b_zero_grid(256), SolverParams())  # numpy.linalg allocates once on first use
     tracemalloc.start()
@@ -774,7 +775,7 @@ def _check_lanczos_peak(M):
     assert S.solver_id == "lanczos_partial_reorth_thick_restart"
     assert S.details["restarts"] >= (M > 64)
     held = H.entries.nbytes + H._alpha.nbytes + H._beta.nbytes
-    assert held + peak <= solve_bytes(M, "entries", 8, 40)
+    assert held + peak <= solve_bytes(M, "entries", params)
 
 
 # ------------------------------------------------------------------- counting
@@ -857,7 +858,7 @@ def test_solve_dispatches_on_the_operator_type():
     assert S.solver_id.startswith("lanczos")
     assert S.details["applies"] == 8
     assert S.details["requested_per_end"] == 4
-    assert solve(big, params, k=6).details["requested_per_end"] == 6
+    assert solve(big, replace(params, k=6)).details["requested_per_end"] == 6
 
 
 def _rank_one(M):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hankelspec.eigensolve import lanczos_cap, solve_bytes
+from hankelspec.eigensolve import SolverParams, lanczos_cap, solve_bytes
 from hankelspec.hankel_core import (
     HankelTruncation,
     ResourceLimitError,
@@ -127,12 +127,13 @@ def test_circulant_embedding_is_what_a_truncation_holds(N):
         (cap + 1) * N + 4 * N + cap * min(N, 2048) + 4 * (cap + 1) ** 2 + 2 * (cap + 1)
     )
     parent = 8 * (2 * N - 1) + 2 * half_spectrum + 8 * P + half_spectrum + lanczos
-    assert solve_bytes(N, "entries", 64, 600) == parent
+    params = SolverParams(k=64, basis_cap=600)
+    assert solve_bytes(N, "entries", params) == parent
     H = HankelTruncation(N, np.zeros(2 * N - 1))
     held = sum(a.nbytes for a in H.workspace()) + H._alpha.nbytes + H._beta.nbytes
     assert circulant_embedding(N) == (P, held)
     assert H._embed == P
-    assert solve_bytes(N, "entries", 64, 600) == H.entries.nbytes + held + lanczos
+    assert solve_bytes(N, "entries", params) == H.entries.nbytes + held + lanczos
 
 
 def test_matvec_symmetry():

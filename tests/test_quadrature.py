@@ -230,7 +230,7 @@ def test_graded_peak_is_within_its_scratch_and_solve_bytes(monkeypatch, name, t_
     assert used == [2] and A.nbytes == 8 * M * M
     scratch = quadrature._SCRATCH_PER_POINT * quadrature._GRADED_ROWS * M
     assert peak <= 8 * M * M + 2 * scratch
-    assert peak <= solve_bytes(M, "matrix", 64, 600)
+    assert peak <= solve_bytes(M, "matrix", eigensolve.SolverParams())
 
 
 def test_graded_zero_kernel():
@@ -343,16 +343,23 @@ def test_suggest_domain_compact_kernel():
 # ---------------------------------------------------------- convergence report
 
 
+def _converge(spec, grids, window):
+    """convergence_report of each grid's spectrum, solved for 2 n_max values per end."""
+    params = eigensolve.SolverParams(k=max(2 * window[1], 16))
+    spectra = [eigensolve.solve(build_from_grid(spec, g), params) for g in grids]
+    return convergence_report(grids, spectra, window=window), spectra
+
+
 def test_convergence_rank_one_geometric():
     grids = [GridSpec("geometric", 1e-8, 40.0, M) for M in (512, 1024, 2048)]
-    rep = convergence_report(RANK_ONE, grids, window=(1, 1))
+    rep, _ = _converge(RANK_ONE, grids, window=(1, 1))
     assert all(c <= 1e-6 for c in rep.changes)
 
 
 def test_convergence_triangle_shrinks():
     spec = ContinuousKernelSpec(alpha=1.0, local_singularities=[(1.0, 0, 1.0)])
     grids = [GridSpec("uniform", 1e-12, 1.0, M) for M in (256, 512, 1024)]
-    rep = convergence_report(spec, grids, window=(1, 8))
+    rep, _ = _converge(spec, grids, window=(1, 8))
     assert rep.changes[0] / rep.changes[1] >= 2.0
     assert rep.improving
 
@@ -360,32 +367,23 @@ def test_convergence_triangle_shrinks():
 def test_convergence_identical_grids():
     spec = ContinuousKernelSpec(alpha=1.0, local_singularities=[(1.0, 0, 1.0)])
     grids = [GridSpec("uniform", 1e-12, 1.0, 256)] * 2
-    rep = convergence_report(spec, grids, window=(1, 4))
+    rep, _ = _converge(spec, grids, window=(1, 4))
     assert rep.changes == [0.0]
 
 
-def test_convergence_above_dense_solve_limit_uses_lanczos(monkeypatch):
+def test_convergence_above_dense_solve_limit_uses_lanczos():
     # M = 2500 and 3000 lie between the dense-solve limit (2048) and the
     # dense materialization limit (8192): the iterative route must be taken
     # and must reproduce the exact Nystrom eigenvalues of the triangle kernel.
     # With A[i][j] = w for i + j + 1 <= M (w = t0/M) the eigenvalues are
     # t0 / (2 M sin((2k+1) pi / (2 (2M+1)))), k = 0, 1, ..., alternating in
     # sign from the sign of coeff.
-    routes = []
-    real = eigensolve.lanczos_extremes
-
-    def spy(*args, **kwargs):
-        S = real(*args, **kwargs)
-        routes.append((args[1], kwargs["k"]))
-        return S
-
-    monkeypatch.setattr(eigensolve, "lanczos_extremes", spy)
     spec = ContinuousKernelSpec(alpha=1.0, local_singularities=[(1.0, 0, 1.0)])
     sizes = (2500, 3000)
     grids = [GridSpec("uniform", 1e-12, 1.0, M) for M in sizes]
-    rep = convergence_report(spec, grids, window=(1, 8))
-    assert routes == [(M, 16) for M in sizes]
-    assert rep.converged == [True, True]
+    rep, spectra = _converge(spec, grids, window=(1, 8))
+    for S in spectra:
+        assert S.solver_id == "lanczos_partial_reorth_thick_restart" and S.converged
     for M, plus, minus in zip(sizes, rep.tables_plus, rep.tables_minus):
         k = np.arange(16)
         exact = 1.0 / (2.0 * M * np.sin((2 * k + 1) * math.pi / (2 * (2 * M + 1))))
@@ -397,4 +395,11 @@ def test_convergence_above_dense_solve_limit_uses_lanczos(monkeypatch):
 
 def test_convergence_needs_two_grids():
     with pytest.raises(ValueError):
-        convergence_report(RANK_ONE, [GridSpec("uniform", 1e-8, 1.0, 64)])
+        _converge(RANK_ONE, [GridSpec("uniform", 1e-8, 1.0, 64)], window=(1, 8))
+
+
+def test_convergence_needs_one_spectrum_per_grid():
+    grids = [GridSpec("uniform", 1e-8, 1.0, M) for M in (64, 128)]
+    _, spectra = _converge(RANK_ONE, grids, window=(1, 1))
+    with pytest.raises(ValueError, match="one spectrum per grid"):
+        convergence_report(grids, spectra[:1], window=(1, 1))
