@@ -294,7 +294,8 @@ class Scenario:
                     f"got {list(self.j_window)}",
                 )
             _refuse_oversize(
-                symbols.sample_bytes(self.samples), f"sampling {self.samples} points", "samples"
+                symbols.sample_bytes(self.samples, j_max),
+                f"sampling {self.samples} points", "samples",
             )
             # A dumped row holds at most 256 bytes while _run_symbol builds
             # symbol.csv: its index, angle and value (32), its string and the
@@ -303,7 +304,7 @@ class Scenario:
             # the joined text (75).
             rows = len(range(0, self.samples, _dump_stride(self.samples, self.dump_samples)))
             _refuse_oversize(
-                symbols.sample_bytes(self.samples) + 256 * rows,
+                symbols.sample_bytes(self.samples, j_max) + 256 * rows,
                 f"sampling {self.samples} points and dumping {rows} rows", "dump_samples",
             )
         if self.action in ("spectrum", "verify"):
@@ -657,19 +658,19 @@ def _run_symbol(scenario):
     spec, n = scenario.spec, scenario.samples
     samp = symbols.sample_aslog(spec, n)
     # The dumped rows are copied out before the transform overwrites the
-    # samples in place.
+    # samples in place; it returns only the j_window coefficients.
     stride = _dump_stride(n, scenario.dump_samples)
     idx = np.arange(0, n, stride)
     thetas = 2.0 * np.pi * idx / n
     thetas = np.where(thetas > np.pi, thetas - 2.0 * np.pi, thetas)
     dumped = samp[idx]
-    coeffs = symbols.fourier_coefficients(samp, out=samp)
+    coeffs = symbols.fourier_coefficients(samp, scenario.j_window, out=samp)
     fields = _symbol_fields(spec)
     b, symmetric = fields["b"], fields["symmetric"]
     j_lo, j_hi = scenario.j_window
     j = np.arange(j_lo, j_hi + 1)
     decay = j * np.log(j) ** spec.alpha
-    ratio = _decay_part(coeffs[j], symmetric) * decay / _decay_part(b, symmetric)
+    ratio = _decay_part(coeffs, symmetric) * decay / _decay_part(b, symmetric)
     ratio_median = analysis._median(ratio)
     rows = [
         f"# hankelspec {__version__} symbol samples={n} stride={stride}",

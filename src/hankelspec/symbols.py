@@ -3,7 +3,9 @@
 The symbols carry polynomial modulations around theta = 0, and their
 Fourier coefficients decay like b / (j log(j)^alpha).  This module
 evaluates and samples them, gives the closed-form coefficient b, and
-computes normalized Fourier coefficients from uniform samples.
+computes normalized Fourier coefficients from uniform samples: all of
+them, or a window [j_lo, j_hi] whose transform, run in the samples,
+holds nothing that grows with their count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ __all__ = [
 
 MAX_POLY_DEGREE = 4
 DEFAULT_HALF_WIDTHS = (0.25, 0.5)
+# Points of one eval_aslog call in sample_aslog, and twiddles of one block
+# in a windowed fourier_coefficients: fixed, so their arrays do not grow
+# with the sample count.
+_CHUNK = 2**15
 
 
 def _poly_eval(coeffs: tuple, theta):
@@ -172,10 +178,10 @@ def sample_aslog(spec: AsLogSpec, samples: int):
 
     The symbol is 0 for |theta| >= c2, so eval_aslog runs only on the two
     windows k in [1, reach] and [samples - reach, samples), reach =
-    floor(c2 samples / (2 pi)) + 1, one window at a time.  Past them
+    floor(c2 samples / (2 pi)) + 1, on _CHUNK points at a time.  Past them
     |theta_k| exceeds c2 by about 2 pi / samples or more, far more than the
     rounding of theta_k, so smooth_step's argument is negative and the
-    sample 0 on the full grid as well.  A window's theta_k is the full
+    sample 0 on the full grid as well.  A chunk's theta_k is the full
     grid's expression and eval_aslog works point by point, so every sample
     is the full grid's bit for bit.
     """
@@ -189,26 +195,36 @@ def sample_aslog(spec: AsLogSpec, samples: int):
     reach = min(int(spec.cutoffs[1] * samples / (2.0 * np.pi)) + 1, samples // 2)
     out = np.zeros(samples, dtype=complex)
     for lo, hi in ((1, reach + 1), (max(samples - reach, reach + 1), samples)):
-        theta = 2.0 * np.pi * np.arange(lo, hi) / samples
-        theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
-        out[lo:hi] = eval_aslog(spec, theta)
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            theta = 2.0 * np.pi * np.arange(a, b) / samples
+            theta = np.where(theta > np.pi, theta - 2.0 * np.pi, theta)
+            out[a:b] = eval_aslog(spec, theta)
     return out
 
 
-def sample_bytes(samples: int) -> int:
-    """Bytes the symbol action holds at its peak, by arithmetic.
+def sample_bytes(samples: int, j_max: int) -> int:
+    """Bytes a symbol action with coefficients up to j_max holds at its peak.
 
-    Sampling holds the complex result (16 bytes a sample) and the evaluation
-    of one window, under 1/(2 pi) of the samples since c2 < 1.  eval_aslog
-    holds 155 bytes over each point of it at its peak: the angles, their
-    moduli and logarithms, the cutoff, three masks, the result and six
-    complex arrays of one term.  That is under 40.7 in all.  The transform
-    overwrites the samples in place (16) and holds pocketfft's plan and work
-    buffer, one complex array each (32): 48.  56 bytes leave 8 a sample for
-    fixed objects.  The rows the CLI dumps to symbol.csv are counted where
-    it builds them.
+    The samples take 16 bytes each, and the transform runs in them.  The
+    rest is a transient that does not grow with the sample count:
+    - Sampling evaluates _CHUNK points at a time.  eval_aslog holds 155
+      bytes over each point at its peak: the angles, their moduli and
+      logarithms, the cutoff, three masks, the result and six complex arrays
+      of one term.  With sample_aslog's indices and angles that is under 200.
+    - A twiddle block of the window transform holds 40 bytes a twiddle: its
+      integer exponent and two complex arrays.  With the sampling chunk, 256
+      bytes a point of _CHUNK.
+    - pocketfft holds a plan and a work buffer of the transform length L, the
+      power of two above j_max.  That is 32 bytes a row when L = samples, a
+      single contiguous transform.  Otherwise the batched transform also
+      copies several columns at a time, 80 bytes a row in all.
+    - The window's coefficients and the arithmetic of their ratios take 64
+      bytes a coefficient, j_max at most.
+    The rows the CLI dumps to symbol.csv are counted where it builds them.
     """
-    return 56 * samples
+    rows = 1 << int(j_max).bit_length()
+    return 16 * samples + (32 if rows == samples else 80) * rows + 64 * j_max + 256 * _CHUNK
 
 
 def aslog_coefficient(spec: AsLogSpec) -> complex:
@@ -229,18 +245,55 @@ def aslog_coefficient(spec: AsLogSpec) -> complex:
     return complex(b)
 
 
-def fourier_coefficients(samples, out=None) -> np.ndarray:
+def fourier_coefficients(samples, window=None, out=None) -> np.ndarray:
     """DFT normalized so that samples of mu^j give coefficient 1 at index j.
 
-    out, if given, is a complex array of the samples' length that receives
-    the coefficients and is returned; it may be samples itself, which are
-    then transformed in place.
+    window = (j_lo, j_hi), 0 <= j_lo <= j_hi < n, gives the coefficients
+    j_lo..j_hi alone, as a new array; without it every coefficient comes
+    out, bit for bit np.fft.fft(samples) / n.
+
+    The window is read through decimation in time (Cooley and Tukey, 1965)
+    in the four-step form (Bailey, 1990).  With L the power of two above
+    j_hi and R = n / L, sample l R + r is entry (l, r) of an L x R array,
+    and one batched length-L FFT down its columns gives Y.  Then
+
+        c_j = (1/n) sum_r exp(-2 pi i j r / n) Y[j, r],    j < L,
+
+    each twiddle from the exact integer j r, under n since j < L and r < R,
+    built _CHUNK at a time.  R = 1 when j_hi >= n/2, and the window is then
+    sliced from the length-n transform.  Its error is that of a length-n
+    FFT, a few log2(n) roundings of sum |samples| / n.
+
+    The transform runs in out, a complex array of the samples' length; it
+    may be samples itself, which are then overwritten, and is a new array
+    if omitted.  Without a window out receives the coefficients and is
+    returned; with one it is scratch.
     """
     samples = np.asarray(samples, dtype=complex)
     n = len(samples)
     if n < 2 or n & (n - 1):
         raise ValueError(f"sample count must be a power of two, got {n}")
-    out = np.fft.fft(samples, out=out)
-    out /= n
-    return out
-
+    j_lo, j_hi = (0, n - 1) if window is None else window
+    if not 0 <= j_lo <= j_hi < n:
+        raise ValueError(f"need 0 <= j_lo <= j_hi < {n}, got window {window}")
+    L = 1 << int(j_hi).bit_length()
+    R = n // L
+    if R == 1:
+        out = np.fft.fft(samples, out=out)
+        out /= n
+        return out if window is None else out[j_lo : j_hi + 1].copy()
+    Y = np.fft.fft(
+        samples.reshape(L, R), axis=0, out=None if out is None else out.reshape(L, R)
+    )
+    coeffs = np.zeros(j_hi - j_lo + 1, dtype=complex)
+    cols = min(R, _CHUNK)
+    rows = _CHUNK // cols
+    for a in range(j_lo, j_hi + 1, rows):
+        b = min(a + rows, j_hi + 1)
+        j = np.arange(a, b)[:, None]
+        for r in range(0, R, cols):
+            twiddle = np.exp(-2j * np.pi / n * (j * np.arange(r, r + cols)))
+            twiddle *= Y[a:b, r : r + cols]
+            coeffs[a - j_lo : b - j_lo] += twiddle.sum(axis=1)
+    coeffs /= n
+    return coeffs

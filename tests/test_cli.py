@@ -921,8 +921,8 @@ REFUSALS = [
         "grids[0].points",
     ),
     _memory_refusal("samples-memory", "symbol", {**SYMBOL, "samples": 2**40}, "samples"),
-    # 2^20 samples take 56 MiB by sample_bytes, and 2^20 dumped rows 256 MiB
-    # more: 128 MiB refuses only the rows.
+    # 2^20 samples with j_max 4096 take 25 MiB by sample_bytes, and 2^20
+    # dumped rows 256 MiB more: 128 MiB refuses only the rows.
     _memory_refusal(
         "dump-samples-memory", "symbol", {**SYMBOL, "samples": 2**20, "dump_samples": 2**20},
         "dump_samples", memory=128 << 20,
@@ -1321,7 +1321,7 @@ def test_symbol_memory_check_counts_the_dumped_rows(monkeypatch):
     from hankelspec import cli
 
     cfg = {
-        "kind": "symbol", "action": "symbol", "samples": 2**16, "dump_samples": 2**16,
+        "kind": "symbol", "action": "symbol", "samples": 2**18, "dump_samples": 2**18,
         "spec": {"alpha": 2.0, "v0_plus": [1.0, [0.5, -0.25]], "cutoffs": [0.001, 0.999]},
         "j_window": [8, 512],
     }
@@ -1333,8 +1333,9 @@ def test_symbol_memory_check_counts_the_dumped_rows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The rows, not the samples, hold most of the peak.
-    assert peak > 2 * hankelspec.symbols.sample_bytes(2**16)
+    # The rows, not the samples, hold most of the peak.  sample_bytes counts
+    # a fixed transient of 8 MiB, so it takes 2^18 rows to outweigh it.
+    assert peak > 2 * hankelspec.symbols.sample_bytes(2**18, 512)
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": peak // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     with pytest.raises(hankelspec.model.FieldError) as exc:

@@ -46,11 +46,9 @@ def test_cli_reproduces_the_golden_corpus(tmp_path):
     got, want = _files(tmp_path), _files(GOLDEN)
     assert sorted(got) == sorted(want)
     same_build = got.pop("build.json") == want.pop("build.json")
-    for name, text in want.items():
-        if same_build:
-            assert got[name] == text, f"{name} differs from the golden corpus"
-        else:
-            assert _close(got[name].decode(), text.decode()), f"{name} differs from the golden corpus"
+    same = (lambda g, w: g == w) if same_build else (lambda g, w: _close(g.decode(), w.decode()))
+    differing = [name for name, text in want.items() if not same(got[name], text)]
+    assert not differing, "differ from the golden corpus:\n" + "\n".join(differing)
 
 
 def test_number_tokens_compare_within_the_tolerance():

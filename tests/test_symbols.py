@@ -170,6 +170,35 @@ def test_fourier_requires_power_of_two():
         fourier_coefficients(np.ones(48))
 
 
+@st.composite
+def _windows(draw):
+    """(n, j_lo, j_hi): n a power of two in [4, 2^14], 0 <= j_lo <= j_hi <= n/2."""
+    n = 2 ** draw(st.integers(2, 14))
+    j_hi = draw(st.one_of(st.just(n // 2), st.integers(0, n // 2)))
+    j_lo = draw(st.one_of(st.just(j_hi), st.integers(0, j_hi)))
+    return n, j_lo, j_hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(window=_windows(), seed=st.integers(0, 2**32 - 1))
+@example(window=(2**17, 0, 1), seed=0)  # R = 2^16 columns, split over two twiddle blocks
+def test_fourier_window_is_a_slice_of_the_full_transform(window, seed):
+    n, j_lo, j_hi = window
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    full = np.fft.fft(x) / n
+    assert np.array_equal(fourier_coefficients(x), full)
+    got = fourier_coefficients(x, (j_lo, j_hi))
+    assert got.shape == (j_hi - j_lo + 1,)
+    # A length-n FFT's error: a few log2(n) roundings of sum |x| / n.
+    u = np.finfo(float).eps / 2
+    bound = 4 * math.log2(n) * u * np.sum(np.abs(x)) / n
+    assert np.max(np.abs(got - full[j_lo : j_hi + 1])) <= bound
+    for bad in ((-1, j_hi), (j_lo, n), (j_hi + 1, j_hi)):
+        with pytest.raises(ValueError, match="window"):
+            fourier_coefficients(x, bad)
+
+
 # Sampling and transform of a symbol run in a fresh process; prints the
 # growth of its peak RSS over its RSS before them.  Linux keeps both in
 # /proc/self/status: VmHWM is the peak of this process image, where
@@ -182,12 +211,12 @@ def kib(key):
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith(key))
 
-samples, c1, c2 = int(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3])
+samples, j_max, c1, c2 = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
 spec = AsLogSpec(alpha=2.0, cutoffs=(c1, c2))
-fourier_coefficients(sample_aslog(spec, 64))  # the code pages of first use
+fourier_coefficients(sample_aslog(spec, 64), (2, 8))  # the code pages of first use
 before = kib("VmRSS:")
 x = sample_aslog(spec, samples)
-fourier_coefficients(x, out=x)
+fourier_coefficients(x, (2, j_max), out=x)
 print(1024 * (kib("VmHWM:") - before))
 """
 
@@ -197,31 +226,36 @@ print(1024 * (kib("VmHWM:") - before))
 def test_sample_bytes_bounds_the_traced_peak(cutoffs, samples):
     """sample_bytes bounds the sampling and the in-place transform of a symbol run.
 
-    Sampling allocates through numpy, so tracemalloc sees its peak.  The
-    transform's own buffers, pocketfft's plan and work buffer, are allocated
-    outside numpy and are not traced; they are counted from the RSS of a
-    fresh process instead, as the growth of its peak RSS over both phases.
-    At cutoffs (0.001, 0.999) each window sampling evaluates holds almost
-    1/(2 pi) of the samples, the most the per-sample count allows for.
+    Sampling and the twiddle blocks allocate through numpy, so tracemalloc
+    sees their peak.  The transform's own buffers, pocketfft's plan and work
+    buffer, are allocated outside numpy and are not traced; they are counted
+    from the RSS of a fresh process instead, as the growth of its peak RSS
+    over both phases.  At cutoffs (0.001, 0.999) each window sampling
+    evaluates holds almost 1/(2 pi) of the samples, more than one chunk at
+    2^18.  j_max 8 gives the most columns, R = samples/16, samples/4 the
+    longest batched transform (R = 2) and samples/2 the single transform
+    (R = 1).
     """
     spec = AsLogSpec(alpha=2.0, v0_plus=[1.0], v0_minus=[1.0], cutoffs=cutoffs)
-    sample_aslog(spec, 64)  # numpy allocates once on first use
-    tracemalloc.start()
-    try:
-        sample_aslog(spec, samples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= sample_bytes(samples)
-    if not Path("/proc/self/status").exists():
-        return
+    fourier_coefficients(sample_aslog(spec, 64), (2, 8))  # numpy allocates once on first use
     src = str(Path(hankelspec.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", BOTH_PHASES, str(samples), *map(str, cutoffs)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= sample_bytes(samples)
+    for j_max in (8, samples // 4, samples // 2):
+        tracemalloc.start()
+        try:
+            x = sample_aslog(spec, samples)
+            fourier_coefficients(x, (2, j_max), out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sample_bytes(samples, j_max), j_max
+        if not Path("/proc/self/status").exists():
+            continue
+        proc = subprocess.run(
+            [sys.executable, "-c", BOTH_PHASES, str(samples), str(j_max), *map(str, cutoffs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= sample_bytes(samples, j_max), j_max
 
 
 # ------------------------------------------------------------ windowed sampling
@@ -255,6 +289,8 @@ def _asymmetric_specs(draw):
 @given(spec=_asymmetric_specs(), log2_samples=st.integers(1, 16))
 @example(spec=AsLogSpec(alpha=2.0, u0_plus=(2.0 + 0.5j,), cutoffs=(0.001, 0.999)), log2_samples=16)
 @example(spec=AsLogSpec(alpha=1.5, v1_minus=(0.5j,), cutoffs=(0.01, 0.02)), log2_samples=16)
+# Windows of 41680 points: two chunks each.
+@example(spec=AsLogSpec(alpha=2.0, v1_plus=(0.5j,), cutoffs=(0.001, 0.999)), log2_samples=18)
 def test_sample_aslog_is_eval_aslog_on_the_full_grid(spec, log2_samples):
     # sample_aslog evaluates only the windows where |theta| < c2; every bit
     # of its samples is that of eval_aslog over the whole grid.
@@ -269,6 +305,11 @@ def test_sample_aslog_is_eval_aslog_on_the_full_grid(spec, log2_samples):
 
 def test_fourier_coefficients_in_place_matches_a_new_array():
     x = sample_aslog(AsLogSpec(alpha=2.0, u0_plus=(0.5j,), cutoffs=(0.001, 0.999)), 2**12)
-    want = fourier_coefficients(x)
-    assert fourier_coefficients(x, out=x) is x
-    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+    # No window, then R = 256, R = 2 and a window sliced from the single transform.
+    for window in (None, (2, 8), (512, 1024), (1000, 2048)):
+        y = x.copy()
+        want = fourier_coefficients(y, window)
+        got = fourier_coefficients(y, window, out=y)
+        if window is None:
+            assert got is y
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), window
