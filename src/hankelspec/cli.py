@@ -12,6 +12,9 @@ timestamps, so rerunning an identical config with the same seed
 reproduces every output byte for byte.  Exit codes: 0 success, 2
 config/validation failure (diagnostics name the offending field), 3
 solver non-convergence (outputs are still written, flagged).
+Importing this module sets OpenBLAS's idle spin to its shortest unless
+the environment already sets it (see the comment at the imports); the
+library modules leave every BLAS setting alone.
 """
 
 from __future__ import annotations
@@ -20,8 +23,21 @@ import argparse
 import dataclasses
 import inspect
 import math
+import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: after
+# each call its worker threads spin for 2^value cycles before they sleep
+# (value clamped to [4, 30]; the default 28 is about 0.13 s at 2.1 GHz).
+# The solvers call BLAS for a few milliseconds at a time between FFTs, so
+# at the default the worker never sleeps and a solve bills a second core
+# for its whole length.  At 4 the worker sleeps as soon as its part of a
+# call ends.  BLAS still runs on the same threads, so every result is
+# bitwise the same.  A value already in the environment is kept.  This has
+# to run before numpy loads, which is why hankelspec imports its
+# submodules lazily.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 

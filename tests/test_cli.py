@@ -1500,6 +1500,71 @@ def test_cli_import_does_not_load_the_thread_pool():
     assert proc.stdout.split() == ["False"]
 
 
+def _env_without_thread_timeout() -> dict:
+    # Built from scratch: once this process has imported hankelspec.cli, its
+    # own environment holds OPENBLAS_THREAD_TIMEOUT, and a child would
+    # inherit it.
+    src = str(Path(hankelspec.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+LIBRARY_IMPORT_SCRIPT = """
+import os, sys
+import hankelspec
+print("numpy" in sys.modules)
+print(hankelspec.eigensolve.__name__)
+for name in hankelspec.__all__:
+    getattr(hankelspec, name)
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+def test_package_import_loads_no_numpy_and_library_sets_no_blas_policy():
+    # The submodules load on first access, so that hankelspec.cli's first
+    # line runs before numpy loads; the library itself sets nothing.
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBRARY_IMPORT_SCRIPT],
+        capture_output=True, text=True, env=_env_without_thread_timeout(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "hankelspec.eigensolve", "None"]
+
+
+THREAD_TIMEOUT_AT_NUMPY_SCRIPT = """
+import os, sys
+
+class RecordAtNumpy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+finder = RecordAtNumpy()
+sys.meta_path.insert(0, finder)
+import hankelspec.cli
+print(finder.seen)
+"""
+
+
+@pytest.mark.parametrize("given, seen", [(None, "4"), ("30", "30")])
+def test_cli_sets_the_blas_thread_timeout_before_numpy_loads(given, seen):
+    # OpenBLAS reads the variable once, when numpy loads it; a value the
+    # caller set is kept.
+    env = _env_without_thread_timeout()
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_TIMEOUT_AT_NUMPY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([seen])
+
+
 FFT_FAULTS_SCRIPT = """
 import resource
 import numpy as np
