@@ -753,7 +753,7 @@ _M_ARENA_MAX = -8
 _MALLOC_THRESHOLD_BYTES = 16 << 20
 
 
-def _keep_scratch_on_heap() -> None:
+def _keep_scratch_on_heap():
     """Serve allocations below 16 MiB from one heap and keep 16 MiB of it.
 
     numpy's FFT allocates and frees a scratch buffer on every transform
@@ -765,22 +765,34 @@ def _keep_scratch_on_heap() -> None:
     their own, each would keep up to 16 MiB more resident (9 MB more peak
     RSS on a 4096-point grid).  Does nothing where the C library has no
     mallopt.
+
+    Returns the function main calls after each scenario: glibc's
+    malloc_trim(0), which hands the freed heap back, so that a sweep's next
+    scenario does not peak on top of what the last one left resident.  It
+    does nothing where the C library has no malloc_trim.
     """
     import ctypes
 
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt = libc.mallopt
     except (OSError, TypeError, AttributeError):
-        return
+        return lambda: None
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD_BYTES)
     mallopt(_M_ARENA_MAX, 1)
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is None:
+        return lambda: None
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    return lambda: trim(0)
 
 
 def main(argv=None) -> int:
-    _keep_scratch_on_heap()
+    trim_heap = _keep_scratch_on_heap()
     parser = argparse.ArgumentParser(
         prog="hankelspec",
         description="Spectral asymptotics toolkit for Hankel operators",
@@ -824,8 +836,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    codes = []
     try:
-        codes = [run_scenario(s, out_root) for s in scenarios]
+        for s in scenarios:
+            codes.append(run_scenario(s, out_root))
+            trim_heap()
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

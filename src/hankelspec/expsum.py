@@ -16,18 +16,20 @@ s <= 1.5 suffices: e^{-1.5 HEAD} is far below rounding.
 Factorization.  Every entry h(x) with x >= HEAD is then a sum over nodes and
 characters e^{i phi x}: phi = 0 carries b_plus1 and the perturbation (whose
 q_{a+beta} shares the nodes with its own weights), phi = pi carries
-b_minus1, and each oscillation 2 b cos(phi x - psi) = 2 Re(b e^{-i psi}
-e^{i phi x}) gives the pair of real columns Re and Im of e^{(-s + i phi) x}.
-With the head of order HEAD kept dense (from eval_discrete_many; up to
-order HEAD it is the whole matrix) and the tail rows written as columns F,
+b_minus1, and each oscillation 2 b cos(phi x - psi) = 2 Re(c e^{i phi x}),
+c = b e^{-i psi}, gives the pair of real columns Re and Im of
+sqrt(c / |c|) e^{(-s + i phi) x}.  With the head of order HEAD kept dense
+(from eval_discrete_many; up to order HEAD it is the whole matrix) and the
+tail rows written as columns F,
 
     A = [I 0; 0 F] K [I 0; 0 F]^T,   K = [A_hh, B M; M B^T, M],
 
-where B holds the head rows of the columns and M is block diagonal: the sign
-of the weight for a real column, and the signature-(+1, -1) block
-[cos g, -sin g; -sin g, -cos g], g = arg(b e^{-i psi}), for an oscillation
-pair.  The columns are balanced (scaled by the square root of their weight),
-so every entry stays bounded.  Their Gram matrix F^T F has closed-form
+where B holds the head rows of the columns and M is diagonal, the sign of
+each column: the sign of the weight for a real character, +1 for the Re
+and -1 for the Im column of an oscillation (the symmetry principle: an
+oscillation adds the same share to both signs of the spectrum).  The
+columns are balanced (scaled by the square root of their weight), so every
+entry stays bounded.  Their Gram matrix F^T F has closed-form
 entries, geometric sums over the N - HEAD tail rows written with expm1; it
 is eigen-truncated below _RANK_REL of its largest eigenvalue.
 
@@ -45,6 +47,7 @@ per oscillation, and O(columns^2) memory.  Nothing is computed at import.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -141,12 +144,18 @@ def _unit(phi: float, n: int) -> complex:
 
 
 def _characters(spec: DiscreteSymbolSpec, log_s):
-    """(phi, amplitudes, mid) of each character block of columns.
+    """(phi, amplitudes, signs) of each character block of columns.
 
     amplitudes is a list of one (real character) or two (oscillation)
     complex arrays over the nodes: the column of amplitude a has the entry
-    Re(a e^{(-s + i phi) x}) in row x.  mid is the diagonal of M for a real
-    character, and the angle g of its 2 x 2 blocks for an oscillation.
+    Re(a e^{(-s + i phi) x}) in row x.  signs is the diagonal of M over the
+    block's columns.  An oscillation's amplitude carries sqrt(c / |c|),
+    c = b e^{-i psi}, so that with z = e^{-s + i phi} and
+    u_x = sqrt(c / |c|) z^x
+
+        Re(c z^{x+y}) = |c| (Re u_x Re u_y - Im u_x Im u_y),
+
+    and its Re and Im columns take the signs +1 and -1.
     """
     w = weights(log_s, spec.alpha)
     pert = spec.perturbation
@@ -162,8 +171,8 @@ def _characters(spec: DiscreteSymbolSpec, log_s):
         out.append((math.pi, [np.sqrt(np.abs(W)).astype(complex)], np.sign(W)))
     for osc in pairs:
         c = osc.b * complex(math.cos(osc.psi), -math.sin(osc.psi))
-        a = np.sqrt(2.0 * abs(c) * w).astype(complex)
-        out.append((osc.phi, [a, -1j * a], math.atan2(c.imag, c.real)))
+        a = np.sqrt(2.0 * abs(c) * w) * np.sqrt(c / abs(c))
+        out.append((osc.phi, [a, -1j * a], np.repeat([1.0, -1.0], len(w))))
     return out
 
 
@@ -179,23 +188,6 @@ def _cexpm1(x, y):
     return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
 
 
-def _apply_mid(chars, X):
-    """M X, for X with one row per column."""
-    out = np.empty_like(X)
-    row = 0
-    for phi, amps, mid in chars:
-        K = len(amps[0])
-        if len(amps) == 1:
-            out[row : row + K] = mid[:, None] * X[row : row + K]
-        else:
-            P, Q = X[row : row + K], X[row + K : row + 2 * K]
-            c, s = math.cos(mid), math.sin(mid)
-            out[row : row + K] = c * P - s * Q
-            out[row + K : row + 2 * K] = -s * P - c * Q
-        row += len(amps) * K
-    return out
-
-
 def _gram(chars, log_s, L: int) -> np.ndarray:
     """F^T F over the L tail rows, the columns shifted to start at row HEAD.
 
@@ -203,47 +195,36 @@ def _gram(chars, log_s, L: int) -> np.ndarray:
     and sum_{t < L} r^t = expm1(L log r) / expm1(log r), with the phase of
     L log r reduced exactly.
     """
+    K = len(log_s)
     s = np.exp(log_s)
     sig = np.exp(np.logaddexp.outer(log_s, log_s))  # s_m + s_n
     sig_L = np.exp(np.logaddexp.outer(log_s, log_s) + math.log(L))
-    shift = []  # amplitudes of row HEAD: a e^{(-s + i phi) HEAD}
-    for phi, amps, _ in chars:
-        turn = np.exp(-s * HEAD) * _unit(phi, HEAD)
-        shift.append([a * turn for a in amps])
-    size = sum(len(amps) * len(log_s) for _, amps, _ in chars)
-    G = np.empty((size, size))
-    ra = 0
-    for i, (phi_a, _, _) in enumerate(chars):
-        rb = ra
-        for j in range(i, len(chars)):
-            phi_b = chars[j][0]
-            S = []
-            for sign in (1.0, -1.0):
-                theta = math.remainder(phi_a + sign * phi_b, 2.0 * math.pi)
-                theta_L = math.remainder(_angle(phi_a, L) + sign * _angle(phi_b, L), 2.0 * math.pi)
-                S.append(_cexpm1(-sig_L, theta_L) / _cexpm1(-sig, theta))
-            row = ra
-            for u in shift[i]:
-                col = rb
-                for v in shift[j]:
-                    block = 0.5 * (np.outer(u, v) * S[0] + np.outer(u, v.conj()) * S[1]).real
-                    G[row : row + len(u), col : col + len(v)] = block
-                    G[col : col + len(v), row : row + len(u)] = block.T
-                    col += len(v)
-                row += len(u)
-            rb += len(shift[j]) * len(log_s)
-        ra += len(shift[i]) * len(log_s)
-    return G
+    # The amplitudes of row HEAD, a e^{(-s + i phi) HEAD}, in column order.
+    u = [a * (np.exp(-s * HEAD) * _unit(phi, HEAD)) for phi, amps, _ in chars for a in amps]
+    first = np.cumsum([0] + [len(amps) for _, amps, _ in chars])
+    G = np.empty((len(u), K, len(u), K))
+    for i, j in itertools.combinations_with_replacement(range(len(chars)), 2):
+        phi_a, phi_b = chars[i][0], chars[j][0]
+        S = []
+        for sign in (1.0, -1.0):
+            theta = math.remainder(phi_a + sign * phi_b, 2.0 * math.pi)
+            theta_L = math.remainder(_angle(phi_a, L) + sign * _angle(phi_b, L), 2.0 * math.pi)
+            S.append(_cexpm1(-sig_L, theta_L) / _cexpm1(-sig, theta))
+        for p in range(first[i], first[i + 1]):
+            for q in range(first[j], first[j + 1]):
+                block = 0.5 * (np.outer(u[p], u[q]) * S[0] + np.outer(u[p], u[q].conj()) * S[1]).real
+                G[p, :, q] = block
+                G[q, :, p] = block.T
+    return G.reshape(len(u) * K, -1)
 
 
 def _head_rows(chars, log_s) -> np.ndarray:
     """The rows x < HEAD of every column."""
     decay = np.exp(-np.outer(np.arange(HEAD), np.exp(log_s)))
-    blocks = []
-    for phi, amps, _ in chars:
-        z = decay * np.array([_unit(phi, x) for x in range(HEAD)])[:, None]
-        blocks += [(z * a).real for a in amps]
-    return np.hstack(blocks) if blocks else np.zeros((HEAD, 0))
+    return np.hstack([
+        (decay * np.array([_unit(phi, x) for x in range(HEAD)])[:, None] * a).real
+        for phi, amps, _ in chars for a in amps
+    ])
 
 
 def solve_bytes(spec: DiscreteSymbolSpec, N: int) -> int:
@@ -281,14 +262,14 @@ def eigenvalues(spec: DiscreteSymbolSpec, N: int):
     chars = _characters(spec, log_s)
     rows = eval_discrete_many(spec, np.arange(2 * head - 1))
     A_hh = np.lib.stride_tricks.sliding_window_view(rows, head)
-    cols = sum(len(amps) for _, amps, _ in chars) * len(log_s)
+    cols = sum(len(signs) for _, _, signs in chars)
     rank = 0
     if cols:
         lam, U = np.linalg.eigh(_gram(chars, log_s, N - HEAD))
         keep = lam > _RANK_REL * lam[-1]
         Z = U[:, keep] * np.sqrt(lam[keep])
         rank = Z.shape[1]
-        MZ = _apply_mid(chars, Z)
+        MZ = np.concatenate([signs for _, _, signs in chars])[:, None] * Z
         coupling = _head_rows(chars, log_s) @ MZ
         R = np.block([[A_hh, coupling], [coupling.T, Z.T @ MZ]])
     else:

@@ -13,10 +13,11 @@ exhausts, and max_iter), a geometric grid on the range-finder route, two
 geometric grids whose kernels between them take every branch of the
 kernel evaluator and both cutoff bands, two `symbol` runs with
 polynomials that differ on the two sides of theta = 0, one with a narrow
-and one with a wide cutoff band, a discrete order above 2^53 with a
-b_minus1 term, `predict` on each kind, a `spectrum` whose prediction the
-closed form does not cover, and every refusal of `REFUSALS` in
-`tests/test_cli.py`.
+and one with a wide cutoff band, a discrete spectrum with a b_minus1 term
+and oscillations whose b e^{-i psi} is not a positive real, a discrete
+order above 2^53 with a b_minus1 term, `predict` on each kind, a
+`spectrum` whose prediction the closed form does not cover, and every
+refusal of `REFUSALS` in `tests/test_cli.py`.
 Physical memory reads as 8 GiB in every case, or as the row's own figure
 for the memory refusals that set one, so the messages do not depend on the
 machine.  `build.json` records the machine, numpy and OpenBLAS the corpus
@@ -132,6 +133,16 @@ RUNS = {
             "samples": 2**16, "j_window": [512, 4096], "dump_samples": 256,
         },
     ]}),
+    # Oscillations whose b e^{-i psi} is not a positive real, beside a
+    # b_minus1 term: the expsum columns carry a rotated amplitude.
+    "discrete-rotated-oscillations": ("spectrum", {
+        "name": "rotated", "kind": "discrete",
+        "spec": {
+            "alpha": 1.5, "b_plus1": 0.5, "b_minus1": -1.0,
+            "oscillations": [{"phi": 1.0, "psi": 0.5, "b": -0.75}, {"phi": 2.0, "psi": -1.2, "b": 0.4}],
+        },
+        "N_list": [4096], "fit": {"window": [4, 16], "model": "plain"},
+    }),
     "b-minus1-beyond-2-53": ("spectrum", {
         "name": "bm1-huge", "kind": "discrete",
         "spec": {"alpha": 1.0, "b_plus1": 0.25, "b_minus1": -1.0}, "N_list": [2**53 + 3],

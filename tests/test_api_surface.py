@@ -113,3 +113,9 @@ def test_hankel_core_does_not_import_the_solvers():
 def test_quadrature_does_not_import_the_solvers():
     # quadrature builds grids and compares the spectra its caller solved.
     assert not _imports("quadrature") & {"expsum", "eigensolve"}
+
+
+def test_expsum_imports_no_solver():
+    # expsum factors a discrete spec; within the package it reads only the
+    # spec and the entry evaluator, so eigensolve can call it.
+    assert _imports("expsum") & set(TREES) == {"model", "sequences"}

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: configs in, report files and exit codes out."""
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -7,12 +8,13 @@ import os
 import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import hankelspec
-from hankelspec import quadrature
+from hankelspec import cli, quadrature
 from hankelspec.cli import main, parse_scenario
 
 
@@ -1603,3 +1605,39 @@ def test_fft_scratch_is_reused_without_page_faults():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1000
+
+
+def _fake_libc(calls, names):
+    """A C library with the entry points names, each recording its calls."""
+    def entry(name):
+        def call(*args):
+            calls.append((name, *args))
+            return 0
+        return call
+    return types.SimpleNamespace(**{name: entry(name) for name in names})
+
+
+@pytest.mark.parametrize(
+    "names, trimmed",
+    [(("mallopt", "malloc_trim"), True), (("mallopt",), False), ((), False)],
+    ids=["glibc", "no-malloc-trim", "no-mallopt"],
+)
+def test_freed_heap_is_trimmed_after_each_scenario(tmp_path, monkeypatch, names, trimmed):
+    # The heap one scenario freed goes back to the system before the next
+    # one runs; a C library without the call runs the same sweep untrimmed.
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _fake_libc(calls, names))
+    run_scenario = cli.run_scenario
+
+    def spy(scenario, out_root):
+        calls.append(("run", scenario.name))
+        return run_scenario(scenario, out_root)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    cfg = {"scenarios": [{**DISCRETE_PREDICT, "name": name} for name in ("a", "b", "c")]}
+    code, out = _run(tmp_path, "sweep", cfg)
+    assert code == 0
+    runs = [[("run", name)] + [("malloc_trim", 0)] * trimmed for name in ("a", "b", "c")]
+    assert [c for c in calls if c[0] != "mallopt"] == sum(runs, [])
+    assert sum(c[0] == "mallopt" for c in calls) == 3 * ("mallopt" in names)
+    assert all((out / name / "prediction.json").exists() for name in ("a", "b", "c"))

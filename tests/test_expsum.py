@@ -1,6 +1,7 @@
 """Exponential-sum factorization: nodes, dense and Lanczos oracles, the paper's regime."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -31,6 +32,8 @@ SPECS = {
 }
 # The spec of the discrete benchmark workload: b1 plus the phi = pi/2 oscillation.
 B1_OSC = DiscreteSymbolSpec(alpha=1.0, b_plus1=1.0, oscillations=[(math.pi / 2, 0.0, 1.0)])
+# Three oscillations whose b e^{-i psi} is not a positive real.
+ROTATED = DiscreteSymbolSpec(alpha=1.5, oscillations=[(1.0, 0.5, -0.75), (2.0, -1.2, 0.4), (0.4, 2.0, 1.0)])
 AGREE = 1e-12  # relative to ||A||
 
 
@@ -99,11 +102,14 @@ def test_matches_dense_eigvalsh(name, N):
     assert len(theta) == details["head_order"] + details["gram_rank"]
 
 
-@pytest.mark.parametrize("N", [2**14, 2**18])
-def test_matches_tight_lanczos(N):
-    lanczos = solve(build_discrete(B1_OSC, N), SolverParams(k=120, tol=1e-13))
+@pytest.mark.parametrize(
+    "spec, N", [(B1_OSC, 2**14), (B1_OSC, 2**18), (SPECS["oscillation"], 2**14)],
+    ids=["16384", "262144", "oscillation-16384"],
+)
+def test_matches_tight_lanczos(spec, N):
+    lanczos = solve(build_discrete(spec, N), SolverParams(k=120, tol=1e-13))
     assert lanczos.converged
-    theta, _ = expsum.eigenvalues(B1_OSC, N)
+    theta, _ = expsum.eigenvalues(spec, N)
     norm = float(np.max(np.abs(theta)))
     plus, minus = _channels(theta, norm)
     assert _prefix_gap(plus, lanczos.lambda_plus) <= AGREE * norm
@@ -146,6 +152,26 @@ def test_oscillation_orders_beyond_the_phase_limit_refused():
         expsum.eigenvalues(B1_OSC, expsum.PHASE_ORDER_LIMIT + 1)
     theta, _ = expsum.eigenvalues(BM1, expsum.PHASE_ORDER_LIMIT**3)
     assert theta[-1] > 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, N",
+    [
+        pytest.param(spec, 2**log2, id=f"{name}-2^{log2}")
+        for name, spec in [("b1", B1), ("b1-osc", B1_OSC), ("combined", SPECS["combined"]), ("rotated", ROTATED)]
+        for log2 in (10, 18, 40)
+    ] + [pytest.param(B1, math.ceil(math.exp(200)), id="b1-e^200")],
+)
+def test_solve_stays_within_solve_bytes(spec, N):
+    expsum.eigenvalues(spec, 2**10)  # numpy.linalg allocates once on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        expsum.eigenvalues(spec, N)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= expsum.solve_bytes(spec, N)
 
 
 def test_solve_bytes_grows_with_log_order_only():
